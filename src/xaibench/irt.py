@@ -180,60 +180,59 @@ def build_response_matrix(respondents, test) -> ResponseMatrix:
 
 
 def _prob_matrix(a, b, c, theta):
-    z = np.clip(np.outer(theta, np.ones_like(a)) * a - np.outer(np.ones_like(theta), a * b),
-                -500, 500)
-    p = c + (1.0 - c) / (1.0 + np.exp(-z))
+    """Clipped hit probabilities (..., R, N) for item vectors (N,) or stacked
+    (K, N) and abilities (R,) or (K, R).  z = theta*a - a*b, not
+    a*(theta - b), which rounds differently."""
+    z = np.clip(theta[..., :, None] * a[..., None, :] - (a * b)[..., None, :], -500, 500)
+    p = c[..., None, :] + (1.0 - c[..., None, :]) / (1.0 + np.exp(-z))
     return np.clip(p, _PROB_CLIP, 1.0 - _PROB_CLIP)
 
 
 def _loglik_entries(u, a, b, c, theta):
+    # equals u*log(p) + (1-u)*log(1-p) bit for bit: u is 0/1 and both logs are finite
     p = _prob_matrix(a, b, c, theta)
-    return u * np.log(p) + (1.0 - u) * np.log(1.0 - p)
+    return np.log(np.where(u, p, 1.0 - p))
 
 
 def _item_objective(u, a, b, c, theta, cfg: FitConfig):
-    """Penalized per-item log-likelihood, length N."""
-    ll = _loglik_entries(u, a, b, c, theta).sum(axis=0)
+    """Penalized per-item log-likelihood, shaped (..., N)."""
+    ll = _loglik_entries(u, a, b, c, theta).sum(axis=-2)
     pen = cfg.penalty_weight * ((a - cfg.anchor_a) ** 2 + (c - cfg.anchor_c) ** 2)
     return ll - pen
 
 
 def _respondent_objective(u, a, b, c, theta):
-    return _loglik_entries(u, a, b, c, theta).sum(axis=1)
+    """Per-respondent log-likelihood, shaped (..., R)."""
+    return _loglik_entries(u, a, b, c, theta).sum(axis=-1)
 
 
 def _scan_golden_max(f, current, lo, hi, scan_points, xtol):
     """Elementwise 1-D maximization of f over [lo, hi].
 
-    f maps a coordinate vector to a per-coordinate objective vector.  A
-    coarse scan brackets the optimum (robust to bimodality in the
-    discrimination coordinate), golden-section refines it, and each
-    coordinate keeps its current value unless the candidate improves it.
+    f maps a stacked (K, n) block of candidate vectors to (K, n) objectives,
+    so the scan of all scan_points grid values, the pair of golden-section
+    probes, and the final candidate-vs-current test each cost one call.
+    The scan brackets the optimum at the first grid maximum (robust to
+    bimodality in the discrimination coordinate), golden-section refines
+    it, and each coordinate keeps its current value unless the candidate
+    improves it.
     """
     n = len(current)
     grid = np.linspace(lo, hi, scan_points)
     step = grid[1] - grid[0]
-    best_val = np.full(n, -np.inf)
-    best_x = np.full(n, grid[0])
-    for g in grid:
-        v = f(np.full(n, g))
-        better = v > best_val
-        best_val = np.where(better, v, best_val)
-        best_x = np.where(better, g, best_x)
+    best_x = grid[np.argmax(f(np.repeat(grid[:, None], n, axis=1)), axis=0)]
     left = np.maximum(best_x - step, lo)
     right = np.minimum(best_x + step, hi)
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     while np.max(right - left) > xtol:
         x1 = right - invphi * (right - left)
         x2 = left + invphi * (right - left)
-        f1 = f(x1)
-        f2 = f(x2)
+        f1, f2 = f(np.stack([x1, x2]))
         move_lo = f1 < f2
         left = np.where(move_lo, x1, left)
         right = np.where(move_lo, right, x2)
     cand = 0.5 * (left + right)
-    f_cand = f(cand)
-    f_cur = f(np.asarray(current, dtype=float))
+    f_cand, f_cur = f(np.stack([cand, np.asarray(current, dtype=float)]))
     return np.where(f_cand > f_cur, cand, current)
 
 

@@ -1,9 +1,10 @@
 """CART-style binary trees: a Gini classifier and a squared-error regression
 tree (the weak learner for gradient boosting).
 
-Trees are plain nested dicts so they serialize to JSON losslessly.  Split
-ties are broken by the lowest feature index, then the lowest threshold, so
-training is fully deterministic.
+Trees are plain nested dicts so they serialize to JSON losslessly.  A node's
+split search scores all features in one vectorized pass; each feature keeps
+its first (lowest-threshold) maximum, then features are visited in index
+order and a later one wins only by more than _GAIN_TOL.
 """
 
 from __future__ import annotations
@@ -13,79 +14,60 @@ import numpy as np
 _GAIN_TOL = 1e-12
 
 
+def _split_candidates(x: np.ndarray, min_leaf: int):
+    """Sort all columns of the (n, m) node block at once.  Returns the row
+    order, the sorted block, the left/right row counts of a split after
+    sorted position i, and the (n - 1, m) mask of legal splits."""
+    n = x.shape[0]
+    order = np.argsort(x, axis=0, kind="stable")
+    xs = np.take_along_axis(x, order, axis=0)
+    left_n = np.arange(1, n)[:, None]
+    right_n = n - left_n
+    legal = (xs[:-1] < xs[1:]) & (left_n >= min_leaf) & (right_n >= min_leaf)
+    return order, xs, left_n, right_n, legal
+
+
+def _pick_split(xs: np.ndarray, gain: np.ndarray, legal: np.ndarray):
+    """Apply the tie rule (module docstring) to an (n - 1, m) gain block."""
+    gain = np.where(legal, gain, -np.inf)
+    pos = np.argmax(gain, axis=0)
+    top = gain[pos, np.arange(gain.shape[1])]
+    best = None
+    for j, (k, g) in enumerate(zip(pos.tolist(), top.tolist())):
+        if g > _GAIN_TOL and (best is None or g > best[2] + _GAIN_TOL):
+            best = (j, float(0.5 * (xs[k, j] + xs[k + 1, j])), g)
+    return best
+
+
 def _best_split_classification(x: np.ndarray, y: np.ndarray, min_leaf: int):
     """Best (feature, threshold, gain) under Gini impurity, or None."""
-    n, m = x.shape
+    n = x.shape[0]
     total_pos = float(np.sum(y))
     p = total_pos / n
     parent_gini = 2.0 * p * (1.0 - p)
-    best = None
-    for j in range(m):
-        col = x[:, j]
-        order = np.argsort(col, kind="stable")
-        cs = col[order]
-        ys = y[order]
-        # split after position i (left has i+1 rows); only between distinct values
-        valid = np.flatnonzero(cs[:-1] < cs[1:])
-        if valid.size == 0:
-            continue
-        left_n = valid + 1
-        right_n = n - left_n
-        ok = (left_n >= min_leaf) & (right_n >= min_leaf)
-        if not np.any(ok):
-            continue
-        valid = valid[ok]
-        left_n = left_n[ok]
-        right_n = right_n[ok]
-        left_pos = np.cumsum(ys)[valid]
-        right_pos = total_pos - left_pos
-        pl = left_pos / left_n
-        pr = right_pos / right_n
-        weighted = (left_n * 2 * pl * (1 - pl) + right_n * 2 * pr * (1 - pr)) / n
-        gain = parent_gini - weighted
-        k = int(np.argmax(gain))
-        if gain[k] > _GAIN_TOL:
-            thr = 0.5 * (cs[valid[k]] + cs[valid[k] + 1])
-            if best is None or gain[k] > best[2] + _GAIN_TOL:
-                best = (j, float(thr), float(gain[k]))
-    return best
+    order, xs, left_n, right_n, legal = _split_candidates(x, min_leaf)
+    left_pos = np.cumsum(y[order], axis=0)[:-1]
+    right_pos = total_pos - left_pos
+    pl = left_pos / left_n
+    pr = right_pos / right_n
+    weighted = (left_n * 2 * pl * (1 - pl) + right_n * 2 * pr * (1 - pr)) / n
+    return _pick_split(xs, parent_gini - weighted, legal)
 
 
 def _best_split_regression(x: np.ndarray, y: np.ndarray, min_leaf: int):
     """Best (feature, threshold, gain) by sum-of-squares reduction, or None."""
-    n, m = x.shape
+    n = x.shape[0]
     total = float(np.sum(y))
     total2 = float(np.sum(y * y))
     parent_sse = total2 - total * total / n
-    best = None
-    for j in range(m):
-        col = x[:, j]
-        order = np.argsort(col, kind="stable")
-        cs = col[order]
-        ys = y[order]
-        valid = np.flatnonzero(cs[:-1] < cs[1:])
-        if valid.size == 0:
-            continue
-        left_n = valid + 1
-        right_n = n - left_n
-        ok = (left_n >= min_leaf) & (right_n >= min_leaf)
-        if not np.any(ok):
-            continue
-        valid = valid[ok]
-        left_n = left_n[ok]
-        right_n = right_n[ok]
-        left_sum = np.cumsum(ys)[valid]
-        left_sum2 = np.cumsum(ys * ys)[valid]
-        right_sum = total - left_sum
-        right_sum2 = total2 - left_sum2
-        sse = (left_sum2 - left_sum ** 2 / left_n) + (right_sum2 - right_sum ** 2 / right_n)
-        gain = parent_sse - sse
-        k = int(np.argmax(gain))
-        if gain[k] > _GAIN_TOL:
-            thr = 0.5 * (cs[valid[k]] + cs[valid[k] + 1])
-            if best is None or gain[k] > best[2] + _GAIN_TOL:
-                best = (j, float(thr), float(gain[k]))
-    return best
+    order, xs, left_n, right_n, legal = _split_candidates(x, min_leaf)
+    ys = y[order]
+    left_sum = np.cumsum(ys, axis=0)[:-1]
+    left_sum2 = np.cumsum(ys * ys, axis=0)[:-1]
+    right_sum = total - left_sum
+    right_sum2 = total2 - left_sum2
+    sse = (left_sum2 - left_sum ** 2 / left_n) + (right_sum2 - right_sum ** 2 / right_n)
+    return _pick_split(xs, parent_sse - sse, legal)
 
 
 def _predict_node(node: dict, x: np.ndarray, out: np.ndarray, idx: np.ndarray):
@@ -113,12 +95,6 @@ def tree_features_used(node: dict, acc=None) -> set:
         tree_features_used(node["left"], acc)
         tree_features_used(node["right"], acc)
     return acc
-
-
-def tree_depth(node: dict) -> int:
-    if "value" in node:
-        return 0
-    return 1 + max(tree_depth(node["left"]), tree_depth(node["right"]))
 
 
 class DecisionTreeClassifier:

@@ -79,6 +79,15 @@ class RunConfig:
         object.__setattr__(self, "explainers", tuple(self.explainers))
         if 0.0 not in self.fractions:
             raise ValueError("fractions must include 0 (the unperturbed baseline)")
+        if not all(0.0 <= f <= 1.0 for f in self.fractions):
+            raise ValueError(f"fractions must lie in [0, 1], got {self.fractions}")
+        keys = [level_key(f) for f in self.fractions]
+        if len(set(keys)) != len(keys):
+            raise ValueError(f"fractions must map to distinct levels, got {keys}")
+        if self.cv_folds < 2:
+            raise ValueError("cv_folds must be >= 2")
+        if self.repetitions < 1:
+            raise ValueError("repetitions must be >= 1")
         if not self.models:
             raise ValueError("need at least one model kind")
         for kind in self.models:
@@ -125,10 +134,17 @@ def _require(cfg: RunConfig, stage: str, *parts) -> str:
 
 
 def _write_json(path, obj) -> None:
+    """Write via a same-directory temp file and os.replace: never half a file."""
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh, sort_keys=True, indent=1)
+            fh.write("\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _read_json(path):

@@ -13,6 +13,7 @@ from xaibench.pipeline import (
     STAGES,
     PipelineError,
     RunConfig,
+    _write_json,
     run_all,
     run_stage,
 )
@@ -52,6 +53,18 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="explainer"):
             RunConfig(dataset=small_dataset_path, out_dir="x",
                       explainers=("lime",))
+
+    @pytest.mark.parametrize("bad, match", [
+        ({"fractions": (0.0, 0.1, 0.1)}, "distinct levels"),
+        ({"fractions": (0.0, 0.04, 0.041)}, "distinct levels"),
+        ({"fractions": (0.0, 1.5)}, r"\[0, 1\]"),
+        ({"fractions": (0.0, -0.1)}, r"\[0, 1\]"),
+        ({"cv_folds": 1}, "cv_folds"),
+        ({"repetitions": 0}, "repetitions"),
+    ])
+    def test_invalid_values_rejected_at_construction(self, small_dataset_path, bad, match):
+        with pytest.raises(ValueError, match=match):
+            RunConfig(dataset=small_dataset_path, out_dir="x", **bad)
 
     def test_echo_omits_grids(self, small_dataset_path):
         cfg = RunConfig(dataset=small_dataset_path, out_dir="x")
@@ -98,6 +111,19 @@ class TestRunAll:
         cfg = small_config(small_dataset_path, tmp_path / "x")
         with pytest.raises(PipelineError):
             run_stage(cfg, "tune")
+
+
+class TestArtifactWrites:
+    def test_failed_serialization_keeps_previous_file(self, tmp_path):
+        path = str(tmp_path / "irt" / "fit_cart_0.json")
+        _write_json(path, {"a": 1})
+        with open(path, "rb") as fh:
+            before = fh.read()
+        with pytest.raises(TypeError):
+            _write_json(path, {"a": 2, "b": object()})
+        with open(path, "rb") as fh:
+            assert fh.read() == before
+        assert os.listdir(tmp_path / "irt") == ["fit_cart_0.json"]
 
 
 class TestStageComposition:
