@@ -1,11 +1,13 @@
-"""Dataset ingestion, z-score standardization, stratified splitting and the
-perturbation engine that manufactures the 0/4/6/10% test-set variants."""
+"""Dataset I/O with atomic writes, z-score standardization, stratified splitting,
+level keys and the perturbation engine for the 0/4/6/10% test-set variants."""
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+import os
+from contextlib import contextmanager
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +37,6 @@ class Dataset:
     features: np.ndarray
     labels: np.ndarray
     feature_names: tuple
-    positive_label: int = 1
 
     def __post_init__(self):
         feats = _frozen(np.asarray(self.features, dtype=float))
@@ -72,19 +73,11 @@ class Dataset:
 
     def with_features(self, features: np.ndarray) -> "Dataset":
         """Same labels/names, new feature values."""
-        return Dataset(features, self.labels, self.feature_names, self.positive_label)
-
-    def drop_feature(self, index: int) -> "Dataset":
-        names = self.feature_names[:index] + self.feature_names[index + 1:]
-        if not names:
-            raise DatasetError("cannot drop the only feature")
-        return Dataset(np.delete(self.features, index, axis=1), self.labels, names,
-                       self.positive_label)
+        return Dataset(features, self.labels, self.feature_names)
 
     def take(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=int)
-        return Dataset(self.features[idx], self.labels[idx], self.feature_names,
-                       self.positive_label)
+        return Dataset(self.features[idx], self.labels[idx], self.feature_names)
 
 
 @dataclass(frozen=True)
@@ -119,6 +112,25 @@ class PerturbationSpec:
             raise DatasetError("fraction must lie in [0, 1]")
         if self.noise_scale < 0:
             raise DatasetError("noise_scale must be >= 0")
+
+
+def level_key(fraction: float) -> str:
+    """The percent label of a perturbation level: 0.04 -> "4"."""
+    return str(int(round(fraction * 100)))
+
+
+@contextmanager
+def atomic_open(path, newline=None):
+    """Open ``path`` for writing text through a same-directory temp file that
+    replaces it only once the block completes: never half a file."""
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_csv(path) -> Dataset:
@@ -162,7 +174,7 @@ def load_csv(path) -> Dataset:
 
 def save_csv(data: Dataset, path, class_name: str = "class") -> None:
     """Write a dataset back out with the same schema load_csv expects."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(data.feature_names) + [class_name])
         for x, y in zip(data.features, data.labels):
@@ -182,12 +194,6 @@ def zscore_apply(data: Dataset, stats: StandardizationStats) -> Dataset:
         raise DatasetError(
             f"stats cover {stats.mean.shape[0]} features, dataset has {data.n_features}")
     return data.with_features((data.features - stats.mean) / stats.stddev)
-
-
-def zscore_invert(data: Dataset, stats: StandardizationStats) -> Dataset:
-    if stats.mean.shape[0] != data.n_features:
-        raise DatasetError("stats dimensionality mismatch")
-    return data.with_features(data.features * stats.stddev + stats.mean)
 
 
 def split(data: Dataset, train_fraction: float, seed: int):

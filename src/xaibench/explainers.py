@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import Dataset, DatasetError
-from .irt import IrtFit, build_response_matrix, fit_3pl
+from .data import Dataset
+from .irt import build_response_matrix, fit_3pl
 from .metrics import accuracy_score, labels_from_proba, roc_auc_score
 from .models.training import CVConfig, TrainedModel, build_estimator, stratified_kfold
 from .seeding import derive_seed, rng_for
@@ -69,6 +69,20 @@ class RelevanceRank:
     def positions(self) -> dict:
         """feature -> 1-based rank position."""
         return {f: i + 1 for i, f in enumerate(self.ordered_features)}
+
+    def as_dict(self) -> dict:
+        """JSON-ready fields; ``score_std`` only when the explainer records it."""
+        d = asdict(self)
+        if self.score_std is None:
+            del d["score_std"]
+        return d
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "RelevanceRank":
+        std = d.get("score_std")
+        return cls(tuple(d["ordered_features"]), tuple(d["scores"]), d["explainer"],
+                   d["model_kind"], d["perturbation_fraction"],
+                   None if std is None else tuple(std))
 
 
 def rank_from_scores(feature_names, scores, explainer, model_kind,

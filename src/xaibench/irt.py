@@ -11,8 +11,7 @@ outer iterations.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -294,18 +293,6 @@ def fit_3pl(responses: ResponseMatrix, config: FitConfig | None = None) -> IrtFi
     )
 
 
-def estimate_abilities(responses: ResponseMatrix, items: ItemParameters,
-                       config: FitConfig | None = None) -> Abilities:
-    """Per-respondent bounded MLE of theta with item parameters held fixed."""
-    cfg = config or FitConfig()
-    u = responses.entries.astype(float)
-    theta0 = _standardized_scores(u)
-    theta = _scan_golden_max(
-        lambda v: _respondent_objective(u, items.a, items.b, items.c, v),
-        theta0, *THETA_BOUNDS, max(cfg.scan_points, 33), cfg.xtol)
-    return Abilities(theta)
-
-
 def default_theta_grid() -> np.ndarray:
     return np.linspace(THETA_BOUNDS[0], THETA_BOUNDS[1], 161)
 
@@ -368,26 +355,6 @@ def reliability_compare(x: ReliabilitySummary, y: ReliabilitySummary,
     if dissent < tie_epsilon or dissent < max(supporters):
         return winner
     return AMBIGUOUS
-
-
-def response_matrix_to_csv(matrix: ResponseMatrix, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["respondent"] + list(matrix.item_ids))
-        for rid, row in zip(matrix.respondent_ids, matrix.entries):
-            writer.writerow([rid] + [int(v) for v in row])
-
-
-def response_matrix_from_csv(path) -> ResponseMatrix:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        item_ids = tuple(header[1:])
-        ids, rows = [], []
-        for row in reader:
-            ids.append(row[0])
-            rows.append([int(v) for v in row[1:]])
-    return ResponseMatrix(np.array(rows, dtype=int), tuple(ids), item_ids)
 
 
 def fit_to_dict(fit: IrtFit) -> dict:

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..data import Dataset, DatasetError
+from ..data import Dataset, DatasetError, atomic_open
 from ..seeding import rng_for
 from ..metrics import roc_auc_score
 from .gbt import GradientBoostedTrees
@@ -181,7 +181,7 @@ def model_from_dict(d: dict) -> TrainedModel:
 
 
 def save_model(model: TrainedModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(model_to_dict(model), fh, sort_keys=True)
 
 

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import data as datamod
-from .data import Dataset, PerturbationSpec, load_csv, save_csv, split, zscore_apply, zscore_fit
+from .data import (PerturbationSpec, atomic_open, level_key, load_csv, save_csv, split,
+                   zscore_apply, zscore_fit)
 from .explainers import (
     EXPLAINERS,
     ExplainerConfig,
@@ -40,10 +41,10 @@ from .irt import (
 from .metrics import MetricReport, classification_report
 from .models import MODEL_KINDS, CVConfig, load_model, save_model, train
 from .models.training import default_grids
-from .report import RunReport, level_key, write_report
+from .report import RunReport, write_report
 from .seeding import derive_seed
 from .stability import StabilityRecord, stability_sum
-from .stats import MeasurementTable, friedman, nemenyi
+from .stats import MeasurementTable, PosthocMatrix, friedman, nemenyi
 
 METRIC_NAMES = ("accuracy", "precision", "recall", "f1", "roc_auc")
 
@@ -134,22 +135,33 @@ def _require(cfg: RunConfig, stage: str, *parts) -> str:
 
 
 def _write_json(path, obj) -> None:
-    """Write via a same-directory temp file and os.replace: never half a file."""
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, sort_keys=True, indent=1)
-            fh.write("\n")
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    with atomic_open(path) as fh:
+        json.dump(obj, fh, sort_keys=True, indent=1)
+        fh.write("\n")
 
 
 def _read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def _run_config(cfg: RunConfig) -> dict:
+    """The config a run's artifacts depend on: the echo minus ``out_dir``."""
+    return {k: v for k, v in cfg.echo().items() if k != "out_dir"}
+
+
+def _check_config(cfg: RunConfig, stage: str) -> dict:
+    """Refuse to consume artifacts that the train stage wrote under another
+    config; returns the prepared/stats.json record."""
+    meta = _read_json(_require(cfg, stage, "prepared", "stats.json"))
+    recorded, current = meta.get("config", {}), _run_config(cfg)
+    differ = sorted(k for k in recorded.keys() | current.keys()
+                    if recorded.get(k) != current.get(k))
+    if differ:
+        raise PipelineError(stage, f"{cfg.out_dir} holds artifacts of a run with a "
+                                   f"different config; differing keys: {', '.join(differ)}")
+    return meta
 
 
 def stage_train(cfg: RunConfig) -> None:
@@ -166,6 +178,7 @@ def stage_train(cfg: RunConfig) -> None:
     save_csv(train_std, _path(cfg, "prepared", "train.csv"))
     save_csv(test_raw, _path(cfg, "prepared", "test_raw.csv"))
     _write_json(_path(cfg, "prepared", "stats.json"), {
+        "config": _run_config(cfg),
         "mean": stats.mean.tolist(),
         "stddev": stats.stddev.tolist(),
         "feature_names": list(dataset.feature_names),
@@ -186,10 +199,8 @@ def stage_train(cfg: RunConfig) -> None:
 
 def stage_perturb(cfg: RunConfig) -> None:
     """Manufacture the standardized test variants, one per fraction."""
-    _require(cfg, "perturb", "prepared", "test_raw.csv")
-    _require(cfg, "perturb", "prepared", "stats.json")
-    test_raw = load_csv(_path(cfg, "prepared", "test_raw.csv"))
-    meta = _read_json(_path(cfg, "prepared", "stats.json"))
+    meta = _check_config(cfg, "perturb")
+    test_raw = load_csv(_require(cfg, "perturb", "prepared", "test_raw.csv"))
     stats = datamod.StandardizationStats(np.array(meta["mean"]), np.array(meta["stddev"]))
     os.makedirs(_path(cfg, "variants"), exist_ok=True)
     for f in cfg.fractions:
@@ -223,6 +234,7 @@ def _load_variants(cfg: RunConfig, stage: str) -> dict:
 def stage_explain(cfg: RunConfig) -> None:
     """Evaluate every (model, level) cell and produce every configured
     explainer's rank; eXirt fits are persisted for the irt stage."""
+    _check_config(cfg, "explain")
     models = _load_models(cfg, "explain")
     variants = _load_variants(cfg, "explain")
     train_std = load_csv(_require(cfg, "explain", "prepared", "train.csv"))
@@ -255,63 +267,30 @@ def stage_explain(cfg: RunConfig) -> None:
                     rank, fit = explain_exirt(model, test, ecfg, f)
                     _write_json(_path(cfg, "irt", f"fit_{kind}_{level_key(f)}.json"),
                                 fit_to_dict(fit))
-                d = {
-                    "explainer": rank.explainer,
-                    "model_kind": rank.model_kind,
-                    "perturbation_fraction": rank.perturbation_fraction,
-                    "ordered_features": list(rank.ordered_features),
-                    "scores": list(rank.scores),
-                }
-                if rank.score_std is not None:
-                    d["score_std"] = list(rank.score_std)
-                ranks.append(d)
+                ranks.append(rank.as_dict())
     _write_json(_path(cfg, "metrics.json"), metrics)
     _write_json(_path(cfg, "ranks.json"), ranks)
 
 
+def _load_fit(cfg: RunConfig, stage: str, kind: str, fraction: float):
+    return fit_from_dict(_read_json(
+        _require(cfg, stage, "irt", f"fit_{kind}_{level_key(fraction)}.json")))
+
+
 def stage_irt(cfg: RunConfig) -> None:
-    """Reliability summaries and ICC curve tables from the eXirt fits."""
+    """Reliability summaries from the eXirt fits."""
+    _check_config(cfg, "irt")
     reliability = {}
     if "exirt" in cfg.explainers:
-        grid = default_theta_grid()
         for kind in cfg.models:
-            reliability[kind] = {}
-            for f in cfg.fractions:
-                lvl = level_key(f)
-                fit = fit_from_dict(_read_json(
-                    _require(cfg, "irt", "irt", f"fit_{kind}_{lvl}.json")))
-                s = summarize(fit)
-                reliability[kind][lvl] = {
-                    "mean_difficulty": s.mean_difficulty,
-                    "mean_discrimination": s.mean_discrimination,
-                    "mean_guessing": s.mean_guessing,
-                    "mean_ability": s.mean_ability,
-                    "negative_item_count": s.negative_item_count,
-                }
-                curves = icc(fit.items, grid)
-                rows = ["item_id,theta,p"]
-                for c in curves:
-                    for t, p in zip(c.theta_grid, c.p):
-                        rows.append(f"{c.item_id},{t!r},{p!r}")
-                with open(_path(cfg, "irt", f"icc_{kind}_{lvl}.csv"), "w",
-                          encoding="utf-8") as fh:
-                    fh.write("\n".join(rows) + "\n")
+            reliability[kind] = {level_key(f): asdict(summarize(_load_fit(cfg, "irt", kind, f)))
+                                 for f in cfg.fractions}
     _write_json(_path(cfg, "reliability.json"), reliability)
 
 
-def _rank_from_dict(d: dict) -> RelevanceRank:
-    return RelevanceRank(
-        ordered_features=tuple(d["ordered_features"]),
-        scores=tuple(d["scores"]),
-        explainer=d["explainer"],
-        model_kind=d["model_kind"],
-        perturbation_fraction=d["perturbation_fraction"],
-        score_std=tuple(d["score_std"]) if "score_std" in d else None,
-    )
-
-
 def stage_stability(cfg: RunConfig) -> None:
-    ranks = [_rank_from_dict(d) for d in
+    _check_config(cfg, "stability")
+    ranks = [RelevanceRank.from_dict(d) for d in
              _read_json(_require(cfg, "stability", "ranks.json"))]
     nonzero = tuple(sorted(f for f in cfg.fractions if f > 0))
     records = []
@@ -322,17 +301,12 @@ def stage_stability(cfg: RunConfig) -> None:
                          if r.explainer == explainer and r.model_kind == kind]
                 baseline = next(r for r in group if r.perturbation_fraction == 0.0)
                 perturbed = [r for r in group if r.perturbation_fraction > 0]
-                rec = stability_sum(baseline, perturbed, fractions=nonzero)
-                records.append({
-                    "explainer": rec.explainer,
-                    "model_kind": rec.model_kind,
-                    "rho_by_fraction": {repr(f): v for f, v in rec.rho_by_fraction.items()},
-                    "sum": rec.sum,
-                })
+                records.append(stability_sum(baseline, perturbed, fractions=nonzero).as_dict())
     _write_json(_path(cfg, "stability.json"), records)
 
 
 def stage_stats(cfg: RunConfig) -> None:
+    _check_config(cfg, "stats")
     metrics = _read_json(_require(cfg, "stats", "metrics.json"))
     treatments, columns = [], []
     for kind in cfg.models:
@@ -346,53 +320,36 @@ def stage_stats(cfg: RunConfig) -> None:
         table = MeasurementTable(METRIC_NAMES, tuple(treatments),
                                  np.array(columns, dtype=float).T)
         stat, p = friedman(table)
-        post = nemenyi(table)
         out["friedman"] = {"statistic": stat, "p_value": p}
-        out["nemenyi"] = {"labels": list(post.labels), "p": post.p.tolist()}
+        out["nemenyi"] = nemenyi(table).as_dict()
     _write_json(_path(cfg, "statstest.json"), out)
 
 
 def stage_report(cfg: RunConfig) -> RunReport:
-    from .stats import PosthocMatrix
-
-    meta = _read_json(_require(cfg, "report", "prepared", "stats.json"))
+    meta = _check_config(cfg, "report")
     metrics_raw = _read_json(_require(cfg, "report", "metrics.json"))
     ranks_raw = _read_json(_require(cfg, "report", "ranks.json"))
     reliability_raw = _read_json(_require(cfg, "report", "reliability.json"))
     stability_raw = _read_json(_require(cfg, "report", "stability.json"))
     stats_raw = _read_json(_require(cfg, "report", "statstest.json"))
 
-    models_meta = {}
-    for kind in cfg.models:
-        model = load_model(_require(cfg, "report", "models", f"{kind}.json"))
-        models_meta[kind] = {
-            "hyperparams": model.hyperparams,
-            "cv_score": model.cv_score,
-            "seed": model.seed,
-        }
+    models_meta = {kind: {"hyperparams": m.hyperparams, "cv_score": m.cv_score, "seed": m.seed}
+                   for kind, m in _load_models(cfg, "report").items()}
     metrics = {k: {lvl: MetricReport(**m) for lvl, m in levels.items()}
                for k, levels in metrics_raw.items()}
     reliability = {k: {lvl: ReliabilitySummary(**s) for lvl, s in levels.items()}
                    for k, levels in reliability_raw.items()}
-    ranks = [_rank_from_dict(d) for d in ranks_raw]
-    stability = [
-        StabilityRecord(d["explainer"], d["model_kind"],
-                        {float(f): v for f, v in d["rho_by_fraction"].items()},
-                        d["sum"])
-        for d in stability_raw
-    ]
+    ranks = [RelevanceRank.from_dict(d) for d in ranks_raw]
+    stability = [StabilityRecord.from_dict(d, cfg.fractions) for d in stability_raw]
     post = stats_raw["nemenyi"]
-    nem = None if post is None else PosthocMatrix(tuple(post["labels"]),
-                                                  np.array(post["p"]))
+    nem = None if post is None else PosthocMatrix.from_dict(post)
     icc_curves = {}
     if "exirt" in cfg.explainers:
         grid = default_theta_grid()
         for kind in cfg.models:
             for f in cfg.fractions:
-                lvl = level_key(f)
-                fit = fit_from_dict(_read_json(
-                    _require(cfg, "report", "irt", f"fit_{kind}_{lvl}.json")))
-                icc_curves[f"{kind}:{lvl}"] = icc(fit.items, grid)
+                icc_curves[f"{kind}:{level_key(f)}"] = icc(
+                    _load_fit(cfg, "report", kind, f).items, grid)
     report = RunReport(
         dataset_summary=meta["dataset"],
         config=cfg.echo(),

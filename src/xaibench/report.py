@@ -11,12 +11,13 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .irt import IccCurve, ReliabilitySummary
-from .metrics import MetricReport
+from .data import atomic_open, level_key
+from .irt import ReliabilitySummary
+from .stability import bump_chart_data
 from .stats import PosthocMatrix
 
 WIDTH = 800
@@ -199,33 +200,6 @@ class RunReport:
     icc: dict = field(default_factory=dict)  # "kind:level" -> list of IccCurve
 
 
-def level_key(fraction: float) -> str:
-    return str(int(round(fraction * 100)))
-
-
-def _rank_dict(rank) -> dict:
-    d = {
-        "explainer": rank.explainer,
-        "model_kind": rank.model_kind,
-        "perturbation_fraction": rank.perturbation_fraction,
-        "ordered_features": list(rank.ordered_features),
-        "scores": list(rank.scores),
-    }
-    if rank.score_std is not None:
-        d["score_std"] = list(rank.score_std)
-    return d
-
-
-def _reliability_dict(s: ReliabilitySummary) -> dict:
-    return {
-        "mean_difficulty": s.mean_difficulty,
-        "mean_discrimination": s.mean_discrimination,
-        "mean_guessing": s.mean_guessing,
-        "mean_ability": s.mean_ability,
-        "negative_item_count": s.negative_item_count,
-    }
-
-
 def report_to_dict(r: RunReport) -> dict:
     return {
         "dataset": r.dataset_summary,
@@ -233,18 +207,12 @@ def report_to_dict(r: RunReport) -> dict:
         "models": r.models,
         "metrics": {k: {lvl: m.as_dict() for lvl, m in levels.items()}
                     for k, levels in r.metrics.items()},
-        "reliability": {k: {lvl: _reliability_dict(s) for lvl, s in levels.items()}
+        "reliability": {k: {lvl: asdict(s) for lvl, s in levels.items()}
                         for k, levels in r.reliability.items()},
-        "ranks": [_rank_dict(rk) for rk in r.ranks],
-        "stability": [
-            {"explainer": rec.explainer, "model_kind": rec.model_kind,
-             "rho_by_fraction": {level_key(f): v for f, v in rec.rho_by_fraction.items()},
-             "sum": rec.sum}
-            for rec in r.stability
-        ],
+        "ranks": [rk.as_dict() for rk in r.ranks],
+        "stability": [rec.as_dict() for rec in r.stability],
         "friedman": r.friedman,
-        "nemenyi": (None if r.nemenyi is None else
-                    {"labels": list(r.nemenyi.labels), "p": r.nemenyi.p.tolist()}),
+        "nemenyi": None if r.nemenyi is None else r.nemenyi.as_dict(),
     }
 
 
@@ -277,11 +245,11 @@ def write_report(r: RunReport, out_dir) -> None:
     def path(name):
         return os.path.join(out_dir, name)
 
-    with open(path("report.json"), "w", encoding="utf-8") as fh:
+    with atomic_open(path("report.json")) as fh:
         json.dump(report_to_dict(r), fh, sort_keys=True, indent=2)
         fh.write("\n")
 
-    with open(path("metrics.csv"), "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path("metrics.csv"), newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["model", "level", "accuracy", "precision", "recall",
                          "f1", "roc_auc"])
@@ -291,7 +259,7 @@ def write_report(r: RunReport, out_dir) -> None:
                 writer.writerow([kind, lvl, repr(m.accuracy), repr(m.precision),
                                  repr(m.recall), repr(m.f1), repr(m.roc_auc)])
 
-    with open(path("ranks.csv"), "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path("ranks.csv"), newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["explainer", "model", "perturbation", "position",
                          "feature", "score"])
@@ -302,7 +270,7 @@ def write_report(r: RunReport, out_dir) -> None:
                                  level_key(rk.perturbation_fraction), pos, feat,
                                  repr(score)])
 
-    with open(path("stability.csv"), "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path("stability.csv"), newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["explainer", "model", "fraction", "rho", "sum"])
         for rec in sorted(r.stability, key=lambda s: (s.explainer, s.model_kind)):
@@ -311,22 +279,21 @@ def write_report(r: RunReport, out_dir) -> None:
                                  repr(rec.rho_by_fraction[f]), repr(rec.sum)])
 
     if r.nemenyi is not None:
-        with open(path("nemenyi.csv"), "w", encoding="utf-8", newline="") as fh:
+        with atomic_open(path("nemenyi.csv"), newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow([""] + list(r.nemenyi.labels))
             for label, row in zip(r.nemenyi.labels, r.nemenyi.p):
                 writer.writerow([label] + [repr(float(v)) for v in row])
-        with open(path("heatmap.svg"), "w", encoding="utf-8") as fh:
+        with atomic_open(path("heatmap.svg")) as fh:
             fh.write(render_heatmap_svg(r.nemenyi))
 
     for key in sorted(r.icc):
         kind, lvl = key.split(":")
         curves = r.icc[key]
         summary = r.reliability[kind][lvl]
-        with open(path(f"icc_{kind}_{lvl}.svg"), "w", encoding="utf-8") as fh:
+        with atomic_open(path(f"icc_{kind}_{lvl}.svg")) as fh:
             fh.write(render_icc_svg(curves, summary, title=f"{kind} at {lvl}% perturbation"))
 
-    from .stability import bump_chart_data  # local import avoids a cycle
     by_pair = {}
     for rk in r.ranks:
         by_pair.setdefault((rk.explainer, rk.model_kind), []).append(rk)
@@ -334,5 +301,5 @@ def write_report(r: RunReport, out_dir) -> None:
     for (expl, kind) in sorted(by_pair):
         table = bump_chart_data(by_pair[(expl, kind)])
         rec = records.get((expl, kind))
-        with open(path(f"bump_{expl}_{kind}.svg"), "w", encoding="utf-8") as fh:
+        with atomic_open(path(f"bump_{expl}_{kind}.svg")) as fh:
             fh.write(render_bump_svg(table, rec, title=f"{expl} / {kind}"))

@@ -4,8 +4,9 @@ bump-chart tables."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
+from .data import level_key
 from .explainers import RelevanceRank
 
 DEFAULT_FRACTIONS = (0.04, 0.06, 0.10)
@@ -21,6 +22,21 @@ class StabilityRecord:
     model_kind: str
     rho_by_fraction: dict  # perturbation fraction -> Spearman rho
     sum: float
+
+    def as_dict(self) -> dict:
+        """JSON-ready fields, with levels keyed by level_key."""
+        return dict(asdict(self), rho_by_fraction={
+            level_key(f): v for f, v in self.rho_by_fraction.items()})
+
+    @classmethod
+    def from_dict(cls, d: dict, fractions) -> "StabilityRecord":
+        """Inverse of as_dict; ``fractions`` maps the level keys back."""
+        by_key = {level_key(f): f for f in fractions}
+        unknown = sorted(set(d["rho_by_fraction"]) - set(by_key))
+        if unknown:
+            raise StabilityError(f"rho keyed by unconfigured levels {unknown}")
+        return cls(**dict(d, rho_by_fraction={
+            by_key[k]: v for k, v in d["rho_by_fraction"].items()}))
 
 
 def spearman(rank_a: RelevanceRank, rank_b: RelevanceRank) -> float:

@@ -52,14 +52,12 @@ class PosthocMatrix:
         if not np.allclose(np.diag(p), 1.0):
             raise StatsError("diagonal must be exactly 1")
 
-    def significant_pairs(self, alpha: float = 0.05) -> list:
-        out = []
-        k = len(self.labels)
-        for i in range(k):
-            for j in range(i + 1, k):
-                if self.p[i, j] < alpha:
-                    out.append((self.labels[i], self.labels[j], float(self.p[i, j])))
-        return out
+    def as_dict(self) -> dict:
+        return {"labels": list(self.labels), "p": self.p.tolist()}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "PosthocMatrix":
+        return cls(tuple(d["labels"]), np.array(d["p"]))
 
 
 def _within_block_ranks(values: np.ndarray) -> np.ndarray:

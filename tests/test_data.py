@@ -15,7 +15,6 @@ from xaibench.data import (
     split,
     zscore_apply,
     zscore_fit,
-    zscore_invert,
 )
 
 
@@ -53,16 +52,6 @@ class TestDataset:
     def test_rejects_label_length_mismatch(self):
         with pytest.raises(DatasetError):
             Dataset(np.ones((3, 1)), [0, 1], ("x",))
-
-    def test_drop_feature(self):
-        d = small_dataset().drop_feature(0)
-        assert d.feature_names == ("y",)
-        assert d.features.shape == (4, 1)
-
-    def test_cannot_drop_only_feature(self):
-        d = small_dataset().drop_feature(0)
-        with pytest.raises(DatasetError):
-            d.drop_feature(0)
 
     def test_take_subsets_rows(self):
         d = small_dataset().take([0, 2])
@@ -121,12 +110,6 @@ class TestStandardization:
         z = zscore_apply(d, zscore_fit(d))
         assert np.allclose(z.features.mean(axis=0), 0.0)
         assert np.allclose(z.features.std(axis=0, ddof=1), 1.0)
-
-    def test_invert_round_trips(self):
-        d = small_dataset()
-        stats = zscore_fit(d)
-        back = zscore_invert(zscore_apply(d, stats), stats)
-        assert np.allclose(back.features, d.features)
 
     def test_constant_column_uses_epsilon_guard(self):
         d = Dataset(np.array([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]]),

@@ -149,7 +149,8 @@ class TestRankers:
 
     def test_schema_mismatch_rejected(self, fitted):
         model, _, test_data, _ = fitted
-        wrong = test_data.drop_feature(0)
+        wrong = Dataset(test_data.features[:, 1:], test_data.labels,
+                        test_data.feature_names[1:])
         with pytest.raises(ExplainerError):
             explain_eli5_style(model, wrong, ExplainerConfig(seed=0))
 

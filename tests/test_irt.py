@@ -16,15 +16,12 @@ from xaibench.irt import (
     ResponseMatrix,
     build_response_matrix,
     default_theta_grid,
-    estimate_abilities,
     fit_3pl,
     fit_from_dict,
     fit_to_dict,
     icc,
     p_correct,
     reliability_compare,
-    response_matrix_from_csv,
-    response_matrix_to_csv,
     summarize,
 )
 from xaibench.data import Dataset
@@ -96,16 +93,6 @@ class TestResponseMatrix:
             build_response_matrix([("bad", np.array([1, 0])),
                                    ("ok", np.array([0, 1, 0, 1]))], data)
 
-    def test_csv_round_trip(self, tmp_path):
-        m = ResponseMatrix(np.array([[1, 0, 1], [0, 1, 1]]),
-                           ("r0", "r1"), ("i0", "i1", "i2"))
-        path = tmp_path / "matrix.csv"
-        response_matrix_to_csv(m, path)
-        back = response_matrix_from_csv(path)
-        assert back.respondent_ids == m.respondent_ids
-        assert back.item_ids == m.item_ids
-        assert np.array_equal(back.entries, m.entries)
-
 
 def simulated_matrix(r=60, n=40, seed=5):
     rng = np.random.default_rng(seed)
@@ -168,33 +155,6 @@ class TestFit3pl:
         assert np.array_equal(back.abilities.theta, fit.abilities.theta)
         assert back.history == fit.history
         assert back.converged == fit.converged
-
-
-class TestEstimateAbilities:
-    def items(self, n=12):
-        return ItemParameters(np.full(n, 1.5), np.linspace(-2, 2, n), np.full(n, 0.1))
-
-    def test_all_correct_hits_upper_bound(self):
-        items = self.items()
-        u = np.vstack([np.ones(12, dtype=int), np.array([1, 0] * 6)])
-        m = ResponseMatrix(u, ("ace", "mid"), tuple(f"i{i}" for i in range(12)))
-        theta = estimate_abilities(m, items).theta
-        assert theta[0] == pytest.approx(4.0, abs=1e-2)
-
-    def test_all_wrong_hits_lower_bound(self):
-        items = self.items()
-        u = np.vstack([np.zeros(12, dtype=int), np.array([1, 0] * 6)])
-        m = ResponseMatrix(u, ("dunce", "mid"), tuple(f"i{i}" for i in range(12)))
-        theta = estimate_abilities(m, items).theta
-        assert theta[0] == pytest.approx(-4.0, abs=1e-2)
-
-    def test_identical_rows_identical_theta(self):
-        items = self.items()
-        row = np.array([1, 1, 1, 0, 1, 0, 1, 0, 0, 1, 0, 0])
-        m = ResponseMatrix(np.vstack([row, row]), ("a", "b"),
-                           tuple(f"i{i}" for i in range(12)))
-        theta = estimate_abilities(m, items).theta
-        assert theta[0] == theta[1]
 
 
 class TestIcc:

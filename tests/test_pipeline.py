@@ -1,13 +1,17 @@
 """Pipeline orchestration, staged artifact flow and the CLI."""
 
+import dataclasses
 import json
 import os
+import subprocess
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from xaibench import cli
-from xaibench.data import load_csv, save_csv
+from xaibench.data import Dataset, load_csv, save_csv
 from xaibench.datasets import make_synthetic_diabetes
 from xaibench.pipeline import (
     STAGES,
@@ -83,8 +87,26 @@ class TestRunAll:
                     "stability.json", "statstest.json", "report.json",
                     "metrics.csv", "ranks.csv", "stability.csv",
                     "nemenyi.csv", "heatmap.svg",
-                    "icc_cart_0.svg", "bump_eli5_cart.svg"):
+                    "icc_cart_0.svg", "bump_eli5_cart.svg", "irt/fit_cart_0.json"):
             assert os.path.exists(os.path.join(out_dir, rel)), rel
+        assert not [n for n in os.listdir(os.path.join(out_dir, "irt"))
+                    if n.startswith("icc_")]
+
+    @pytest.mark.parametrize("artifact, key, section", [
+        ("ranks.json", None, "ranks"),
+        ("reliability.json", None, "reliability"),
+        ("stability.json", None, "stability"),
+        ("metrics.json", None, "metrics"),
+        ("statstest.json", "nemenyi", "nemenyi"),
+    ])
+    def test_artifact_equals_its_report_section(self, completed_run, artifact, key,
+                                                section):
+        _, _, out_dir = completed_run
+        with open(os.path.join(out_dir, artifact), encoding="utf-8") as fh:
+            got = json.load(fh)
+        with open(os.path.join(out_dir, "report.json"), encoding="utf-8") as fh:
+            report = json.load(fh)
+        assert (got if key is None else got[key]) == report[section]
 
     def test_report_counts_scale_with_config(self, completed_run):
         _, report, out_dir = completed_run
@@ -107,6 +129,12 @@ class TestRunAll:
         with pytest.raises(PipelineError, match=r"\[explain\].*missing"):
             run_stage(cfg, "explain")
 
+    def test_mixed_configs_are_refused(self, completed_run):
+        cfg, _, _ = completed_run
+        other = dataclasses.replace(cfg, master_seed=cfg.master_seed + 1)
+        with pytest.raises(PipelineError, match=r"\[explain\].*master_seed"):
+            run_stage(other, "explain")
+
     def test_unknown_stage_rejected(self, small_dataset_path, tmp_path):
         cfg = small_config(small_dataset_path, tmp_path / "x")
         with pytest.raises(PipelineError):
@@ -115,15 +143,40 @@ class TestRunAll:
 
 class TestArtifactWrites:
     def test_failed_serialization_keeps_previous_file(self, tmp_path):
-        path = str(tmp_path / "irt" / "fit_cart_0.json")
-        _write_json(path, {"a": 1})
-        with open(path, "rb") as fh:
-            before = fh.read()
-        with pytest.raises(TypeError):
-            _write_json(path, {"a": 2, "b": object()})
-        with open(path, "rb") as fh:
-            assert fh.read() == before
-        assert os.listdir(tmp_path / "irt") == ["fit_cart_0.json"]
+        # each writer fails partway on its second payload: after the first
+        # row of the CSV, inside the JSON object
+        good_csv = Dataset(np.eye(2), [0, 1], ("x", "y"))
+        bad_csv = SimpleNamespace(feature_names=("x", "y"), features=np.eye(2),
+                                  labels=[0, object()])
+        writers = (
+            (_write_json, "fit_cart_0.json", {"a": 1}, {"a": 2, "b": object()}),
+            (lambda path, d: save_csv(d, path), "test_0.csv", good_csv, bad_csv),
+        )
+        for i, (write, name, good, bad) in enumerate(writers):
+            folder = tmp_path / str(i)
+            os.makedirs(folder)
+            path = str(folder / name)
+            write(path, good)
+            with open(path, "rb") as fh:
+                before = fh.read()
+            with pytest.raises(TypeError):
+                write(path, bad)
+            with open(path, "rb") as fh:
+                assert fh.read() == before
+            assert os.listdir(folder) == [name]
+
+
+class TestTracerHooks:
+    def test_tracer_installs(self):
+        """The benchmark tracer rebinds names in xaibench.pipeline and
+        xaibench.report; a renamed or dropped import fails here."""
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        code = ("import sys; sys.path[:0] = sys.argv[1:]; "
+                "import tracing; tracing.install(tracing.Tracer())")
+        proc = subprocess.run([sys.executable, "-c", code, os.path.join(root, "src"),
+                               os.path.join(root, "bench")],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestStageComposition:

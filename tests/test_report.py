@@ -1,8 +1,13 @@
 """Deterministic SVG rendering and report serialization."""
 
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from xaibench.data import level_key as data_level_key
 from xaibench.explainers import RelevanceRank
 from xaibench.irt import IccCurve, ItemParameters, ReliabilitySummary, icc
 from xaibench.report import (
@@ -14,7 +19,7 @@ from xaibench.report import (
     render_heatmap_svg,
     render_icc_svg,
 )
-from xaibench.stability import StabilityRecord, bump_chart_data
+from xaibench.stability import StabilityError, StabilityRecord, bump_chart_data
 from xaibench.stats import PosthocMatrix
 
 
@@ -36,6 +41,9 @@ class TestLevelKey:
         assert level_key(0.04) == "4"
         assert level_key(0.06) == "6"
         assert level_key(0.10) == "10"
+
+    def test_one_scheme(self):
+        assert level_key is data_level_key
 
 
 class TestIccSvg:
@@ -118,3 +126,59 @@ class TestHeatmapSvg:
 
     def test_deterministic(self):
         assert render_heatmap_svg(self.matrix()) == render_heatmap_svg(self.matrix())
+
+
+def through_json(d):
+    return json.loads(json.dumps(d, sort_keys=True))
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+names = st.text(min_size=1, max_size=8)
+
+
+class TestRecordRoundTrips:
+    """Each record type has one as_dict / from_dict pair, and it survives
+    the JSON text that the stage artifacts and report.json are made of."""
+
+    @given(st.lists(names, min_size=1, max_size=6, unique=True), st.data(),
+           names, names, st.floats(0.0, 1.0), st.booleans())
+    def test_relevance_rank(self, features, data, explainer, kind, fraction, with_std):
+        n = len(features)
+        scores = sorted(data.draw(st.lists(finite, min_size=n, max_size=n)), reverse=True)
+        std = data.draw(st.lists(finite, min_size=n, max_size=n)) if with_std else None
+        rank = RelevanceRank(tuple(features), tuple(scores), explainer, kind, fraction,
+                             None if std is None else tuple(std))
+        d = rank.as_dict()
+        assert ("score_std" in d) == with_std
+        assert RelevanceRank.from_dict(through_json(d)) == rank
+
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5, unique_by=data_level_key),
+           st.data(), names, names)
+    def test_stability_record(self, fractions, data, explainer, kind):
+        rhos = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=len(fractions),
+                                  max_size=len(fractions)))
+        rec = StabilityRecord(explainer, kind, dict(zip(fractions, rhos)), float(sum(rhos)))
+        d = through_json(rec.as_dict())
+        assert sorted(d["rho_by_fraction"]) == sorted(data_level_key(f) for f in fractions)
+        assert StabilityRecord.from_dict(d, fractions) == rec
+
+    def test_stability_record_refuses_an_unmapped_level(self):
+        rec = StabilityRecord("eli5", "gbt", {0.04: 0.5, 0.1: 0.25}, 0.75)
+        with pytest.raises(StabilityError, match="10"):
+            StabilityRecord.from_dict(rec.as_dict(), (0.0, 0.04))
+
+    @given(st.lists(names, min_size=2, max_size=5, unique=True), st.data())
+    def test_posthoc_matrix(self, labels, data):
+        k = len(labels)
+        p = np.ones((k, k))
+        for i in range(k):
+            for j in range(i + 1, k):
+                p[i, j] = p[j, i] = data.draw(st.floats(0.0, 1.0))
+        back = PosthocMatrix.from_dict(through_json(PosthocMatrix(labels, p).as_dict()))
+        assert back.labels == tuple(labels)
+        assert np.array_equal(back.p, p)
+
+    @given(finite, finite, finite, finite, st.integers(0, 10_000))
+    def test_reliability_summary(self, difficulty, discrimination, guessing, ability, neg):
+        s = ReliabilitySummary(difficulty, discrimination, guessing, ability, neg)
+        assert ReliabilitySummary(**through_json(asdict(s))) == s

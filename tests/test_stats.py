@@ -86,14 +86,6 @@ class TestNemenyi:
             assert np.all(np.diag(post.p) == 1.0)
             assert np.all((post.p >= 0) & (post.p <= 1))
 
-    def test_significant_pairs_filter(self):
-        labels = ("a", "b", "c")
-        p = np.array([[1.0, 0.01, 0.2],
-                      [0.01, 1.0, 0.5],
-                      [0.2, 0.5, 1.0]])
-        m = PosthocMatrix(labels, p)
-        assert m.significant_pairs(alpha=0.05) == [("a", "b", 0.01)]
-
 
 class TestPosthocMatrix:
     def test_rejects_asymmetric(self):
