@@ -18,20 +18,30 @@ from .explainers import EXPLAINERS
 from .models import MODEL_KINDS
 from .pipeline import STAGES, PipelineError, RunConfig, run_all, run_stage
 
-_CONFIG_KEYS = {
-    "dataset": str,
-    "out": str,
-    "seed": int,
-    "train_fraction": float,
-    "perturbation_kind": str,
-    "models": str,
-    "explainers": str,
-    "levels": str,
-    "noise_scale": float,
-    "cv_folds": int,
-    "repetitions": int,
-    "coalition_budget": int,
-    "bootstrap_respondents": int,
+def _csv_list(value: str) -> tuple:
+    return tuple(s.strip() for s in value.split(",") if s.strip())
+
+
+def _percents(value: str) -> tuple:
+    return tuple(float(v) / 100.0 for v in _csv_list(value))
+
+
+# config-file key -> (RunConfig field, value parser, flag help); the flag is
+# "--" + key with "_" -> "-"
+_KEYS = {
+    "dataset": ("dataset", str, "input CSV (header row, class column last)"),
+    "seed": ("master_seed", int, "master seed (default 7)"),
+    "out": ("out_dir", str, "output directory for all artifacts"),
+    "models": ("models", _csv_list, f"comma list from {','.join(MODEL_KINDS)}"),
+    "explainers": ("explainers", _csv_list, f"comma list from {','.join(EXPLAINERS)}"),
+    "levels": ("fractions", _percents, "comma list of perturbation percents, e.g. 0,4,6,10"),
+    "perturbation_kind": ("perturbation_kind", str, None),
+    "train_fraction": ("train_fraction", float, None),
+    "noise_scale": ("noise_scale", float, None),
+    "cv_folds": ("cv_folds", int, None),
+    "repetitions": ("repetitions", int, None),
+    "coalition_budget": ("coalition_budget", int, None),
+    "bootstrap_respondents": ("bootstrap_respondents", int, None),
 }
 
 
@@ -46,68 +56,29 @@ def parse_config_file(path) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, value = (s.strip() for s in line.split("=", 1))
-            if key not in _CONFIG_KEYS:
+            if key not in _KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            out[key] = _CONFIG_KEYS[key](value)
+            out[key] = _KEYS[key][1](value)
     return out
 
 
-def _csv_list(value: str) -> tuple:
-    return tuple(s.strip() for s in value.split(",") if s.strip())
-
-
 def build_config(args) -> RunConfig:
-    settings = {}
-    if args.config:
-        settings.update(parse_config_file(args.config))
-    for key in _CONFIG_KEYS:
-        cli_value = getattr(args, key, None)
-        if cli_value is not None:
-            settings[key] = cli_value
+    settings = parse_config_file(args.config) if args.config else {}
+    for key in _KEYS:
+        if getattr(args, key) is not None:
+            settings[key] = getattr(args, key)
     if "dataset" not in settings:
         raise ValueError("a dataset is required (--dataset or config file)")
     if "out" not in settings:
         raise ValueError("an output directory is required (--out or config file)")
-    kwargs = {
-        "dataset": settings["dataset"],
-        "out_dir": settings["out"],
-    }
-    if "seed" in settings:
-        kwargs["master_seed"] = settings["seed"]
-    if "train_fraction" in settings:
-        kwargs["train_fraction"] = settings["train_fraction"]
-    if "perturbation_kind" in settings:
-        kwargs["perturbation_kind"] = settings["perturbation_kind"]
-    if "noise_scale" in settings:
-        kwargs["noise_scale"] = settings["noise_scale"]
-    if "models" in settings:
-        kwargs["models"] = _csv_list(settings["models"])
-    if "explainers" in settings:
-        kwargs["explainers"] = _csv_list(settings["explainers"])
-    if "levels" in settings:
-        kwargs["fractions"] = tuple(float(v) / 100.0 for v in _csv_list(settings["levels"]))
-    for key in ("cv_folds", "repetitions", "coalition_budget", "bootstrap_respondents"):
-        if key in settings:
-            kwargs[key] = settings[key]
-    return RunConfig(**kwargs)
+    return RunConfig(**{_KEYS[key][0]: value for key, value in settings.items()})
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dataset", help="input CSV (header row, class column last)")
     p.add_argument("--config", help="flat key = value config file; CLI flags override it")
-    p.add_argument("--seed", type=int, help="master seed (default 7)")
-    p.add_argument("--out", help="output directory for all artifacts")
-    p.add_argument("--models", help=f"comma list from {','.join(MODEL_KINDS)}")
-    p.add_argument("--explainers", help=f"comma list from {','.join(EXPLAINERS)}")
-    p.add_argument("--levels", help="comma list of perturbation percents, e.g. 0,4,6,10")
-    p.add_argument("--perturbation-kind", dest="perturbation_kind",
-                   choices=PERTURBATION_KINDS)
-    p.add_argument("--train-fraction", dest="train_fraction", type=float)
-    p.add_argument("--noise-scale", dest="noise_scale", type=float)
-    p.add_argument("--cv-folds", dest="cv_folds", type=int)
-    p.add_argument("--repetitions", type=int)
-    p.add_argument("--coalition-budget", dest="coalition_budget", type=int)
-    p.add_argument("--bootstrap-respondents", dest="bootstrap_respondents", type=int)
+    for key, (_, parse, help_text) in _KEYS.items():
+        p.add_argument("--" + key.replace("_", "-"), type=parse, help=help_text,
+                       choices=PERTURBATION_KINDS if key == "perturbation_kind" else None)
 
 
 def make_parser() -> argparse.ArgumentParser:

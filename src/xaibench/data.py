@@ -172,11 +172,11 @@ def load_csv(path) -> Dataset:
     return Dataset(np.array(rows, dtype=float), np.array(labels, dtype=int), names)
 
 
-def save_csv(data: Dataset, path, class_name: str = "class") -> None:
+def save_csv(data: Dataset, path) -> None:
     """Write a dataset back out with the same schema load_csv expects."""
     with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(list(data.feature_names) + [class_name])
+        writer.writerow(list(data.feature_names) + ["class"])
         for x, y in zip(data.features, data.labels):
             writer.writerow([repr(float(v)) for v in x] + [int(y)])
 

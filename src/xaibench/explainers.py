@@ -3,6 +3,8 @@
 Re-implementations of the mechanisms popularized by Dalex (column inversion),
 Eli5 (mean decrease accuracy), Lofo (leave-one-feature-out retraining),
 kernel SHAP, Skater (prediction-entropy change) and eXirt (IRT ability drop).
+Each ``explain_*`` takes ``(model, train, test, cfg, perturbation_fraction=0.0)``
+and returns a RelevanceRank; ``explain_exirt`` returns ``(rank, fit)``.
 
 All randomness flows through per-feature seed streams derived from the
 config seed, so equal seeds give identical ranks regardless of evaluation
@@ -20,12 +22,14 @@ import numpy as np
 from .data import Dataset
 from .irt import build_response_matrix, fit_3pl
 from .metrics import accuracy_score, labels_from_proba, roc_auc_score
-from .models.training import CVConfig, TrainedModel, build_estimator, stratified_kfold
+from .models.training import TrainedModel, build_estimator, stratified_kfold
 from .seeding import derive_seed, rng_for
 
 EXPLAINERS = ("dalex", "eli5", "exirt", "lofo", "shap", "skater")
 
 EXACT_SHAP_LIMIT = 4096  # enumerate all coalitions when 2^M is at most this
+
+DALEX_SUBSAMPLE = 0.8  # dalex row subsampling per repetition
 
 
 class ExplainerError(ValueError):
@@ -38,15 +42,15 @@ class ExplainerConfig:
     coalition_budget: int = 2048
     seed: int = 0
     bootstrap_respondents: int = 20  # extra eXirt pool members
-    subsample_fraction: float = 0.8  # dalex row subsampling per repetition
+    cv_folds: int = 4  # lofo folds over the training split
 
     def __post_init__(self):
         if self.repetitions < 1:
             raise ExplainerError("repetitions must be >= 1")
         if self.bootstrap_respondents < 0:
             raise ExplainerError("bootstrap_respondents must be >= 0")
-        if not 0 < self.subsample_fraction <= 1:
-            raise ExplainerError("subsample_fraction must lie in (0, 1]")
+        if self.cv_folds < 2:
+            raise ExplainerError("cv_folds must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -129,7 +133,7 @@ def explain_dalex_style(model: TrainedModel, train: Dataset, test: Dataset,
     drops = np.zeros(m)
     for rep in range(cfg.repetitions):
         rng = rng_for(cfg.seed, "dalex", rep)
-        idx = _stratified_subsample(test.labels, cfg.subsample_fraction, rng)
+        idx = _stratified_subsample(test.labels, DALEX_SUBSAMPLE, rng)
         x = test.features[idx]
         y = test.labels[idx]
         base_auc = roc_auc_score(y, model.predict_proba(x))
@@ -142,8 +146,8 @@ def explain_dalex_style(model: TrainedModel, train: Dataset, test: Dataset,
                             perturbation_fraction)
 
 
-def explain_eli5_style(model: TrainedModel, test: Dataset, cfg: ExplainerConfig,
-                       perturbation_fraction=0.0) -> RelevanceRank:
+def explain_eli5_style(model: TrainedModel, train: Dataset, test: Dataset,
+                       cfg: ExplainerConfig, perturbation_fraction=0.0) -> RelevanceRank:
     """Mean decrease accuracy under per-feature column shuffles."""
     _check_schema(model, test)
     y = test.labels
@@ -162,20 +166,20 @@ def explain_eli5_style(model: TrainedModel, test: Dataset, cfg: ExplainerConfig,
                             perturbation_fraction)
 
 
-def explain_lofo_style(kind: str, train: Dataset, test: Dataset, cv: CVConfig,
-                       cfg: ExplainerConfig, hyperparams: dict,
-                       perturbation_fraction=0.0) -> RelevanceRank:
+def explain_lofo_style(model: TrainedModel, train: Dataset, test: Dataset,
+                       cfg: ExplainerConfig, perturbation_fraction=0.0) -> RelevanceRank:
     """Leave-one-feature-out retraining.
 
-    Per CV fold of the training split, refit the model kind (with the tuned
+    Per CV fold of the training split, refit the model's kind (with its tuned
     hyperparameters) minus each feature in turn and record the AUC drop on
     the test set; relevance is the mean drop across folds, with the fold
     standard deviation kept alongside.
     """
     if train.feature_names != test.feature_names:
         raise ExplainerError("train/test feature sets differ")
+    kind, hyperparams = model.kind, model.hyperparams
     y_tr = train.labels
-    folds = stratified_kfold(y_tr, cv.folds, derive_seed(cfg.seed, "lofo-folds"))
+    folds = stratified_kfold(y_tr, cfg.cv_folds, derive_seed(cfg.seed, "lofo-folds"))
     m = train.n_features
     drops = np.zeros((len(folds), m))
     for fi, (tr, _val) in enumerate(folds):
@@ -314,16 +318,12 @@ def brute_force_shapley(predict, x_row: np.ndarray, background_row: np.ndarray) 
     return phi
 
 
-def explain_kernel_shap(model: TrainedModel, test: Dataset, background: Dataset,
-                        cfg: ExplainerConfig, perturbation_fraction=0.0,
-                        exact: bool | None = None) -> RelevanceRank:
+def explain_kernel_shap(model: TrainedModel, train: Dataset, test: Dataset,
+                        cfg: ExplainerConfig, perturbation_fraction=0.0) -> RelevanceRank:
     """Global kernel SHAP rank: mean absolute Shapley value over test rows,
-    with excluded features replaced by background column means."""
+    with excluded features replaced by the training (background) column means."""
     _check_schema(model, test)
-    if background.n_rows == 0:
-        raise ExplainerError("background dataset is empty")
-    reference = background.features.mean(axis=0)
-    phi = shapley_values(model, test.features, reference, cfg, exact=exact)
+    phi = shapley_values(model, test.features, train.features.mean(axis=0), cfg)
     return rank_from_scores(test.feature_names, np.abs(phi).mean(axis=0), "shap",
                             model.kind, perturbation_fraction)
 
@@ -333,8 +333,8 @@ def _binary_entropy(p: np.ndarray) -> np.ndarray:
     return -(p * np.log2(p) + (1 - p) * np.log2(1 - p))
 
 
-def explain_skater_style(model: TrainedModel, test: Dataset, cfg: ExplainerConfig,
-                         perturbation_fraction=0.0) -> RelevanceRank:
+def explain_skater_style(model: TrainedModel, train: Dataset, test: Dataset,
+                         cfg: ExplainerConfig, perturbation_fraction=0.0) -> RelevanceRank:
     """Entropy-perturbation relevance: mean absolute change of the binary
     prediction entropy when a feature column is shuffled."""
     _check_schema(model, test)
@@ -353,8 +353,8 @@ def explain_skater_style(model: TrainedModel, test: Dataset, cfg: ExplainerConfi
                             perturbation_fraction)
 
 
-def explain_exirt(model: TrainedModel, test: Dataset, cfg: ExplainerConfig,
-                  perturbation_fraction=0.0, fit_config=None):
+def explain_exirt(model: TrainedModel, train: Dataset, test: Dataset,
+                  cfg: ExplainerConfig, perturbation_fraction=0.0):
     """IRT-ability relevance ranking.
 
     Builds a respondent pool from the original model, one feature-shuffled
@@ -386,7 +386,7 @@ def explain_exirt(model: TrainedModel, test: Dataset, cfg: ExplainerConfig,
         boot_labels = np.where(selected & (base_correct == 1), y, 1 - y)
         pool.append((f"bootstrap:{b}", boot_labels))
     matrix = build_response_matrix(pool, test)
-    fit = fit_3pl(matrix, fit_config)
+    fit = fit_3pl(matrix)
     theta = {rid: t for rid, t in zip(matrix.respondent_ids, fit.abilities.theta)}
     scores = [theta["original"] - theta[f"shuffled:{name}"]
               for name in test.feature_names]

@@ -71,10 +71,6 @@ class ResponseMatrix:
             raise IrtError("identifier counts must match the matrix shape")
 
     @property
-    def n_respondents(self) -> int:
-        return self.entries.shape[0]
-
-    @property
     def n_items(self) -> int:
         return self.entries.shape[1]
 
@@ -297,17 +293,15 @@ def default_theta_grid() -> np.ndarray:
     return np.linspace(THETA_BOUNDS[0], THETA_BOUNDS[1], 161)
 
 
-def icc(items: ItemParameters, theta_grid, item_ids=None) -> list:
+def icc(items: ItemParameters, theta_grid) -> list:
     """One characteristic curve per item over an ascending ability grid."""
     grid = np.asarray(theta_grid, dtype=float)
     if np.any(np.diff(grid) <= 0):
         raise IrtError("theta grid must be strictly ascending")
-    if item_ids is None:
-        item_ids = [f"item_{i}" for i in range(items.n_items)]
     curves = []
     for i in range(items.n_items):
         p = p_correct(items.a[i], items.b[i], items.c[i], grid)
-        curves.append(IccCurve(grid, np.asarray(p), str(item_ids[i]),
+        curves.append(IccCurve(grid, np.asarray(p), f"item_{i}",
                                bool(items.a[i] < 0)))
     return curves
 

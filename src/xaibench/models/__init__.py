@@ -1,6 +1,5 @@
 from .training import (  # noqa: F401
     MODEL_KINDS,
-    CVConfig,
     TrainedModel,
     default_grids,
     load_model,

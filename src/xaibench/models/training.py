@@ -4,7 +4,7 @@ plus the TrainedModel wrapper and its JSON serialization."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,19 +56,6 @@ def default_grids() -> dict:
     }
 
 
-@dataclass(frozen=True)
-class CVConfig:
-    folds: int = 4
-    metric: str = "auc"
-    grids: dict = field(default_factory=default_grids)
-
-    def __post_init__(self):
-        if self.folds < 2:
-            raise ValueError("folds must be >= 2")
-        if self.metric != "auc":
-            raise ValueError("only the auc metric is supported")
-
-
 @dataclass
 class TrainedModel:
     """A fitted classifier plus its training metadata."""
@@ -115,23 +102,25 @@ def stratified_kfold(labels, folds: int, seed: int):
     return out
 
 
-def train(kind: str, train_data: Dataset, cv: CVConfig, seed: int) -> TrainedModel:
-    """Grid search by mean fold AUC, then refit the winner on the full split.
+def train(kind: str, train_data: Dataset, folds: int, seed: int) -> TrainedModel:
+    """Grid search over ``default_grids()[kind]`` by mean AUC across ``folds``
+    stratified folds, then refit the winner on the full split.
 
     Ties go to the earliest candidate in the declared grid order.
     """
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
+    if folds < 2:
+        raise ValueError("folds must be >= 2")
     y = train_data.labels
     if len(np.unique(y)) < 2:
         raise DatasetError("training data contains a single class")
     x = train_data.features
-    grid = cv.grids[kind]
-    folds = stratified_kfold(y, cv.folds, seed)
+    splits = stratified_kfold(y, folds, seed)
     best_params, best_score = None, -np.inf
-    for pi, params in enumerate(grid):
+    for pi, params in enumerate(default_grids()[kind]):
         scores = []
-        for fi, (tr, val) in enumerate(folds):
+        for fi, (tr, val) in enumerate(splits):
             est = build_estimator(kind, params)
             est.fit(x[tr], y[tr], rng=rng_for(seed, "cv", pi, fi))
             scores.append(roc_auc_score(y[val], est.predict_proba(x[val])))

@@ -17,8 +17,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import data as datamod
-from .data import (PerturbationSpec, atomic_open, level_key, load_csv, save_csv, split,
-                   zscore_apply, zscore_fit)
+from .data import (PERTURBATION_KINDS, PerturbationSpec, atomic_open, level_key, load_csv,
+                   save_csv, split, zscore_apply, zscore_fit)
 from .explainers import (
     EXPLAINERS,
     ExplainerConfig,
@@ -39,8 +39,7 @@ from .irt import (
     summarize,
 )
 from .metrics import MetricReport, classification_report
-from .models import MODEL_KINDS, CVConfig, load_model, save_model, train
-from .models.training import default_grids
+from .models import MODEL_KINDS, load_model, save_model, train
 from .report import RunReport, write_report
 from .seeding import derive_seed
 from .stability import StabilityRecord, stability_sum
@@ -72,7 +71,6 @@ class RunConfig:
     coalition_budget: int = 2048
     bootstrap_respondents: int = 20
     master_seed: int = 7
-    grids: dict | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "fractions", tuple(float(f) for f in self.fractions))
@@ -85,10 +83,18 @@ class RunConfig:
         keys = [level_key(f) for f in self.fractions]
         if len(set(keys)) != len(keys):
             raise ValueError(f"fractions must map to distinct levels, got {keys}")
+        if not 0.0 < self.train_fraction < 1.0:
+            raise ValueError("train_fraction must lie strictly between 0 and 1")
+        if self.perturbation_kind not in PERTURBATION_KINDS:
+            raise ValueError(f"unknown perturbation kind {self.perturbation_kind!r}")
+        if self.noise_scale < 0:
+            raise ValueError("noise_scale must be >= 0")
         if self.cv_folds < 2:
             raise ValueError("cv_folds must be >= 2")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        if self.bootstrap_respondents < 0:
+            raise ValueError("bootstrap_respondents must be >= 0")
         if not self.models:
             raise ValueError("need at least one model kind")
         for kind in self.models:
@@ -100,15 +106,12 @@ class RunConfig:
             if e not in EXPLAINERS:
                 raise ValueError(f"unknown explainer {e!r}")
 
-    def cv_config(self) -> CVConfig:
-        return CVConfig(folds=self.cv_folds,
-                        grids=self.grids if self.grids is not None else default_grids())
-
     def explainer_config(self, explainer: str, kind: str, fraction: float) -> ExplainerConfig:
         return ExplainerConfig(
             repetitions=self.repetitions,
             coalition_budget=self.coalition_budget,
             bootstrap_respondents=self.bootstrap_respondents,
+            cv_folds=self.cv_folds,
             seed=derive_seed(self.master_seed, "explain", explainer, kind,
                              level_key(fraction)),
         )
@@ -118,7 +121,6 @@ class RunConfig:
         d["fractions"] = list(self.fractions)
         d["models"] = list(self.models)
         d["explainers"] = list(self.explainers)
-        d.pop("grids", None)
         return d
 
 
@@ -181,7 +183,6 @@ def stage_train(cfg: RunConfig) -> None:
         "config": _run_config(cfg),
         "mean": stats.mean.tolist(),
         "stddev": stats.stddev.tolist(),
-        "feature_names": list(dataset.feature_names),
         "dataset": {
             "path": cfg.dataset,
             "n_rows": dataset.n_rows,
@@ -191,9 +192,8 @@ def stage_train(cfg: RunConfig) -> None:
         },
     })
     os.makedirs(_path(cfg, "models"), exist_ok=True)
-    cv = cfg.cv_config()
     for kind in cfg.models:
-        model = train(kind, train_std, cv, derive_seed(cfg.master_seed, "train", kind))
+        model = train(kind, train_std, cfg.cv_folds, derive_seed(cfg.master_seed, "train", kind))
         save_model(model, _path(cfg, "models", f"{kind}.json"))
 
 
@@ -238,7 +238,10 @@ def stage_explain(cfg: RunConfig) -> None:
     models = _load_models(cfg, "explain")
     variants = _load_variants(cfg, "explain")
     train_std = load_csv(_require(cfg, "explain", "prepared", "train.csv"))
-    cv = cfg.cv_config()
+    # Looked up per call, not at import: bench/tracing.py rebinds these names.
+    explain = {"dalex": explain_dalex_style, "eli5": explain_eli5_style,
+               "exirt": explain_exirt, "lofo": explain_lofo_style,
+               "shap": explain_kernel_shap, "skater": explain_skater_style}
 
     metrics = {}
     ranks = []
@@ -251,20 +254,10 @@ def stage_explain(cfg: RunConfig) -> None:
             proba = model.predict_proba(test.features)
             metrics[kind][level_key(f)] = classification_report(test.labels, proba).as_dict()
             for explainer in cfg.explainers:
-                ecfg = cfg.explainer_config(explainer, kind, f)
-                if explainer == "dalex":
-                    rank = explain_dalex_style(model, train_std, test, ecfg, f)
-                elif explainer == "eli5":
-                    rank = explain_eli5_style(model, test, ecfg, f)
-                elif explainer == "lofo":
-                    rank = explain_lofo_style(kind, train_std, test, cv, ecfg,
-                                              model.hyperparams, f)
-                elif explainer == "shap":
-                    rank = explain_kernel_shap(model, test, train_std, ecfg, f)
-                elif explainer == "skater":
-                    rank = explain_skater_style(model, test, ecfg, f)
-                else:  # exirt
-                    rank, fit = explain_exirt(model, test, ecfg, f)
+                rank = explain[explainer](model, train_std, test,
+                                          cfg.explainer_config(explainer, kind, f), f)
+                if explainer == "exirt":
+                    rank, fit = rank
                     _write_json(_path(cfg, "irt", f"fit_{kind}_{level_key(f)}.json"),
                                 fit_to_dict(fit))
                 ranks.append(rank.as_dict())

@@ -19,7 +19,7 @@ from xaibench.explainers import (
     rank_from_scores,
     shapley_values,
 )
-from xaibench.models import CVConfig, train
+from xaibench.models import train
 
 from conftest import LinearProbaModel, make_signal_noise_dataset
 
@@ -30,9 +30,8 @@ def fitted():
     data = make_signal_noise_dataset(n_rows=260, seed=3)
     train_data = data.take(np.arange(0, 180))
     test_data = data.take(np.arange(180, 260))
-    cv = CVConfig()
-    model = train("gbt", train_data, cv, seed=19)
-    return model, train_data, test_data, cv
+    model = train("gbt", train_data, 4, seed=19)
+    return model, train_data, test_data
 
 
 class TestRankMachinery:
@@ -61,7 +60,7 @@ class TestRankMachinery:
         with pytest.raises(ExplainerError):
             ExplainerConfig(repetitions=0)
         with pytest.raises(ExplainerError):
-            ExplainerConfig(subsample_fraction=0.0)
+            ExplainerConfig(cv_folds=1)
         with pytest.raises(ExplainerError):
             ExplainerConfig(bootstrap_respondents=-1)
 
@@ -121,16 +120,15 @@ class TestShapley:
 
 class TestRankers:
     def test_signal_outranks_noise_everywhere(self, fitted):
-        model, train_data, test_data, cv = fitted
+        model, train_data, test_data = fitted
         cfg = ExplainerConfig(seed=13)
         ranks = [
             explain_dalex_style(model, train_data, test_data, cfg),
-            explain_eli5_style(model, test_data, cfg),
-            explain_lofo_style("gbt", train_data, test_data, cv, cfg,
-                               model.hyperparams),
-            explain_kernel_shap(model, test_data, train_data, cfg),
-            explain_skater_style(model, test_data, cfg),
-            explain_exirt(model, test_data, cfg)[0],
+            explain_eli5_style(model, train_data, test_data, cfg),
+            explain_lofo_style(model, train_data, test_data, cfg),
+            explain_kernel_shap(model, train_data, test_data, cfg),
+            explain_skater_style(model, train_data, test_data, cfg),
+            explain_exirt(model, train_data, test_data, cfg)[0],
         ]
         assert sorted(r.explainer for r in ranks) == sorted(EXPLAINERS)
         for rank in ranks:
@@ -139,33 +137,32 @@ class TestRankers:
             assert set(rank.ordered_features) == set(test_data.feature_names)
 
     def test_deterministic_given_config(self, fitted):
-        model, train_data, test_data, _ = fitted
+        model, train_data, test_data = fitted
         cfg = ExplainerConfig(seed=13)
-        a = explain_eli5_style(model, test_data, cfg)
-        b = explain_eli5_style(model, test_data, cfg)
+        a = explain_eli5_style(model, train_data, test_data, cfg)
+        b = explain_eli5_style(model, train_data, test_data, cfg)
         assert a == b
-        c = explain_eli5_style(model, test_data, ExplainerConfig(seed=14))
+        c = explain_eli5_style(model, train_data, test_data, ExplainerConfig(seed=14))
         assert c.explainer == "eli5"  # may or may not equal a; only shape-checked
 
     def test_schema_mismatch_rejected(self, fitted):
-        model, _, test_data, _ = fitted
+        model, train_data, test_data = fitted
         wrong = Dataset(test_data.features[:, 1:], test_data.labels,
                         test_data.feature_names[1:])
         with pytest.raises(ExplainerError):
-            explain_eli5_style(model, wrong, ExplainerConfig(seed=0))
+            explain_eli5_style(model, train_data, wrong, ExplainerConfig(seed=0))
 
     def test_lofo_records_fold_dispersion(self, fitted):
-        model, train_data, test_data, cv = fitted
-        rank = explain_lofo_style("gbt", train_data, test_data, cv,
-                                  ExplainerConfig(seed=13), model.hyperparams)
+        model, train_data, test_data = fitted
+        rank = explain_lofo_style(model, train_data, test_data, ExplainerConfig(seed=13))
         assert rank.score_std is not None
         assert len(rank.score_std) == test_data.n_features
         assert all(s >= 0 for s in rank.score_std)
 
     def test_exirt_returns_fit_with_pool_sized_matrix(self, fitted):
-        model, _, test_data, _ = fitted
+        model, train_data, test_data = fitted
         cfg = ExplainerConfig(seed=13, bootstrap_respondents=5)
-        rank, fit = explain_exirt(model, test_data, cfg)
+        rank, fit = explain_exirt(model, train_data, test_data, cfg)
         # pool = original + one probe per feature + bootstrap respondents
         assert len(fit.abilities.theta) == 1 + test_data.n_features + 5
         assert rank.explainer == "exirt"
@@ -175,7 +172,7 @@ class TestRankers:
         x = rng.normal(size=(120, 2))
         labels = (x[:, 0] > 0).astype(int)
         data = Dataset(x, labels, ("used", "ignored"))
-        model = train("cart", data, CVConfig(), seed=5)
+        model = train("cart", data, 4, seed=5)
         assert model.estimator.features_used() == {0}
-        rank, _ = explain_exirt(model, data, ExplainerConfig(seed=9))
+        rank, _ = explain_exirt(model, data, data, ExplainerConfig(seed=9))
         assert rank.scores[rank.ordered_features.index("ignored")] == 0.0

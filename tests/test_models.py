@@ -7,7 +7,6 @@ from xaibench.data import Dataset, DatasetError
 from xaibench.metrics import roc_auc_score
 from xaibench.models import (
     MODEL_KINDS,
-    CVConfig,
     DecisionTreeClassifier,
     GradientBoostedTrees,
     KNearestNeighbors,
@@ -143,7 +142,7 @@ class TestStratifiedKfold:
 class TestTrain:
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_all_kinds_fit_and_score(self, kind, signal_noise_data):
-        model = train(kind, signal_noise_data, CVConfig(), seed=11)
+        model = train(kind, signal_noise_data, 4, seed=11)
         assert model.kind == kind
         assert model.cv_score > 0.6
         assert model.hyperparams in default_grids()[kind]
@@ -151,8 +150,8 @@ class TestTrain:
         assert np.all((proba >= 0) & (proba <= 1))
 
     def test_deterministic(self, signal_noise_data):
-        a = train("gbt", signal_noise_data, CVConfig(), seed=11)
-        b = train("gbt", signal_noise_data, CVConfig(), seed=11)
+        a = train("gbt", signal_noise_data, 4, seed=11)
+        b = train("gbt", signal_noise_data, 4, seed=11)
         assert a.hyperparams == b.hyperparams
         assert np.array_equal(a.predict_proba(signal_noise_data.features),
                               b.predict_proba(signal_noise_data.features))
@@ -161,20 +160,20 @@ class TestTrain:
         data = Dataset(np.random.default_rng(0).normal(size=(20, 2)),
                        np.zeros(20, dtype=int), ("a", "b"))
         with pytest.raises(DatasetError):
-            train("cart", data, CVConfig(), seed=0)
+            train("cart", data, 4, seed=0)
 
     def test_unknown_kind_rejected(self, signal_noise_data):
         with pytest.raises(ValueError):
-            train("svm", signal_noise_data, CVConfig(), seed=0)
+            train("svm", signal_noise_data, 4, seed=0)
 
     def test_predict_proba_checks_dimensions(self, signal_noise_data):
-        model = train("cart", signal_noise_data, CVConfig(), seed=11)
+        model = train("cart", signal_noise_data, 4, seed=11)
         with pytest.raises(ValueError):
             model.predict_proba(np.ones((4, 99)))
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_save_load_round_trip(self, kind, tmp_path, signal_noise_data):
-        model = train(kind, signal_noise_data, CVConfig(), seed=11)
+        model = train(kind, signal_noise_data, 4, seed=11)
         path = tmp_path / f"{kind}.json"
         save_model(model, path)
         loaded = load_model(path)

@@ -3,14 +3,16 @@
 import dataclasses
 import json
 import os
+import shutil
 import subprocess
 import sys
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from xaibench import cli
+from xaibench import cli, pipeline
 from xaibench.data import Dataset, load_csv, save_csv
 from xaibench.datasets import make_synthetic_diabetes
 from xaibench.pipeline import (
@@ -65,6 +67,10 @@ class TestRunConfig:
         ({"fractions": (0.0, -0.1)}, r"\[0, 1\]"),
         ({"cv_folds": 1}, "cv_folds"),
         ({"repetitions": 0}, "repetitions"),
+        ({"train_fraction": 1.5}, "train_fraction"),
+        ({"perturbation_kind": "gaussian"}, "perturbation kind"),
+        ({"noise_scale": -1}, "noise_scale"),
+        ({"bootstrap_respondents": -3}, "bootstrap_respondents"),
     ])
     def test_invalid_values_rejected_at_construction(self, small_dataset_path, bad, match):
         with pytest.raises(ValueError, match=match):
@@ -139,6 +145,29 @@ class TestRunAll:
         cfg = small_config(small_dataset_path, tmp_path / "x")
         with pytest.raises(PipelineError):
             run_stage(cfg, "tune")
+
+
+class TestExplainDispatch:
+    def test_explainers_are_looked_up_per_call(self, completed_run, tmp_path,
+                                               monkeypatch):
+        """The benchmark tracer times each explainer by rebinding its name in
+        xaibench.pipeline; stage_explain must call through those names."""
+        cfg, _, out_dir = completed_run
+        copy = str(tmp_path / "copy")
+        shutil.copytree(out_dir, copy)
+        calls = Counter()
+        for name in [n for n in dir(pipeline) if n.startswith("explain_")]:
+            def counted(*args, _name=name, _original=getattr(pipeline, name)):
+                calls[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(pipeline, name, counted)
+        pipeline.stage_explain(dataclasses.replace(cfg, out_dir=copy))
+        # one model x four levels
+        assert calls == {"explain_eli5_style": 4, "explain_exirt": 4}
+        with open(os.path.join(out_dir, "ranks.json"), "rb") as fh:
+            original = fh.read()
+        with open(os.path.join(copy, "ranks.json"), "rb") as fh:
+            assert fh.read() == original
 
 
 class TestArtifactWrites:
@@ -248,6 +277,37 @@ class TestCli:
         assert cfg.master_seed == 123  # CLI beats the file
         assert cfg.models == ("cart",)
         assert cfg.fractions == (0.0, 0.10)
+
+    def test_config_file_and_flags_build_equal_configs(self, small_dataset_path, tmp_path):
+        out = str(tmp_path / "o")
+        settings = {
+            "dataset": small_dataset_path, "out": out, "seed": "5",
+            "train_fraction": "0.6", "perturbation_kind": "noise",
+            "models": "cart,knn", "explainers": "eli5,shap", "levels": "0,5",
+            "noise_scale": "0.5", "cv_folds": "3", "repetitions": "2",
+            "coalition_budget": "64", "bootstrap_respondents": "4",
+        }
+        path = tmp_path / "all.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+        flags = [a for k, v in settings.items() for a in ("--" + k.replace("_", "-"), v)]
+        parser = cli.make_parser()
+        from_file = cli.build_config(parser.parse_args(["run", "--config", str(path)]))
+        from_flags = cli.build_config(parser.parse_args(["run"] + flags))
+        assert from_file == from_flags == RunConfig(
+            dataset=small_dataset_path, out_dir=out, master_seed=5, train_fraction=0.6,
+            perturbation_kind="noise", models=("cart", "knn"), explainers=("eli5", "shap"),
+            fractions=(0.0, 0.05), noise_scale=0.5, cv_folds=3, repetitions=2,
+            coalition_budget=64, bootstrap_respondents=4)
+
+    def test_bad_config_value_refused_before_train(self, small_dataset_path, tmp_path,
+                                                   capsys):
+        out = tmp_path / "o"
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"dataset = {small_dataset_path}\nout = {out}\n"
+                        "perturbation_kind = gaussian\n")
+        assert cli.main(["run", "--config", str(path)]) == 1
+        assert "gaussian" in capsys.readouterr().err
+        assert not os.path.exists(out / "models")
 
     def test_config_file_unknown_key(self, tmp_path):
         path = tmp_path / "bad.cfg"
