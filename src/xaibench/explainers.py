@@ -4,7 +4,8 @@ Re-implementations of the mechanisms popularized by Dalex (column inversion),
 Eli5 (mean decrease accuracy), Lofo (leave-one-feature-out retraining),
 kernel SHAP, Skater (prediction-entropy change) and eXirt (IRT ability drop).
 Each ``explain_*`` takes ``(model, train, test, cfg, perturbation_fraction=0.0)``
-and returns a RelevanceRank; ``explain_exirt`` returns ``(rank, fit)``.
+and returns a RelevanceRank; ``explain_exirt`` returns ``(rank, fit)``, and
+``explain_lofo_style`` also accepts the ``refits`` of :func:`lofo_refits`.
 
 All randomness flows through per-feature seed streams derived from the
 config seed, so equal seeds give identical ranks regardless of evaluation
@@ -166,38 +167,61 @@ def explain_eli5_style(model: TrainedModel, train: Dataset, test: Dataset,
                             perturbation_fraction)
 
 
-def explain_lofo_style(model: TrainedModel, train: Dataset, test: Dataset,
-                       cfg: ExplainerConfig, perturbation_fraction=0.0) -> RelevanceRank:
-    """Leave-one-feature-out retraining.
+def lofo_refits(model: TrainedModel, train: Dataset, cfg: ExplainerConfig) -> list:
+    """Leave-one-feature-out refits of the model's kind (with its tuned
+    hyperparameters) on each CV fold of the training split.
 
-    Per CV fold of the training split, refit the model's kind (with its tuned
-    hyperparameters) minus each feature in turn and record the AUC drop on
-    the test set; relevance is the mean drop across folds, with the fold
-    standard deviation kept alongside.
+    Returns one ``(base, without)`` pair per fold: ``base`` is fitted on every
+    feature and ``without[j]`` without feature j.  With a single feature,
+    ``without[0]`` is the fold's positive rate (a constant predictor).
     """
-    if train.feature_names != test.feature_names:
-        raise ExplainerError("train/test feature sets differ")
     kind, hyperparams = model.kind, model.hyperparams
     y_tr = train.labels
     folds = stratified_kfold(y_tr, cfg.cv_folds, derive_seed(cfg.seed, "lofo-folds"))
     m = train.n_features
-    drops = np.zeros((len(folds), m))
+    refits = []
     for fi, (tr, _val) in enumerate(folds):
+        x_fold, y_fold = train.features[tr], y_tr[tr]
         base = build_estimator(kind, hyperparams)
-        base.fit(train.features[tr], y_tr[tr], rng=rng_for(cfg.seed, "lofo", fi, "base"))
-        base_auc = roc_auc_score(test.labels, base.predict_proba(test.features))
-        for j in range(m):
-            if m == 1:
-                # no features left: constant majority-rate predictor
-                rate = float(np.mean(y_tr[tr]))
-                proba = np.full(test.n_rows, rate)
-            else:
-                x_fold = np.delete(train.features[tr], j, axis=1)
+        base.fit(x_fold, y_fold, rng=rng_for(cfg.seed, "lofo", fi, "base"))
+        if m == 1:
+            # no features left: constant majority-rate predictor
+            without = [float(np.mean(y_fold))]
+        else:
+            without = []
+            for j in range(m):
                 est = build_estimator(kind, hyperparams)
-                est.fit(x_fold, y_tr[tr], rng=rng_for(cfg.seed, "lofo", fi, j))
+                est.fit(np.delete(x_fold, j, axis=1), y_fold, rng=rng_for(cfg.seed, "lofo", fi, j))
+                without.append(est)
+        refits.append((base, without))
+    return refits
+
+
+def explain_lofo_style(model: TrainedModel, train: Dataset, test: Dataset,
+                       cfg: ExplainerConfig, perturbation_fraction=0.0,
+                       refits=None) -> RelevanceRank:
+    """Leave-one-feature-out retraining.
+
+    Scores the test set against :func:`lofo_refits` (built here when
+    ``refits`` is None): per fold, the AUC drop when feature j is left out;
+    relevance is the mean drop across folds, with the fold standard
+    deviation kept alongside.
+    """
+    if train.feature_names != test.feature_names:
+        raise ExplainerError("train/test feature sets differ")
+    if refits is None:
+        refits = lofo_refits(model, train, cfg)
+    m = test.n_features
+    drops = np.zeros((len(refits), m))
+    for fi, (base, without) in enumerate(refits):
+        base_auc = roc_auc_score(test.labels, base.predict_proba(test.features))
+        for j, est in enumerate(without):
+            if m == 1:
+                proba = np.full(test.n_rows, est)
+            else:
                 proba = est.predict_proba(np.delete(test.features, j, axis=1))
             drops[fi, j] = base_auc - roc_auc_score(test.labels, proba)
-    return rank_from_scores(train.feature_names, drops.mean(axis=0), "lofo", kind,
+    return rank_from_scores(test.feature_names, drops.mean(axis=0), "lofo", model.kind,
                             perturbation_fraction, score_std=drops.std(axis=0, ddof=0))
 
 

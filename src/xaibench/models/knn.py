@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-_CHUNK = 2048  # bound the distance-matrix footprint
+_CHUNK = 256  # bound the (chunk, n_train, m) difference cube
 
 
 class KNearestNeighbors:
@@ -30,8 +30,15 @@ class KNearestNeighbors:
         for start in range(0, x.shape[0], _CHUNK):
             chunk = x[start:start + _CHUNK]
             d2 = ((chunk[:, None, :] - self.x_[None, :, :]) ** 2).sum(axis=2)
-            nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
-            out[start:start + _CHUNK] = self.y_[nearest].mean(axis=1)
+            # every row nearer than the k-th distance, then the earliest
+            # training rows tied with it until k are taken
+            kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+            nearer = d2 < kth
+            tied = d2 == kth
+            slots = k - nearer.sum(axis=1, keepdims=True)
+            nearest = nearer | (tied & (np.cumsum(tied, axis=1) <= slots))
+            # 0/1 labels: the sum is exact, so sum / k equals the mean
+            out[start:start + _CHUNK] = (nearest * self.y_).sum(axis=1) / k
         return out
 
     def to_dict(self) -> dict:

@@ -10,7 +10,8 @@ import numpy as np
 
 
 def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
+    # minimum/maximum is np.clip without its wrapper's per-call overhead
+    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(z, -500), 500)))
 
 
 class MultilayerPerceptron:
@@ -36,17 +37,18 @@ class MultilayerPerceptron:
         self.b1_ = np.zeros(h)
         self.w2_ = rng.normal(0.0, 1.0 / np.sqrt(h), size=h)
         self.b2_ = 0.0
+        bs = self.batch_size
         for _ in range(self.epochs):
             order = rng.permutation(n)
-            for start in range(0, n, self.batch_size):
-                idx = order[start:start + self.batch_size]
-                xb, yb = x[idx], y[idx]
+            xo, yo = x[order], y[order]
+            for start in range(0, n, bs):
+                xb, yb = xo[start:start + bs], yo[start:start + bs]
                 a = np.tanh(xb @ self.w1_ + self.b1_)
                 p = _sigmoid(a @ self.w2_ + self.b2_)
-                delta = (p - yb) / len(idx)  # dL/dz for cross-entropy + sigmoid
+                delta = (p - yb) / len(yb)  # dL/dz for cross-entropy + sigmoid
                 gw2 = a.T @ delta
-                gb2 = float(np.sum(delta))
-                da = np.outer(delta, self.w2_) * (1 - a ** 2)
+                gb2 = float(delta.sum())
+                da = delta[:, None] * self.w2_ * (1 - a ** 2)
                 gw1 = xb.T @ da
                 gb1 = da.sum(axis=0)
                 lr = self.learning_rate

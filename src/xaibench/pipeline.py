@@ -10,6 +10,7 @@ reproduce the values they would have inside a full run.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import asdict, dataclass
@@ -29,6 +30,7 @@ from .explainers import (
     explain_kernel_shap,
     explain_lofo_style,
     explain_skater_style,
+    lofo_refits,
 )
 from .irt import (
     ReliabilitySummary,
@@ -107,13 +109,14 @@ class RunConfig:
                 raise ValueError(f"unknown explainer {e!r}")
 
     def explainer_config(self, explainer: str, kind: str, fraction: float) -> ExplainerConfig:
+        # lofo refits on the training split, and no level changes that split
+        level = () if explainer == "lofo" else (level_key(fraction),)
         return ExplainerConfig(
             repetitions=self.repetitions,
             coalition_budget=self.coalition_budget,
             bootstrap_respondents=self.bootstrap_respondents,
             cv_folds=self.cv_folds,
-            seed=derive_seed(self.master_seed, "explain", explainer, kind,
-                             level_key(fraction)),
+            seed=derive_seed(self.master_seed, "explain", explainer, kind, *level),
         )
 
     def echo(self) -> dict:
@@ -248,6 +251,10 @@ def stage_explain(cfg: RunConfig) -> None:
     os.makedirs(_path(cfg, "irt"), exist_ok=True)
     for kind in cfg.models:
         model = models[kind]
+        if "lofo" in cfg.explainers:
+            # one set of refits per kind scores every level
+            refits = lofo_refits(model, train_std, cfg.explainer_config("lofo", kind, 0.0))
+            explain["lofo"] = functools.partial(explain_lofo_style, refits=refits)
         metrics[kind] = {}
         for f in cfg.fractions:
             test = variants[f]

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from xaibench.data import (
     EPSILON,
@@ -179,12 +180,16 @@ class TestPerturb:
             out = perturb(d, PerturbationSpec(kind, 0.0, seed=3))
             assert np.array_equal(out.features, d.features)
 
-    def test_permutation_preserves_marginals(self):
-        d = self.make()
-        out = perturb(d, PerturbationSpec("permutation", 0.1, seed=3))
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 60), st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1))
+    def test_permutation_preserves_marginals(self, n, fraction, seed):
+        # integer values repeat, so each column's multiset must survive exactly
+        rng = np.random.default_rng(seed)
+        d = Dataset(rng.integers(0, 4, size=(n, 3)).astype(float),
+                    rng.integers(0, 2, n), ("a", "b", "c"))
+        out = perturb(d, PerturbationSpec("permutation", fraction, seed=seed))
         for j in range(d.n_features):
-            assert np.allclose(np.sort(out.features[:, j]),
-                               np.sort(d.features[:, j]))
+            assert np.sort(out.features[:, j]).tolist() == np.sort(d.features[:, j]).tolist()
 
     def test_permutation_touches_at_most_the_chosen_rows(self):
         d = self.make()

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from xaibench.data import Dataset
 from xaibench.explainers import (
@@ -16,6 +17,7 @@ from xaibench.explainers import (
     explain_kernel_shap,
     explain_lofo_style,
     explain_skater_style,
+    lofo_refits,
     rank_from_scores,
     shapley_values,
 )
@@ -76,14 +78,18 @@ class TestShapley:
                                 ExplainerConfig(seed=0), exact=True)[0]
         assert np.max(np.abs(kernel - brute)) <= 1e-9
 
-    def test_efficiency(self):
-        rng = np.random.default_rng(3)
-        model = LinearProbaModel(rng.normal(size=5))
-        xs = rng.normal(size=(20, 5))
-        ref = rng.normal(size=5)
-        phi = shapley_values(model, xs, ref, ExplainerConfig(seed=0), exact=True)
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 8), st.booleans(), st.integers(0, 2 ** 32 - 1))
+    def test_efficiency(self, m, exact, seed):
+        """Sum of phi = f(x) - f(ref), exact and sampled (Lundberg & Lee 2017)."""
+        rng = np.random.default_rng(seed)
+        model = LinearProbaModel(rng.normal(size=m), bias=rng.normal())
+        xs = rng.normal(size=(5, m))
+        ref = rng.normal(size=m)
+        cfg = ExplainerConfig(seed=seed, coalition_budget=64)
+        phi = shapley_values(model, xs, ref, cfg, exact=exact)
         f0 = model.predict_proba(ref[None, :])[0]
-        assert np.allclose(phi.sum(axis=1), model.predict_proba(xs) - f0, atol=1e-9)
+        assert np.allclose(phi.sum(axis=1), model.predict_proba(xs) - f0, rtol=0, atol=1e-9)
 
     def test_single_feature_is_direct_difference(self):
         model = LinearProbaModel([2.0])
@@ -158,6 +164,26 @@ class TestRankers:
         assert rank.score_std is not None
         assert len(rank.score_std) == test_data.n_features
         assert all(s >= 0 for s in rank.score_std)
+
+    def test_lofo_prebuilt_refits_score_like_a_plain_call(self, fitted):
+        model, train_data, test_data = fitted
+        cfg = ExplainerConfig(seed=13, cv_folds=3)
+        refits = lofo_refits(model, train_data, cfg)
+        assert len(refits) == 3
+        assert all(len(without) == train_data.n_features for _, without in refits)
+        assert (explain_lofo_style(model, train_data, test_data, cfg, 0.1, refits=refits)
+                == explain_lofo_style(model, train_data, test_data, cfg, 0.1))
+
+    def test_lofo_single_feature_refits_are_positive_rates(self):
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(60, 1))
+        data = Dataset(x, (x[:, 0] > 0).astype(int), ("only",))
+        model = train("cart", data, 4, seed=5)
+        cfg = ExplainerConfig(seed=2)
+        refits = lofo_refits(model, data, cfg)
+        assert all(isinstance(without[0], float) for _, without in refits)
+        assert (explain_lofo_style(model, data, data, cfg, refits=refits)
+                == explain_lofo_style(model, data, data, cfg))
 
     def test_exirt_returns_fit_with_pool_sized_matrix(self, fitted):
         model, train_data, test_data = fitted

@@ -1,8 +1,9 @@
-"""Oracle tests for the two vectorized kernels: the tree split search and the
-3PL optimizer.  The references below are the original per-feature split loop
-and the original one-candidate-per-call scan + golden-section search; the
-vectorized kernels evaluate the same points with the same arithmetic, so
-results must match exactly, not within a tolerance."""
+"""Oracle tests for the rewritten kernels: the tree split search, the 3PL
+optimizer, kNN neighbour selection and the MLP minibatch loop.  The
+references below are the original per-feature split loop, the original
+one-candidate-per-call scan + golden-section search, the stable-argsort kNN
+and the per-batch index MLP loop; the rewrites evaluate the same points with
+the same arithmetic, so results must match exactly, not within a tolerance."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -22,6 +23,8 @@ from xaibench.irt import (
     fit_3pl,
     fit_to_dict,
 )
+from xaibench.models.knn import KNearestNeighbors
+from xaibench.models.mlp import MultilayerPerceptron
 from xaibench.models.tree import (
     _GAIN_TOL,
     _best_split_classification,
@@ -268,3 +271,93 @@ def test_scan_golden_max_matches_reference_on_plateaus(targets, scan_points, ste
     got = irt._scan_golden_max(f, current, -4.0, 4.0, scan_points, 1e-3)
     want = ref_scan_golden_max(f, current, -4.0, 4.0, scan_points, 1e-3)
     assert got.tolist() == want.tolist()
+
+
+# --- reference kNN: full stable argsort of every distance row -------------
+
+def ref_knn_predict_proba(x_train, y_train, k, x):
+    k = min(k, len(y_train))
+    d2 = ((x[:, None, :] - x_train[None, :, :]) ** 2).sum(axis=2)
+    nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return y_train[nearest].mean(axis=1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_knn_predict_proba_matches_reference(data):
+    # integer features on a small grid: many distances tie, also at the k-th
+    n = data.draw(st.integers(1, 30))
+    m = data.draw(st.integers(1, 4))
+    k = data.draw(st.integers(1, 35))  # k >= n_train included
+    grid = st.integers(0, 2)
+    x_train = data.draw(arrays(np.int64, (n, m), elements=grid)).astype(float)
+    y_train = data.draw(arrays(np.int64, n, elements=st.integers(0, 1))).astype(float)
+    x = data.draw(arrays(np.int64, (data.draw(st.integers(1, 20)), m),
+                         elements=grid)).astype(float)
+    got = KNearestNeighbors(k).fit(x_train, y_train).predict_proba(x)
+    assert got.tolist() == ref_knn_predict_proba(x_train, y_train, k, x).tolist()
+
+
+def test_knn_ties_at_the_kth_distance_take_the_earliest_rows():
+    # rows 1-3 tie at distance 1 from the query; k=2 takes row 0 then row 1
+    x_train = np.array([[0.0], [1.0], [-1.0], [1.0]])
+    y_train = np.array([0.0, 1.0, 0.0, 0.0])
+    got = KNearestNeighbors(2).fit(x_train, y_train).predict_proba(np.array([[0.0]]))
+    assert got.tolist() == [0.5]
+    assert got.tolist() == ref_knn_predict_proba(x_train, y_train, 2, np.array([[0.0]])).tolist()
+
+
+def test_knn_chunks_match_reference():
+    rng = np.random.default_rng(0)
+    x_train = rng.integers(0, 3, size=(40, 3)).astype(float)
+    y_train = rng.integers(0, 2, size=40).astype(float)
+    x = rng.integers(0, 3, size=(600, 3)).astype(float)  # spans several chunks
+    got = KNearestNeighbors(5).fit(x_train, y_train).predict_proba(x)
+    assert got.tolist() == ref_knn_predict_proba(x_train, y_train, 5, x).tolist()
+
+
+# --- reference MLP fit: index the rows of every minibatch -----------------
+
+def ref_mlp_fit(x, y, hidden_units, learning_rate, epochs, batch_size, rng):
+    n, m = x.shape
+    h = hidden_units
+    w1 = rng.normal(0.0, 1.0 / np.sqrt(m), size=(m, h))
+    b1 = np.zeros(h)
+    w2 = rng.normal(0.0, 1.0 / np.sqrt(h), size=h)
+    b2 = 0.0
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            idx = order[start:start + batch_size]
+            xb, yb = x[idx], y[idx]
+            a = np.tanh(xb @ w1 + b1)
+            p = 1.0 / (1.0 + np.exp(-np.clip(a @ w2 + b2, -500, 500)))
+            delta = (p - yb) / len(idx)
+            gw2 = a.T @ delta
+            gb2 = float(np.sum(delta))
+            da = np.outer(delta, w2) * (1 - a ** 2)
+            gw1 = xb.T @ da
+            gb1 = da.sum(axis=0)
+            w2 -= learning_rate * gw2
+            b2 -= learning_rate * gb2
+            w1 -= learning_rate * gw1
+            b1 -= learning_rate * gb1
+    return w1, b1, w2, b2
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 45), st.integers(1, 5), st.sampled_from([1, 2, 8, 16]),
+       st.sampled_from([1, 7, 32]), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+def test_mlp_fit_matches_reference(n, m, h, batch_size, epochs, seed):
+    # n need not be a multiple of batch_size: the last batch is short
+    data_rng = np.random.default_rng(seed)
+    x = data_rng.normal(size=(n, m))
+    y = data_rng.integers(0, 2, size=n).astype(float)
+    net = MultilayerPerceptron(h, 0.5, epochs, batch_size)
+    net.fit(x, y, rng=np.random.default_rng(seed))
+    w1, b1, w2, b2 = ref_mlp_fit(x, y, h, 0.5, epochs, batch_size,
+                                 np.random.default_rng(seed))
+    assert net.w1_.tolist() == w1.tolist()
+    assert net.b1_.tolist() == b1.tolist()
+    assert net.w2_.tolist() == w2.tolist()
+    assert net.b2_ == b2

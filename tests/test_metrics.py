@@ -1,6 +1,7 @@
 """Classification metrics against hand-computed and library-free oracles."""
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from xaibench.metrics import (
     accuracy_score,
@@ -43,11 +44,14 @@ def test_roc_auc_degenerate_single_class():
     assert roc_auc_score(np.array([1, 1, 1]), np.array([0.2, 0.3, 0.4])) == 0.5
 
 
-def test_roc_auc_matches_pair_counting_oracle():
-    rng = np.random.default_rng(7)
-    y = rng.integers(0, 2, 60)
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 60), st.integers(1, 20), st.integers(0, 2 ** 32 - 1))
+def test_roc_auc_matches_pair_counting_oracle(n, levels, seed):
+    # probabilities on a coarse grid, so tied scores are common
+    rng = np.random.default_rng(seed)
+    y = rng.integers(0, 2, n)
     y[:2] = [0, 1]  # both classes guaranteed
-    proba = rng.random(60)
+    proba = rng.integers(0, levels + 1, n) / levels
     pos = proba[y == 1]
     neg = proba[y == 0]
     wins = sum((p > q) + 0.5 * (p == q) for p in pos for q in neg)

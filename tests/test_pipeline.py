@@ -82,6 +82,13 @@ class TestRunConfig:
         assert "grids" not in echoed
         assert echoed["master_seed"] == 7
 
+    def test_only_lofo_seeds_ignore_the_level(self, small_dataset_path):
+        # lofo refits on the training split, which no level changes
+        cfg = RunConfig(dataset=small_dataset_path, out_dir="x")
+        for explainer, distinct in (("lofo", 1), ("eli5", len(cfg.fractions))):
+            seeds = {cfg.explainer_config(explainer, "gbt", f).seed for f in cfg.fractions}
+            assert len(seeds) == distinct, explainer
+
 
 class TestRunAll:
     def test_artifact_files_exist(self, completed_run):
@@ -157,9 +164,9 @@ class TestExplainDispatch:
         shutil.copytree(out_dir, copy)
         calls = Counter()
         for name in [n for n in dir(pipeline) if n.startswith("explain_")]:
-            def counted(*args, _name=name, _original=getattr(pipeline, name)):
+            def counted(*args, _name=name, _original=getattr(pipeline, name), **kwargs):
                 calls[_name] += 1
-                return _original(*args)
+                return _original(*args, **kwargs)
             monkeypatch.setattr(pipeline, name, counted)
         pipeline.stage_explain(dataclasses.replace(cfg, out_dir=copy))
         # one model x four levels
@@ -167,6 +174,28 @@ class TestExplainDispatch:
         with open(os.path.join(out_dir, "ranks.json"), "rb") as fh:
             original = fh.read()
         with open(os.path.join(copy, "ranks.json"), "rb") as fh:
+            assert fh.read() == original
+
+
+    def test_lofo_refits_once_per_kind_and_scores_every_level(self, small_dataset_path,
+                                                              tmp_path, monkeypatch):
+        cfg = RunConfig(dataset=small_dataset_path, out_dir=str(tmp_path / "run"),
+                        models=("cart", "knn"), explainers=("lofo",),
+                        fractions=(0.0, 0.1, 0.2), cv_folds=2)
+        for stage in ("train", "perturb", "explain"):
+            run_stage(cfg, stage)
+        with open(os.path.join(cfg.out_dir, "ranks.json"), "rb") as fh:
+            original = fh.read()
+        calls = Counter()
+        for name in ("lofo_refits", "explain_lofo_style"):
+            def counted(*args, _name=name, _original=getattr(pipeline, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(pipeline, name, counted)
+        pipeline.stage_explain(cfg)
+        # two kinds x three levels
+        assert calls == {"lofo_refits": 2, "explain_lofo_style": 6}
+        with open(os.path.join(cfg.out_dir, "ranks.json"), "rb") as fh:
             assert fh.read() == original
 
 

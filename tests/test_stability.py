@@ -1,6 +1,7 @@
 """Spearman-based rank stability analytics."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from xaibench.explainers import RelevanceRank
 from xaibench.stability import (
@@ -33,6 +34,17 @@ class TestSpearman:
     def test_single_feature_is_one(self):
         a = make_rank(["a"])
         assert spearman(a, a) == 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.permutations(list("abcdefg")), st.permutations(list("abcdefg")),
+           st.integers(1, 7))
+    def test_bounded_and_symmetric(self, order_a, order_b, n):
+        kept = set("abcdefg"[:n])
+        a = make_rank([f for f in order_a if f in kept])
+        b = make_rank([f for f in order_b if f in kept])
+        rho = spearman(a, b)
+        assert -1.0 <= rho <= 1.0
+        assert rho == spearman(b, a)
 
     def test_adjacent_swap_known_value(self):
         a = make_rank(list("abcdefgh"))
