@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Subcommands mirror the pipeline stages (run, train, perturb, explain, irt,
-stability, stats, report); each reads and writes the serialized artifacts
-of the upstream stages under the output directory.  Exit codes: 0 success,
+Subcommands mirror the pipeline stages (train, explain, report) plus run,
+which executes all three; each stage reads the serialized artifacts of the
+upstream stages under the output directory.  Exit codes: 0 success,
 1 stage failure, 2 usage error.
 """
 

@@ -124,6 +124,13 @@ def _stratified_subsample(labels, fraction, rng):
     return np.array(idx, dtype=int)
 
 
+def _shuffled(features: np.ndarray, j: int, rng) -> np.ndarray:
+    """A copy of ``features`` with column j permuted by one draw of ``rng``."""
+    x = np.array(features, copy=True)
+    x[:, j] = x[rng.permutation(len(x)), j]
+    return x
+
+
 def explain_dalex_style(model: TrainedModel, train: Dataset, test: Dataset,
                         cfg: ExplainerConfig, perturbation_fraction=0.0) -> RelevanceRank:
     """Column-inversion relevance: reflect each test column about its mean
@@ -157,9 +164,7 @@ def explain_eli5_style(model: TrainedModel, train: Dataset, test: Dataset,
     drops = np.zeros(m)
     for j, name in enumerate(test.feature_names):
         for rep in range(cfg.repetitions):
-            rng = rng_for(cfg.seed, "eli5", name, rep)
-            x = np.array(test.features, copy=True)
-            x[:, j] = x[rng.permutation(test.n_rows), j]
+            x = _shuffled(test.features, j, rng_for(cfg.seed, "eli5", name, rep))
             acc = accuracy_score(y, labels_from_proba(model.predict_proba(x)))
             drops[j] += base_acc - acc
     drops /= cfg.repetitions
@@ -367,9 +372,7 @@ def explain_skater_style(model: TrainedModel, train: Dataset, test: Dataset,
     scores = np.zeros(m)
     for j, name in enumerate(test.feature_names):
         for rep in range(cfg.repetitions):
-            rng = rng_for(cfg.seed, "skater", name, rep)
-            x = np.array(test.features, copy=True)
-            x[:, j] = x[rng.permutation(test.n_rows), j]
+            x = _shuffled(test.features, j, rng_for(cfg.seed, "skater", name, rep))
             ent = _binary_entropy(model.predict_proba(x))
             scores[j] += float(np.mean(np.abs(ent - base_entropy)))
     scores /= cfg.repetitions
@@ -393,9 +396,7 @@ def explain_exirt(model: TrainedModel, train: Dataset, test: Dataset,
     base_labels = model.predict(test.features)
     pool = [("original", base_labels)]
     for j, name in enumerate(test.feature_names):
-        rng = rng_for(cfg.seed, "exirt", name)
-        x = np.array(test.features, copy=True)
-        x[:, j] = x[rng.permutation(test.n_rows), j]
+        x = _shuffled(test.features, j, rng_for(cfg.seed, "exirt", name))
         pool.append((f"shuffled:{name}", model.predict(x)))
     y = test.labels
     base_correct = (base_labels == y).astype(int)

@@ -1,11 +1,13 @@
-"""End-to-end orchestration: load, standardize, split, tune, perturb,
-evaluate, explain, IRT, stability, stats, report.
+"""End-to-end orchestration in three stages: train (load, split,
+standardize, tune), explain (perturb, evaluate, explain, fit eXirt) and
+report (reliability, stability, post-hoc tests, rendering).
 
-Each stage persists its artifacts under the output directory and later
-stages reload them, so running the stage subcommands in order produces
-byte-identical final outputs to a single run_all with the same seed.
-Stage seeds derive from the master seed and stage labels, so subsets
-reproduce the values they would have inside a full run.
+Each stage persists only what is expensive to recompute: the prepared
+splits and models, the metrics, ranks and eXirt fits.  Later stages reload
+those, so running the stage subcommands in order produces byte-identical
+final outputs to a single run_all with the same seed.  Stage seeds derive
+from the master seed and stage labels, so subsets reproduce the values
+they would have inside a full run.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .explainers import (
     lofo_refits,
 )
 from .irt import (
-    ReliabilitySummary,
     default_theta_grid,
     fit_from_dict,
     fit_to_dict,
@@ -44,12 +45,12 @@ from .metrics import MetricReport, classification_report
 from .models import MODEL_KINDS, load_model, save_model, train
 from .report import RunReport, write_report
 from .seeding import derive_seed
-from .stability import StabilityRecord, stability_sum
-from .stats import MeasurementTable, PosthocMatrix, friedman, nemenyi
+from .stability import stability_sum
+from .stats import MeasurementTable, friedman, nemenyi
 
 METRIC_NAMES = ("accuracy", "precision", "recall", "f1", "roc_auc")
 
-STAGES = ("train", "perturb", "explain", "irt", "stability", "stats", "report")
+STAGES = ("train", "explain", "report")
 
 
 class PipelineError(RuntimeError):
@@ -200,24 +201,6 @@ def stage_train(cfg: RunConfig) -> None:
         save_model(model, _path(cfg, "models", f"{kind}.json"))
 
 
-def stage_perturb(cfg: RunConfig) -> None:
-    """Manufacture the standardized test variants, one per fraction."""
-    meta = _check_config(cfg, "perturb")
-    test_raw = load_csv(_require(cfg, "perturb", "prepared", "test_raw.csv"))
-    stats = datamod.StandardizationStats(np.array(meta["mean"]), np.array(meta["stddev"]))
-    os.makedirs(_path(cfg, "variants"), exist_ok=True)
-    for f in cfg.fractions:
-        spec = PerturbationSpec(
-            kind=cfg.perturbation_kind,
-            fraction=f,
-            noise_scale=cfg.noise_scale,
-            seed=derive_seed(cfg.master_seed, "perturb", cfg.perturbation_kind,
-                             level_key(f)),
-        )
-        variant = zscore_apply(datamod.perturb(test_raw, spec), stats)
-        save_csv(variant, _path(cfg, "variants", f"test_{level_key(f)}.csv"))
-
-
 def _load_models(cfg: RunConfig, stage: str) -> dict:
     out = {}
     for kind in cfg.models:
@@ -226,20 +209,30 @@ def _load_models(cfg: RunConfig, stage: str) -> dict:
     return out
 
 
-def _load_variants(cfg: RunConfig, stage: str) -> dict:
+def _test_variants(cfg: RunConfig, meta: dict, test_raw) -> dict:
+    """The standardized test variant of every fraction, rebuilt in memory."""
+    stats = datamod.StandardizationStats(np.array(meta["mean"]), np.array(meta["stddev"]))
     out = {}
     for f in cfg.fractions:
-        path = _require(cfg, stage, "variants", f"test_{level_key(f)}.csv")
-        out[f] = load_csv(path)
+        spec = PerturbationSpec(
+            kind=cfg.perturbation_kind,
+            fraction=f,
+            noise_scale=cfg.noise_scale,
+            seed=derive_seed(cfg.master_seed, "perturb", cfg.perturbation_kind,
+                             level_key(f)),
+        )
+        out[f] = zscore_apply(datamod.perturb(test_raw, spec), stats)
     return out
 
 
 def stage_explain(cfg: RunConfig) -> None:
-    """Evaluate every (model, level) cell and produce every configured
-    explainer's rank; eXirt fits are persisted for the irt stage."""
-    _check_config(cfg, "explain")
+    """Evaluate every (model, level) cell on its perturbed test variant and
+    produce every configured explainer's rank; eXirt fits are persisted for
+    the report stage."""
+    meta = _check_config(cfg, "explain")
     models = _load_models(cfg, "explain")
-    variants = _load_variants(cfg, "explain")
+    test_raw = load_csv(_require(cfg, "explain", "prepared", "test_raw.csv"))
+    variants = _test_variants(cfg, meta, test_raw)
     train_std = load_csv(_require(cfg, "explain", "prepared", "train.csv"))
     # Looked up per call, not at import: bench/tracing.py rebinds these names.
     explain = {"dalex": explain_dalex_style, "eli5": explain_eli5_style,
@@ -272,26 +265,9 @@ def stage_explain(cfg: RunConfig) -> None:
     _write_json(_path(cfg, "ranks.json"), ranks)
 
 
-def _load_fit(cfg: RunConfig, stage: str, kind: str, fraction: float):
-    return fit_from_dict(_read_json(
-        _require(cfg, stage, "irt", f"fit_{kind}_{level_key(fraction)}.json")))
-
-
-def stage_irt(cfg: RunConfig) -> None:
-    """Reliability summaries from the eXirt fits."""
-    _check_config(cfg, "irt")
-    reliability = {}
-    if "exirt" in cfg.explainers:
-        for kind in cfg.models:
-            reliability[kind] = {level_key(f): asdict(summarize(_load_fit(cfg, "irt", kind, f)))
-                                 for f in cfg.fractions}
-    _write_json(_path(cfg, "reliability.json"), reliability)
-
-
-def stage_stability(cfg: RunConfig) -> None:
-    _check_config(cfg, "stability")
-    ranks = [RelevanceRank.from_dict(d) for d in
-             _read_json(_require(cfg, "stability", "ranks.json"))]
+def _stability(cfg: RunConfig, ranks) -> list:
+    """Each (explainer, kind) pair's rho per nonzero level against its
+    level-0 rank."""
     nonzero = tuple(sorted(f for f in cfg.fractions if f > 0))
     records = []
     if nonzero:
@@ -301,55 +277,51 @@ def stage_stability(cfg: RunConfig) -> None:
                          if r.explainer == explainer and r.model_kind == kind]
                 baseline = next(r for r in group if r.perturbation_fraction == 0.0)
                 perturbed = [r for r in group if r.perturbation_fraction > 0]
-                records.append(stability_sum(baseline, perturbed, fractions=nonzero).as_dict())
-    _write_json(_path(cfg, "stability.json"), records)
+                records.append(stability_sum(baseline, perturbed, nonzero))
+    return records
 
 
-def stage_stats(cfg: RunConfig) -> None:
-    _check_config(cfg, "stats")
-    metrics = _read_json(_require(cfg, "stats", "metrics.json"))
+def _posthoc(cfg: RunConfig, metrics: dict):
+    """Friedman test and Nemenyi matrix over the (kind, level) treatments,
+    with the classification metrics as blocks; (None, None) below two
+    treatments."""
     treatments, columns = [], []
     for kind in cfg.models:
         for f in cfg.fractions:
             lvl = level_key(f)
             label = f"{kind}: original" if f == 0 else f"{kind}: {lvl}%"
             treatments.append(label)
-            columns.append([metrics[kind][lvl][m] for m in METRIC_NAMES])
-    out = {"friedman": None, "nemenyi": None}
-    if len(treatments) >= 2:
-        table = MeasurementTable(METRIC_NAMES, tuple(treatments),
-                                 np.array(columns, dtype=float).T)
-        stat, p = friedman(table)
-        out["friedman"] = {"statistic": stat, "p_value": p}
-        out["nemenyi"] = nemenyi(table).as_dict()
-    _write_json(_path(cfg, "statstest.json"), out)
+            columns.append([getattr(metrics[kind][lvl], m) for m in METRIC_NAMES])
+    if len(treatments) < 2:
+        return None, None
+    table = MeasurementTable(METRIC_NAMES, tuple(treatments),
+                             np.array(columns, dtype=float).T)
+    stat, p = friedman(table)
+    return {"statistic": stat, "p_value": p}, nemenyi(table)
 
 
 def stage_report(cfg: RunConfig) -> RunReport:
+    """Compute reliability, rank stability and the post-hoc tests from the
+    explain stage's artifacts, and write the report."""
     meta = _check_config(cfg, "report")
-    metrics_raw = _read_json(_require(cfg, "report", "metrics.json"))
-    ranks_raw = _read_json(_require(cfg, "report", "ranks.json"))
-    reliability_raw = _read_json(_require(cfg, "report", "reliability.json"))
-    stability_raw = _read_json(_require(cfg, "report", "stability.json"))
-    stats_raw = _read_json(_require(cfg, "report", "statstest.json"))
-
     models_meta = {kind: {"hyperparams": m.hyperparams, "cv_score": m.cv_score, "seed": m.seed}
                    for kind, m in _load_models(cfg, "report").items()}
     metrics = {k: {lvl: MetricReport(**m) for lvl, m in levels.items()}
-               for k, levels in metrics_raw.items()}
-    reliability = {k: {lvl: ReliabilitySummary(**s) for lvl, s in levels.items()}
-                   for k, levels in reliability_raw.items()}
-    ranks = [RelevanceRank.from_dict(d) for d in ranks_raw]
-    stability = [StabilityRecord.from_dict(d, cfg.fractions) for d in stability_raw]
-    post = stats_raw["nemenyi"]
-    nem = None if post is None else PosthocMatrix.from_dict(post)
-    icc_curves = {}
+               for k, levels in _read_json(_require(cfg, "report", "metrics.json")).items()}
+    ranks = [RelevanceRank.from_dict(d)
+             for d in _read_json(_require(cfg, "report", "ranks.json"))]
+    reliability, icc_curves = {}, {}
     if "exirt" in cfg.explainers:
         grid = default_theta_grid()
         for kind in cfg.models:
+            reliability[kind] = {}
             for f in cfg.fractions:
-                icc_curves[f"{kind}:{level_key(f)}"] = icc(
-                    _load_fit(cfg, "report", kind, f).items, grid)
+                lvl = level_key(f)
+                fit = fit_from_dict(_read_json(
+                    _require(cfg, "report", "irt", f"fit_{kind}_{lvl}.json")))
+                reliability[kind][lvl] = summarize(fit)
+                icc_curves[f"{kind}:{lvl}"] = icc(fit.items, grid)
+    friedman_result, nem = _posthoc(cfg, metrics)
     report = RunReport(
         dataset_summary=meta["dataset"],
         config=cfg.echo(),
@@ -357,8 +329,8 @@ def stage_report(cfg: RunConfig) -> RunReport:
         metrics=metrics,
         reliability=reliability,
         ranks=ranks,
-        stability=stability,
-        friedman=stats_raw["friedman"],
+        stability=_stability(cfg, ranks),
+        friedman=friedman_result,
         nemenyi=nem,
         icc=icc_curves,
     )
@@ -368,11 +340,7 @@ def stage_report(cfg: RunConfig) -> RunReport:
 
 _STAGE_FUNCS = {
     "train": stage_train,
-    "perturb": stage_perturb,
     "explain": stage_explain,
-    "irt": stage_irt,
-    "stability": stage_stability,
-    "stats": stage_stats,
     "report": stage_report,
 }
 

@@ -9,8 +9,6 @@ from dataclasses import asdict, dataclass
 from .data import level_key
 from .explainers import RelevanceRank
 
-DEFAULT_FRACTIONS = (0.04, 0.06, 0.10)
-
 
 class StabilityError(ValueError):
     pass
@@ -28,16 +26,6 @@ class StabilityRecord:
         return dict(asdict(self), rho_by_fraction={
             level_key(f): v for f, v in self.rho_by_fraction.items()})
 
-    @classmethod
-    def from_dict(cls, d: dict, fractions) -> "StabilityRecord":
-        """Inverse of as_dict; ``fractions`` maps the level keys back."""
-        by_key = {level_key(f): f for f in fractions}
-        unknown = sorted(set(d["rho_by_fraction"]) - set(by_key))
-        if unknown:
-            raise StabilityError(f"rho keyed by unconfigured levels {unknown}")
-        return cls(**dict(d, rho_by_fraction={
-            by_key[k]: v for k, v in d["rho_by_fraction"].items()}))
-
 
 def spearman(rank_a: RelevanceRank, rank_b: RelevanceRank) -> float:
     """Tie-free Spearman rho over rank positions: 1 - 6 sum(d^2) / (n(n^2-1))."""
@@ -51,12 +39,10 @@ def spearman(rank_a: RelevanceRank, rank_b: RelevanceRank) -> float:
     return 1.0 - 6.0 * d2 / (n * (n * n - 1))
 
 
-def stability_sum(baseline: RelevanceRank, perturbed,
-                  fractions=DEFAULT_FRACTIONS) -> StabilityRecord:
+def stability_sum(baseline: RelevanceRank, perturbed, fractions) -> StabilityRecord:
     """Rho against baseline per nonzero fraction, plus their sum.
 
-    ``fractions`` names the perturbation levels that must be present; pass
-    None to accept whatever levels the perturbed list carries.
+    ``fractions`` names the perturbation levels that must be present.
     """
     by_fraction = {}
     for rank in perturbed:
@@ -64,12 +50,10 @@ def stability_sum(baseline: RelevanceRank, perturbed,
         if f in by_fraction:
             raise StabilityError(f"duplicate rank for fraction {f}")
         by_fraction[f] = rank
-    if fractions is not None:
-        missing = [f for f in fractions if f not in by_fraction]
-        if missing:
-            raise StabilityError(f"missing perturbation fractions: {missing}")
-        by_fraction = {f: by_fraction[f] for f in fractions}
-    rho = {f: spearman(baseline, rank) for f, rank in sorted(by_fraction.items())}
+    missing = [f for f in fractions if f not in by_fraction]
+    if missing:
+        raise StabilityError(f"missing perturbation fractions: {missing}")
+    rho = {f: spearman(baseline, by_fraction[f]) for f in sorted(fractions)}
     return StabilityRecord(
         explainer=baseline.explainer,
         model_kind=baseline.model_kind,

@@ -55,10 +55,6 @@ class PosthocMatrix:
     def as_dict(self) -> dict:
         return {"labels": list(self.labels), "p": self.p.tolist()}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "PosthocMatrix":
-        return cls(tuple(d["labels"]), np.array(d["p"]))
-
 
 def _within_block_ranks(values: np.ndarray) -> np.ndarray:
     return np.vstack([rankdata(row, method="average") for row in values])

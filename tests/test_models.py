@@ -18,8 +18,6 @@ from xaibench.models import (
     train,
 )
 
-from conftest import make_signal_noise_dataset
-
 
 def separable(n=200, seed=0):
     rng = np.random.default_rng(seed)

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 from xaibench import cli, pipeline
-from xaibench.data import Dataset, load_csv, save_csv
+from xaibench.data import Dataset, level_key, load_csv, save_csv
 from xaibench.datasets import make_synthetic_diabetes
+from xaibench.irt import fit_from_dict, summarize
 from xaibench.pipeline import (
     STAGES,
     PipelineError,
@@ -95,22 +96,20 @@ class TestRunAll:
         _, _, out_dir = completed_run
         for rel in ("prepared/train.csv", "prepared/test_raw.csv",
                     "prepared/stats.json", "models/cart.json",
-                    "variants/test_0.csv", "variants/test_10.csv",
-                    "metrics.json", "ranks.json", "reliability.json",
-                    "stability.json", "statstest.json", "report.json",
+                    "metrics.json", "ranks.json", "report.json",
                     "metrics.csv", "ranks.csv", "stability.csv",
                     "nemenyi.csv", "heatmap.svg",
                     "icc_cart_0.svg", "bump_eli5_cart.svg", "irt/fit_cart_0.json"):
             assert os.path.exists(os.path.join(out_dir, rel)), rel
+        # cheap to recompute, so only report.json carries them
+        for rel in ("variants", "reliability.json", "stability.json", "statstest.json"):
+            assert not os.path.exists(os.path.join(out_dir, rel)), rel
         assert not [n for n in os.listdir(os.path.join(out_dir, "irt"))
                     if n.startswith("icc_")]
 
     @pytest.mark.parametrize("artifact, key, section", [
         ("ranks.json", None, "ranks"),
-        ("reliability.json", None, "reliability"),
-        ("stability.json", None, "stability"),
         ("metrics.json", None, "metrics"),
-        ("statstest.json", "nemenyi", "nemenyi"),
     ])
     def test_artifact_equals_its_report_section(self, completed_run, artifact, key,
                                                 section):
@@ -120,6 +119,27 @@ class TestRunAll:
         with open(os.path.join(out_dir, "report.json"), encoding="utf-8") as fh:
             report = json.load(fh)
         assert (got if key is None else got[key]) == report[section]
+
+    def test_reliability_summarizes_the_saved_fits(self, completed_run):
+        cfg, _, out_dir = completed_run
+        with open(os.path.join(out_dir, "report.json"), encoding="utf-8") as fh:
+            reliability = json.load(fh)["reliability"]
+        assert sorted(reliability) == list(cfg.models)
+        for kind, levels in reliability.items():
+            assert sorted(levels) == sorted(level_key(f) for f in cfg.fractions)
+            for lvl, cell in levels.items():
+                path = os.path.join(out_dir, "irt", f"fit_{kind}_{lvl}.json")
+                with open(path, encoding="utf-8") as fh:
+                    fit = fit_from_dict(json.load(fh))
+                assert cell == dataclasses.asdict(summarize(fit))
+
+    def test_report_needs_every_saved_fit(self, completed_run, tmp_path):
+        cfg, _, out_dir = completed_run
+        copy = str(tmp_path / "copy")
+        shutil.copytree(out_dir, copy)
+        os.remove(os.path.join(copy, "irt", "fit_cart_10.json"))
+        with pytest.raises(PipelineError, match=r"\[report\].*missing"):
+            run_stage(dataclasses.replace(cfg, out_dir=copy), "report")
 
     def test_report_counts_scale_with_config(self, completed_run):
         _, report, out_dir = completed_run
@@ -182,7 +202,7 @@ class TestExplainDispatch:
         cfg = RunConfig(dataset=small_dataset_path, out_dir=str(tmp_path / "run"),
                         models=("cart", "knn"), explainers=("lofo",),
                         fractions=(0.0, 0.1, 0.2), cv_folds=2)
-        for stage in ("train", "perturb", "explain"):
+        for stage in ("train", "explain"):
             run_stage(cfg, stage)
         with open(os.path.join(cfg.out_dir, "ranks.json"), "rb") as fh:
             original = fh.read()
@@ -349,6 +369,19 @@ class TestCli:
         path.write_text("just some words\n")
         with pytest.raises(ValueError, match="key = value"):
             cli.parse_config_file(path)
+
+    def test_subcommands_are_the_stages(self):
+        parser = cli.make_parser()
+        sub = next(a for a in parser._actions if a.dest == "command")
+        assert sorted(sub.choices) == ["explain", "report", "run", "synth-data", "train"]
+
+    @pytest.mark.parametrize("removed", ["perturb", "irt", "stability", "stats"])
+    def test_removed_stage_is_a_usage_error(self, removed, small_dataset_path, tmp_path,
+                                            capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([removed, "--dataset", small_dataset_path, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_cli_full_run(self, small_dataset_path, tmp_path):
         out = str(tmp_path / "cli_run")

@@ -19,7 +19,7 @@ from xaibench.report import (
     render_heatmap_svg,
     render_icc_svg,
 )
-from xaibench.stability import StabilityError, StabilityRecord, bump_chart_data
+from xaibench.stability import StabilityRecord, bump_chart_data
 from xaibench.stats import PosthocMatrix
 
 
@@ -137,8 +137,9 @@ names = st.text(min_size=1, max_size=8)
 
 
 class TestRecordRoundTrips:
-    """Each record type has one as_dict / from_dict pair, and it survives
-    the JSON text that the stage artifacts and report.json are made of."""
+    """Each record type has one serializer, and what it writes survives the
+    JSON text of report.json; RelevanceRank, which the report stage reads
+    back from ranks.json, also round-trips."""
 
     @given(st.lists(names, min_size=1, max_size=6, unique=True), st.data(),
            names, names, st.floats(0.0, 1.0), st.booleans())
@@ -160,23 +161,8 @@ class TestRecordRoundTrips:
         rec = StabilityRecord(explainer, kind, dict(zip(fractions, rhos)), float(sum(rhos)))
         d = through_json(rec.as_dict())
         assert sorted(d["rho_by_fraction"]) == sorted(data_level_key(f) for f in fractions)
-        assert StabilityRecord.from_dict(d, fractions) == rec
-
-    def test_stability_record_refuses_an_unmapped_level(self):
-        rec = StabilityRecord("eli5", "gbt", {0.04: 0.5, 0.1: 0.25}, 0.75)
-        with pytest.raises(StabilityError, match="10"):
-            StabilityRecord.from_dict(rec.as_dict(), (0.0, 0.04))
-
-    @given(st.lists(names, min_size=2, max_size=5, unique=True), st.data())
-    def test_posthoc_matrix(self, labels, data):
-        k = len(labels)
-        p = np.ones((k, k))
-        for i in range(k):
-            for j in range(i + 1, k):
-                p[i, j] = p[j, i] = data.draw(st.floats(0.0, 1.0))
-        back = PosthocMatrix.from_dict(through_json(PosthocMatrix(labels, p).as_dict()))
-        assert back.labels == tuple(labels)
-        assert np.array_equal(back.p, p)
+        assert d == {"explainer": explainer, "model_kind": kind, "sum": rec.sum,
+                     "rho_by_fraction": {data_level_key(f): r for f, r in zip(fractions, rhos)}}
 
     @given(finite, finite, finite, finite, st.integers(0, 10_000))
     def test_reliability_summary(self, difficulty, discrimination, guessing, ability, neg):

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from xaibench.explainers import RelevanceRank
 from xaibench.stability import (
-    DEFAULT_FRACTIONS,
     StabilityError,
     StabilityRecord,
     bump_chart_data,
@@ -64,16 +63,18 @@ class TestSpearman:
 
 
 class TestStabilitySum:
+    FRACTIONS = (0.04, 0.06, 0.10)
+
     def perturbed(self, orders):
         return [make_rank(order, fraction=f)
-                for order, f in zip(orders, DEFAULT_FRACTIONS)]
+                for order, f in zip(orders, self.FRACTIONS)]
 
     def test_sum_of_rhos(self):
         baseline = make_rank(["a", "b", "c"])
         perturbed = self.perturbed([["a", "b", "c"],
                                     ["a", "c", "b"],
                                     ["c", "b", "a"]])
-        rec = stability_sum(baseline, perturbed)
+        rec = stability_sum(baseline, perturbed, self.FRACTIONS)
         assert rec.rho_by_fraction[0.04] == 1.0
         assert rec.rho_by_fraction[0.06] == 0.5
         assert rec.rho_by_fraction[0.10] == -1.0
@@ -84,20 +85,15 @@ class TestStabilitySum:
     def test_missing_fraction_rejected(self):
         baseline = make_rank(["a", "b"])
         with pytest.raises(StabilityError, match="missing"):
-            stability_sum(baseline, [make_rank(["a", "b"], fraction=0.04)])
+            stability_sum(baseline, [make_rank(["a", "b"], fraction=0.04)],
+                          self.FRACTIONS)
 
     def test_duplicate_fraction_rejected(self):
         baseline = make_rank(["a", "b"])
         dupes = [make_rank(["a", "b"], fraction=0.04),
                  make_rank(["b", "a"], fraction=0.04)]
         with pytest.raises(StabilityError, match="duplicate"):
-            stability_sum(baseline, dupes, fractions=None)
-
-    def test_fractions_none_accepts_any_levels(self):
-        baseline = make_rank(["a", "b"])
-        rec = stability_sum(baseline, [make_rank(["a", "b"], fraction=0.3)],
-                            fractions=None)
-        assert rec.rho_by_fraction == {0.3: 1.0}
+            stability_sum(baseline, dupes, (0.04,))
 
 
 class TestBumpChartData:
