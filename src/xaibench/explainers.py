@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import Dataset
-from .irt import build_response_matrix, fit_3pl
+from .irt import ResponseMatrix, fit_3pl
 from .metrics import accuracy_score, labels_from_proba, roc_auc_score
 from .models.training import TrainedModel, build_estimator, stratified_kfold
 from .seeding import derive_seed, rng_for
@@ -393,13 +393,13 @@ def explain_exirt(model: TrainedModel, train: Dataset, test: Dataset,
     Returns (rank, fit); the fit also feeds the ICC and reliability outputs.
     """
     _check_schema(model, test)
-    base_labels = model.predict(test.features)
-    pool = [("original", base_labels)]
+    y = test.labels
+    base_correct = model.predict(test.features) == y
+    rows, ids = [base_correct], ["original"]
     for j, name in enumerate(test.feature_names):
         x = _shuffled(test.features, j, rng_for(cfg.seed, "exirt", name))
-        pool.append((f"shuffled:{name}", model.predict(x)))
-    y = test.labels
-    base_correct = (base_labels == y).astype(int)
+        rows.append(model.predict(x) == y)
+        ids.append(f"shuffled:{name}")
     for b in range(cfg.bootstrap_respondents):
         rng = rng_for(cfg.seed, "exirt-bootstrap", b)
         resample = rng.integers(0, test.n_rows, size=test.n_rows)
@@ -408,13 +408,12 @@ def explain_exirt(model: TrainedModel, train: Dataset, test: Dataset,
         # matrix has no missing-response state)
         selected = np.zeros(test.n_rows, dtype=bool)
         selected[np.unique(resample)] = True
-        boot_labels = np.where(selected & (base_correct == 1), y, 1 - y)
-        pool.append((f"bootstrap:{b}", boot_labels))
-    matrix = build_response_matrix(pool, test)
+        rows.append(selected & base_correct)
+        ids.append(f"bootstrap:{b}")
+    matrix = ResponseMatrix(np.array(rows), ids,
+                            tuple(f"item_{i}" for i in range(test.n_rows)))
     fit = fit_3pl(matrix)
-    theta = {rid: t for rid, t in zip(matrix.respondent_ids, fit.abilities.theta)}
-    scores = [theta["original"] - theta[f"shuffled:{name}"]
-              for name in test.feature_names]
-    rank = rank_from_scores(test.feature_names, scores, "exirt", model.kind,
-                            perturbation_fraction)
+    theta = fit.abilities.theta  # rows: original, one probe per feature, bootstrap
+    rank = rank_from_scores(test.feature_names, theta[0] - theta[1:1 + test.n_features],
+                            "exirt", model.kind, perturbation_fraction)
     return rank, fit

@@ -1,8 +1,9 @@
 """3PL item response theory engine.
 
-Response-matrix construction, joint item/ability estimation by alternating
-penalized maximum likelihood (Birnbaum scheme), ICC curve generation,
-negative-discrimination flagging and model-reliability verdicts.
+Joint item/ability estimation by alternating penalized maximum likelihood
+(Birnbaum scheme) on a respondents x items correctness matrix, item
+characteristic curves as one array, reliability summaries and
+model-reliability verdicts.
 
 Respondents are rows, items are columns.  All optimizer moves are
 accept-only-if-better, so the tracked objective never decreases across
@@ -21,6 +22,14 @@ C_BOUNDS = (0.0, 0.5)
 THETA_BOUNDS = (-4.0, 4.0)
 
 _PROB_CLIP = 1e-6  # likelihood clipping keeps all-correct/all-wrong rows finite
+
+TOL = 1e-4  # stop once an outer iteration gains less than this
+MAX_OUTER = 50
+PENALTY_WEIGHT = 0.01  # pulls a toward ANCHOR_A and c toward ANCHOR_C
+ANCHOR_A = 1.0
+ANCHOR_C = 0.1
+SCAN_POINTS = 17
+XTOL = 1e-3
 
 X_MORE_RELIABLE = "x_more_reliable"
 Y_MORE_RELIABLE = "y_more_reliable"
@@ -121,57 +130,12 @@ class IrtFit:
 
 
 @dataclass(frozen=True)
-class IccCurve:
-    theta_grid: np.ndarray
-    p: np.ndarray
-    item_id: str
-    negative_discrimination: bool
-
-
-@dataclass(frozen=True)
 class ReliabilitySummary:
     mean_difficulty: float
     mean_discrimination: float
     mean_guessing: float
     mean_ability: float
     negative_item_count: int
-
-
-@dataclass(frozen=True)
-class FitConfig:
-    tol: float = 1e-4
-    max_outer: int = 50
-    penalty_weight: float = 0.01  # pulls a toward 1 and c toward 0.1
-    anchor_a: float = 1.0
-    anchor_c: float = 0.1
-    scan_points: int = 17
-    xtol: float = 1e-3
-
-
-def build_response_matrix(respondents, test) -> ResponseMatrix:
-    """U[j, i] = 1 iff respondent j's predicted label on instance i is correct.
-
-    ``respondents`` is a sequence of (id, source) pairs where source is
-    either a model exposing predict_proba or a precomputed 0/1 label vector.
-    """
-    rows = []
-    ids = []
-    y = np.asarray(test.labels)
-    for rid, source in respondents:
-        if hasattr(source, "predict_proba"):
-            n_feat = getattr(source, "n_features", test.n_features)
-            if n_feat != test.n_features:
-                raise IrtError(f"respondent {rid!r} expects {n_feat} features, "
-                               f"test has {test.n_features}")
-            labels = (np.asarray(source.predict_proba(test.features)) >= 0.5).astype(int)
-        else:
-            labels = np.asarray(source, dtype=int)
-            if labels.shape != y.shape:
-                raise IrtError(f"respondent {rid!r} label vector has wrong length")
-        rows.append((labels == y).astype(int))
-        ids.append(str(rid))
-    item_ids = tuple(f"item_{i}" for i in range(len(y)))
-    return ResponseMatrix(np.array(rows), tuple(ids), item_ids)
 
 
 def _prob_matrix(a, b, c, theta):
@@ -189,10 +153,10 @@ def _loglik_entries(u, a, b, c, theta):
     return np.log(np.where(u, p, 1.0 - p))
 
 
-def _item_objective(u, a, b, c, theta, cfg: FitConfig):
+def _item_objective(u, a, b, c, theta):
     """Penalized per-item log-likelihood, shaped (..., N)."""
     ll = _loglik_entries(u, a, b, c, theta).sum(axis=-2)
-    pen = cfg.penalty_weight * ((a - cfg.anchor_a) ** 2 + (c - cfg.anchor_c) ** 2)
+    pen = PENALTY_WEIGHT * ((a - ANCHOR_A) ** 2 + (c - ANCHOR_C) ** 2)
     return ll - pen
 
 
@@ -201,7 +165,7 @@ def _respondent_objective(u, a, b, c, theta):
     return _loglik_entries(u, a, b, c, theta).sum(axis=-1)
 
 
-def _scan_golden_max(f, current, lo, hi, scan_points, xtol):
+def _scan_golden_max(f, current, lo, hi, scan_points=SCAN_POINTS, xtol=XTOL):
     """Elementwise 1-D maximization of f over [lo, hi].
 
     f maps a stacked (K, n) block of candidate vectors to (K, n) objectives,
@@ -239,43 +203,39 @@ def _standardized_scores(u):
     return np.clip((s - s.mean()) / sd, *THETA_BOUNDS)
 
 
-def fit_3pl(responses: ResponseMatrix, config: FitConfig | None = None) -> IrtFit:
+def fit_3pl(responses: ResponseMatrix, max_outer: int = MAX_OUTER) -> IrtFit:
     """Alternating penalized MLE of item parameters and abilities.
 
     Initialization: theta from standardized raw scores, a = 1, b from the
-    inverse logistic of item easiness, c = 0.1.  Outer iterations alternate
-    a full item-parameter pass with a respondent-ability pass until the
-    objective gain drops below tol or max_outer is reached.
+    inverse logistic of item easiness, c = ANCHOR_C.  Outer iterations
+    alternate a full item-parameter pass with a respondent-ability pass
+    until the objective gain drops below TOL or max_outer is reached.
     """
-    cfg = config or FitConfig()
     u = responses.entries.astype(float)
     r, n = u.shape
     theta = _standardized_scores(u)
     a = np.ones(n)
     easiness = np.clip(u.mean(axis=0), 1e-3, 1 - 1e-3)
     b = np.clip(-np.log(easiness / (1.0 - easiness)), *B_BOUNDS)
-    c = np.full(n, cfg.anchor_c)
+    c = np.full(n, ANCHOR_C)
 
     def total_objective():
-        return float(np.sum(_item_objective(u, a, b, c, theta, cfg)))
+        return float(np.sum(_item_objective(u, a, b, c, theta)))
 
     history = []
     prev = total_objective()
     converged = False
     iterations = 0
-    for _ in range(cfg.max_outer):
+    for _ in range(max_outer):
         iterations += 1
-        a = _scan_golden_max(lambda v: _item_objective(u, v, b, c, theta, cfg),
-                             a, *A_BOUNDS, cfg.scan_points, cfg.xtol)
-        b = _scan_golden_max(lambda v: _item_objective(u, a, v, c, theta, cfg),
-                             b, *B_BOUNDS, cfg.scan_points, cfg.xtol)
-        c = _scan_golden_max(lambda v: _item_objective(u, a, b, v, theta, cfg),
-                             c, *C_BOUNDS, cfg.scan_points, cfg.xtol)
+        a = _scan_golden_max(lambda v: _item_objective(u, v, b, c, theta), a, *A_BOUNDS)
+        b = _scan_golden_max(lambda v: _item_objective(u, a, v, c, theta), b, *B_BOUNDS)
+        c = _scan_golden_max(lambda v: _item_objective(u, a, b, v, theta), c, *C_BOUNDS)
         theta = _scan_golden_max(lambda v: _respondent_objective(u, a, b, c, v),
-                                 theta, *THETA_BOUNDS, cfg.scan_points, cfg.xtol)
+                                 theta, *THETA_BOUNDS)
         cur = total_objective()
         history.append(cur)
-        if cur - prev < cfg.tol:
+        if cur - prev < TOL:
             converged = True
             break
         prev = cur
@@ -293,17 +253,13 @@ def default_theta_grid() -> np.ndarray:
     return np.linspace(THETA_BOUNDS[0], THETA_BOUNDS[1], 161)
 
 
-def icc(items: ItemParameters, theta_grid) -> list:
-    """One characteristic curve per item over an ascending ability grid."""
+def icc(items: ItemParameters, theta_grid) -> np.ndarray:
+    """Characteristic curves over an ascending ability grid, one row per
+    item: an (N, G) array of hit probabilities."""
     grid = np.asarray(theta_grid, dtype=float)
     if np.any(np.diff(grid) <= 0):
         raise IrtError("theta grid must be strictly ascending")
-    curves = []
-    for i in range(items.n_items):
-        p = p_correct(items.a[i], items.b[i], items.c[i], grid)
-        curves.append(IccCurve(grid, np.asarray(p), f"item_{i}",
-                               bool(items.a[i] < 0)))
-    return curves
+    return p_correct(items.a[:, None], items.b[:, None], items.c[:, None], grid)
 
 
 def summarize(fit: IrtFit) -> ReliabilitySummary:

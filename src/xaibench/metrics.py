@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.stats import rankdata
 
 THRESHOLD = 0.5  # probability >= threshold predicts class 1
 
@@ -49,18 +50,7 @@ def roc_auc_score(y_true, proba) -> float:
     n_neg = len(y_true) - n_pos
     if n_pos == 0 or n_neg == 0:
         return 0.5
-    order = np.argsort(proba, kind="stable")
-    ranks = np.empty(len(proba), dtype=float)
-    sorted_p = proba[order]
-    i = 0
-    rank = 1
-    while i < len(proba):
-        j = i
-        while j + 1 < len(proba) and sorted_p[j + 1] == sorted_p[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (rank + rank + (j - i))  # average rank of the tie group
-        rank += j - i + 1
-        i = j + 1
+    ranks = rankdata(proba)  # tie groups share their average rank
     rank_sum_pos = float(np.sum(ranks[y_true == 1]))
     u = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)

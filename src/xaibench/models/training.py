@@ -10,7 +10,7 @@ import numpy as np
 
 from ..data import Dataset, DatasetError, atomic_open
 from ..seeding import rng_for
-from ..metrics import roc_auc_score
+from ..metrics import labels_from_proba, roc_auc_score
 from .gbt import GradientBoostedTrees
 from .knn import KNearestNeighbors
 from .mlp import MultilayerPerceptron
@@ -76,7 +76,7 @@ class TrainedModel:
         return np.clip(self.estimator.predict_proba(features), 0.0, 1.0)
 
     def predict(self, features) -> np.ndarray:
-        return (self.predict_proba(features) >= 0.5).astype(int)
+        return labels_from_proba(self.predict_proba(features))
 
 
 def build_estimator(kind: str, params: dict):

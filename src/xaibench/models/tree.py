@@ -149,8 +149,8 @@ class DecisionTreeClassifier:
 class RegressionTree:
     """Squared-error CART used as the boosting weak learner.
 
-    When a hessian vector is supplied, leaf values take a Newton step
-    sum(grad) / sum(hess) instead of the plain mean.
+    Splits are scored on the gradient ``y``; each leaf takes the Newton step
+    sum(grad) / sum(hess).
     """
 
     def __init__(self, max_depth: int = 3, min_samples_leaf: int = 1):
@@ -158,7 +158,7 @@ class RegressionTree:
         self.min_samples_leaf = min_samples_leaf
         self.root_ = None
 
-    def fit(self, x, y, hess=None):
+    def fit(self, x, y, hess):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         self.root_ = self._build(x, y, hess, depth=0)
@@ -166,10 +166,7 @@ class RegressionTree:
 
     @staticmethod
     def _leaf(y, hess):
-        if hess is None:
-            return {"value": float(np.mean(y))}
-        denom = max(float(np.sum(hess)), 1e-12)
-        return {"value": float(np.sum(y) / denom)}
+        return {"value": float(np.sum(y) / max(float(np.sum(hess)), 1e-12))}
 
     def _build(self, x, y, hess, depth):
         if (depth >= self.max_depth or len(y) < 2 * self.min_samples_leaf
@@ -180,13 +177,11 @@ class RegressionTree:
             return self._leaf(y, hess)
         j, thr, _ = best
         mask = x[:, j] <= thr
-        hl = hess[mask] if hess is not None else None
-        hr = hess[~mask] if hess is not None else None
         return {
             "feature": j,
             "threshold": thr,
-            "left": self._build(x[mask], y[mask], hl, depth + 1),
-            "right": self._build(x[~mask], y[~mask], hr, depth + 1),
+            "left": self._build(x[mask], y[mask], hess[mask], depth + 1),
+            "right": self._build(x[~mask], y[~mask], hess[~mask], depth + 1),
         }
 
     def predict(self, x) -> np.ndarray:

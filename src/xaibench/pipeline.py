@@ -20,8 +20,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import data as datamod
-from .data import (PERTURBATION_KINDS, PerturbationSpec, atomic_open, level_key, load_csv,
-                   save_csv, split, zscore_apply, zscore_fit)
+from .data import (PerturbationSpec, atomic_open, level_key, load_csv, save_csv, split,
+                   zscore_apply, zscore_fit)
 from .explainers import (
     EXPLAINERS,
     ExplainerConfig,
@@ -43,7 +43,7 @@ from .irt import (
 )
 from .metrics import MetricReport, classification_report
 from .models import MODEL_KINDS, load_model, save_model, train
-from .report import RunReport, write_report
+from .report import RunReport, check_slots, write_report
 from .seeding import derive_seed
 from .stability import stability_sum
 from .stats import MeasurementTable, friedman, nemenyi
@@ -81,23 +81,16 @@ class RunConfig:
         object.__setattr__(self, "explainers", tuple(self.explainers))
         if 0.0 not in self.fractions:
             raise ValueError("fractions must include 0 (the unperturbed baseline)")
-        if not all(0.0 <= f <= 1.0 for f in self.fractions):
-            raise ValueError(f"fractions must lie in [0, 1], got {self.fractions}")
+        for f in self.fractions:
+            self.perturbation_spec(f)  # PerturbationSpec checks kind, range and noise_scale
         keys = [level_key(f) for f in self.fractions]
         if len(set(keys)) != len(keys):
             raise ValueError(f"fractions must map to distinct levels, got {keys}")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must lie strictly between 0 and 1")
-        if self.perturbation_kind not in PERTURBATION_KINDS:
-            raise ValueError(f"unknown perturbation kind {self.perturbation_kind!r}")
-        if self.noise_scale < 0:
-            raise ValueError("noise_scale must be >= 0")
-        if self.cv_folds < 2:
-            raise ValueError("cv_folds must be >= 2")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
-        if self.bootstrap_respondents < 0:
-            raise ValueError("bootstrap_respondents must be >= 0")
+        ExplainerConfig(self.repetitions, self.coalition_budget,
+                        bootstrap_respondents=self.bootstrap_respondents,
+                        cv_folds=self.cv_folds)  # checks repetitions, pool size and folds
         if not self.models:
             raise ValueError("need at least one model kind")
         for kind in self.models:
@@ -108,6 +101,15 @@ class RunConfig:
         for e in self.explainers:
             if e not in EXPLAINERS:
                 raise ValueError(f"unknown explainer {e!r}")
+
+    def perturbation_spec(self, fraction: float) -> PerturbationSpec:
+        return PerturbationSpec(
+            kind=self.perturbation_kind,
+            fraction=fraction,
+            noise_scale=self.noise_scale,
+            seed=derive_seed(self.master_seed, "perturb", self.perturbation_kind,
+                             level_key(fraction)),
+        )
 
     def explainer_config(self, explainer: str, kind: str, fraction: float) -> ExplainerConfig:
         # lofo refits on the training split, and no level changes that split
@@ -212,17 +214,8 @@ def _load_models(cfg: RunConfig, stage: str) -> dict:
 def _test_variants(cfg: RunConfig, meta: dict, test_raw) -> dict:
     """The standardized test variant of every fraction, rebuilt in memory."""
     stats = datamod.StandardizationStats(np.array(meta["mean"]), np.array(meta["stddev"]))
-    out = {}
-    for f in cfg.fractions:
-        spec = PerturbationSpec(
-            kind=cfg.perturbation_kind,
-            fraction=f,
-            noise_scale=cfg.noise_scale,
-            seed=derive_seed(cfg.master_seed, "perturb", cfg.perturbation_kind,
-                             level_key(f)),
-        )
-        out[f] = zscore_apply(datamod.perturb(test_raw, spec), stats)
-    return out
+    return {f: zscore_apply(datamod.perturb(test_raw, cfg.perturbation_spec(f)), stats)
+            for f in cfg.fractions}
 
 
 def stage_explain(cfg: RunConfig) -> None:
@@ -310,7 +303,7 @@ def stage_report(cfg: RunConfig) -> RunReport:
                for k, levels in _read_json(_require(cfg, "report", "metrics.json")).items()}
     ranks = [RelevanceRank.from_dict(d)
              for d in _read_json(_require(cfg, "report", "ranks.json"))]
-    reliability, icc_curves = {}, {}
+    reliability, curves = {}, {}
     if "exirt" in cfg.explainers:
         grid = default_theta_grid()
         for kind in cfg.models:
@@ -320,7 +313,8 @@ def stage_report(cfg: RunConfig) -> RunReport:
                 fit = fit_from_dict(_read_json(
                     _require(cfg, "report", "irt", f"fit_{kind}_{lvl}.json")))
                 reliability[kind][lvl] = summarize(fit)
-                icc_curves[f"{kind}:{lvl}"] = icc(fit.items, grid)
+                curves[kind, lvl] = (grid, icc(fit.items, grid), fit.items.a < 0)
+    check_slots(cfg.echo(), metrics, reliability, ranks)
     friedman_result, nem = _posthoc(cfg, metrics)
     report = RunReport(
         dataset_summary=meta["dataset"],
@@ -332,7 +326,7 @@ def stage_report(cfg: RunConfig) -> RunReport:
         stability=_stability(cfg, ranks),
         friedman=friedman_result,
         nemenyi=nem,
-        icc=icc_curves,
+        icc=curves,
     )
     write_report(report, cfg.out_dir)
     return report

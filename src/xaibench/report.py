@@ -63,15 +63,14 @@ def _text(x, y, s, size=12, anchor="start", color="#000000") -> str:
             f'fill="{color}" font-family="sans-serif">{_esc(s)}</text>')
 
 
-def render_icc_svg(curves, summary: ReliabilitySummary, title: str = "Item characteristic curves") -> str:
-    """Green/red per-item curves, thick black pointwise average, and the
-    mean difficulty/discrimination/guessing annotation block."""
-    if not curves:
+def render_icc_svg(grid, curves, negative, summary: ReliabilitySummary,
+                   title: str = "Item characteristic curves") -> str:
+    """Per-item curves over ``grid`` from the (N, G) ``curves`` array, red
+    where the ``negative`` mask flags a < 0 and green elsewhere, a thick
+    black pointwise average, and the mean difficulty/discrimination/guessing
+    annotation block."""
+    if len(curves) == 0:
         raise ReportError("empty curve list")
-    grid = curves[0].theta_grid
-    for c in curves:
-        if len(c.theta_grid) != len(grid) or not np.allclose(c.theta_grid, grid):
-            raise ReportError("curves must share a common theta grid")
     left, right, top, bottom = 70, 30, 50, 60
     x0, x1 = float(grid[0]), float(grid[-1])
 
@@ -91,11 +90,10 @@ def render_icc_svg(curves, summary: ReliabilitySummary, title: str = "Item chara
         parts.append(_text(left - 8, py(p) + 4, _fmt(p), 10, "end"))
     parts.append(_text(WIDTH / 2, HEIGHT - 16, "ability (theta)", 12, "middle"))
     parts.append(_text(16, HEIGHT / 2, "p(correct)", 12, "middle"))
-    for c in curves:
-        color = RED if c.negative_discrimination else GREEN
-        parts.append(_polyline([(px(t), py(p)) for t, p in zip(grid, c.p)],
-                               color, 0.6, opacity=0.5))
-    avg = np.mean([c.p for c in curves], axis=0)  # pointwise average
+    for row, neg in zip(curves, negative):
+        parts.append(_polyline([(px(t), py(p)) for t, p in zip(grid, row)],
+                               RED if neg else GREEN, 0.6, opacity=0.5))
+    avg = np.mean(curves, axis=0)  # pointwise average
     parts.append(_polyline([(px(t), py(p)) for t, p in zip(grid, avg)],
                            "#000000", 3.0))
     annotation = (f"difficulty: {_fmt(summary.mean_difficulty)} "
@@ -197,7 +195,7 @@ class RunReport:
     stability: list  # StabilityRecord
     friedman: dict | None
     nemenyi: PosthocMatrix | None
-    icc: dict = field(default_factory=dict)  # "kind:level" -> list of IccCurve
+    icc: dict = field(default_factory=dict)  # (kind, level) -> (grid, curves, negative)
 
 
 def report_to_dict(r: RunReport) -> dict:
@@ -216,19 +214,21 @@ def report_to_dict(r: RunReport) -> dict:
     }
 
 
-def _validate(r: RunReport):
-    kinds = r.config.get("models", [])
-    levels = [level_key(f) for f in r.config.get("fractions", [])]
-    explainers = r.config.get("explainers", [])
+def check_slots(config: dict, metrics: dict, reliability: dict, ranks) -> None:
+    """Refuse a run whose metrics, reliability or ranks lack a configured
+    (explainer, model, level) slot, naming the first one missing."""
+    kinds = config.get("models", [])
+    levels = [level_key(f) for f in config.get("fractions", [])]
+    explainers = config.get("explainers", [])
     for kind in kinds:
         for lvl in levels:
-            if kind not in r.metrics or lvl not in r.metrics[kind]:
+            if kind not in metrics or lvl not in metrics[kind]:
                 raise ReportError(f"missing metric report slot: {kind}:{lvl}")
             if "exirt" in explainers:
-                if kind not in r.reliability or lvl not in r.reliability[kind]:
+                if kind not in reliability or lvl not in reliability[kind]:
                     raise ReportError(f"missing reliability slot: {kind}:{lvl}")
     have = {(rk.explainer, rk.model_kind, level_key(rk.perturbation_fraction))
-            for rk in r.ranks}
+            for rk in ranks}
     for e in explainers:
         for kind in kinds:
             for lvl in levels:
@@ -237,9 +237,9 @@ def _validate(r: RunReport):
 
 
 def write_report(r: RunReport, out_dir) -> None:
-    """Validate the report, then emit report.json, the CSV side tables and
-    the SVG set.  Byte-identical across runs with equal config and seeds."""
-    _validate(r)
+    """Emit report.json, the CSV side tables and the SVG set for a report
+    whose slots :func:`check_slots` accepted.  Byte-identical across runs
+    with equal config and seeds."""
     os.makedirs(out_dir, exist_ok=True)
 
     def path(name):
@@ -287,12 +287,10 @@ def write_report(r: RunReport, out_dir) -> None:
         with atomic_open(path("heatmap.svg")) as fh:
             fh.write(render_heatmap_svg(r.nemenyi))
 
-    for key in sorted(r.icc):
-        kind, lvl = key.split(":")
-        curves = r.icc[key]
-        summary = r.reliability[kind][lvl]
+    for (kind, lvl), (grid, curves, negative) in sorted(r.icc.items()):
         with atomic_open(path(f"icc_{kind}_{lvl}.svg")) as fh:
-            fh.write(render_icc_svg(curves, summary, title=f"{kind} at {lvl}% perturbation"))
+            fh.write(render_icc_svg(grid, curves, negative, r.reliability[kind][lvl],
+                                    title=f"{kind} at {lvl}% perturbation"))
 
     by_pair = {}
     for rk in r.ranks:

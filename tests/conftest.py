@@ -26,22 +26,6 @@ def signal_noise_data():
     return make_signal_noise_dataset()
 
 
-class ConstantModel:
-    """predict_proba returns a fixed probability for every row."""
-
-    kind = "constant"
-
-    def __init__(self, proba, n_features):
-        self.proba = float(proba)
-        self.n_features = n_features
-
-    def predict_proba(self, x):
-        return np.full(np.atleast_2d(x).shape[0], self.proba)
-
-    def predict(self, x):
-        return (self.predict_proba(x) >= 0.5).astype(int)
-
-
 class LinearProbaModel:
     """Sigmoid of a fixed linear score; handy as a smooth test function."""
 

@@ -21,7 +21,9 @@ from xaibench.explainers import (
     rank_from_scores,
     shapley_values,
 )
+from xaibench.irt import ResponseMatrix, fit_3pl, fit_to_dict
 from xaibench.models import train
+from xaibench.seeding import rng_for
 
 from conftest import LinearProbaModel, make_signal_noise_dataset
 
@@ -34,6 +36,31 @@ def fitted():
     test_data = data.take(np.arange(180, 260))
     model = train("gbt", train_data, 4, seed=19)
     return model, train_data, test_data
+
+
+def ref_exirt(model, test, cfg):
+    """eXirt built from label vectors: each respondent's 0/1 predictions,
+    scored against the test labels, and abilities looked up by respondent id."""
+    y = test.labels
+    base_labels = (model.predict_proba(test.features) >= 0.5).astype(int)
+    pool = [("original", base_labels)]
+    for j, name in enumerate(test.feature_names):
+        x = np.array(test.features, copy=True)
+        x[:, j] = x[rng_for(cfg.seed, "exirt", name).permutation(test.n_rows), j]
+        pool.append((f"shuffled:{name}", (model.predict_proba(x) >= 0.5).astype(int)))
+    base_correct = (base_labels == y).astype(int)
+    for b in range(cfg.bootstrap_respondents):
+        rng = rng_for(cfg.seed, "exirt-bootstrap", b)
+        resample = rng.integers(0, test.n_rows, size=test.n_rows)
+        selected = np.zeros(test.n_rows, dtype=bool)
+        selected[np.unique(resample)] = True
+        pool.append((f"bootstrap:{b}", np.where(selected & (base_correct == 1), y, 1 - y)))
+    matrix = ResponseMatrix(np.array([(labels == y).astype(int) for _, labels in pool]),
+                            [rid for rid, _ in pool], [f"item_{i}" for i in range(len(y))])
+    fit = fit_3pl(matrix)
+    theta = dict(zip(matrix.respondent_ids, fit.abilities.theta))
+    scores = [theta["original"] - theta[f"shuffled:{name}"] for name in test.feature_names]
+    return rank_from_scores(test.feature_names, scores, "exirt", model.kind), fit
 
 
 class TestRankMachinery:
@@ -192,6 +219,17 @@ class TestRankers:
         # pool = original + one probe per feature + bootstrap respondents
         assert len(fit.abilities.theta) == 1 + test_data.n_features + 5
         assert rank.explainer == "exirt"
+
+    @pytest.mark.parametrize("kind, bootstrap", [("gbt", 3), ("knn", 20)])
+    def test_exirt_matches_the_label_vector_reference(self, fitted, kind, bootstrap):
+        _, train_data, test_data = fitted
+        # knn misses some test rows, so bootstrap rows differ from plain selections
+        model = train(kind, train_data, 4, seed=19)
+        cfg = ExplainerConfig(seed=13, bootstrap_respondents=bootstrap)
+        rank, fit = explain_exirt(model, train_data, test_data, cfg)
+        want_rank, want_fit = ref_exirt(model, test_data, cfg)
+        assert rank == want_rank
+        assert fit_to_dict(fit) == fit_to_dict(want_fit)
 
     def test_exirt_ignored_feature_scores_zero(self):
         rng = np.random.default_rng(6)

@@ -1,14 +1,23 @@
-"""Source hygiene: no module imports a name that it never uses.
+"""Source hygiene: no module imports a name that it never uses, and the
+library defines no function or class that only tests call.
 
-No linter ships with the project, so this walks the syntax tree of every
-module under src/, tests/ and bench/.  An import whose first line carries
-``# noqa: F401`` is a deliberate re-export and is skipped.
+No linter ships with the project, so these walk the syntax tree of each
+module.  The import check covers src/, tests/ and bench/; an import whose
+first line carries ``# noqa: F401`` is a deliberate re-export and is
+skipped.  The definition check covers src/xaibench.
 """
 
 import ast
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+# Module-level definitions that no src/xaibench module reads, kept on purpose.
+UNREAD_ALLOWED = {
+    "brute_force_shapley": "the definition-level oracle kernel SHAP is tested against",
+    "reliability_compare": "the paper's model verdict; ROADMAP item 5 reports it",
+    "stability_order": "the paper's explainer order; ROADMAP item 5 reports it",
+}
 
 
 def unused_imports(source: str) -> list:
@@ -52,3 +61,35 @@ def test_no_unused_imports():
             for line, name in unused_imports(path.read_text(encoding="utf-8")):
                 found.append(f"{path.relative_to(ROOT)}:{line}: {name}")
     assert found == []
+
+
+def unread_definitions(sources: dict) -> list:
+    """(module, name) for each module-level function or class that no module
+    of ``sources`` (module -> source) reads, bare or as an attribute."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted((mod, node.name) for mod, tree in trees.items() for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and node.name not in read)
+
+
+def test_definition_checker_flags_only_unread_names():
+    sources = {"a": ("def used():\n    pass\n"
+                     "def helper():\n    return used()\n"
+                     "def stored_only():\n    pass\n"
+                     "class Unread:\n    def used(self):\n        pass\n"),
+               "b": "import a\nstored_only = a.helper()\n"}
+    assert unread_definitions(sources) == [("a", "Unread"), ("a", "stored_only")]
+
+
+def test_no_definition_only_tests_call():
+    package = ROOT / "src" / "xaibench"
+    sources = {str(path.relative_to(package)): path.read_text(encoding="utf-8")
+               for path in sorted(package.rglob("*.py"))}
+    assert sorted(name for _, name in unread_definitions(sources)) == sorted(UNREAD_ALLOWED)

@@ -1,5 +1,5 @@
-"""3PL engine: evaluation, response matrices, fitting, summaries and the
-reliability comparison rule."""
+"""3PL engine: evaluation, response matrices, fitting, ICCs, summaries and
+the reliability comparison rule."""
 
 import numpy as np
 import pytest
@@ -9,12 +9,10 @@ from xaibench.irt import (
     X_MORE_RELIABLE,
     Y_MORE_RELIABLE,
     Abilities,
-    FitConfig,
     IrtError,
     ItemParameters,
     ReliabilitySummary,
     ResponseMatrix,
-    build_response_matrix,
     default_theta_grid,
     fit_3pl,
     fit_from_dict,
@@ -24,9 +22,6 @@ from xaibench.irt import (
     reliability_compare,
     summarize,
 )
-from xaibench.data import Dataset
-
-from conftest import ConstantModel
 
 
 class TestPCorrect:
@@ -66,32 +61,6 @@ class TestResponseMatrix:
             ResponseMatrix(np.array([[0, 2], [1, 0]]), ("a", "b"), ("i0", "i1"))
         with pytest.raises(IrtError):
             ResponseMatrix(np.array([[0, 1]]), ("a",), ("i0", "i1"))
-
-    def test_build_from_models_and_vectors(self):
-        rng = np.random.default_rng(0)
-        data = Dataset(rng.normal(size=(10, 2)),
-                       [1] * 6 + [0] * 4, ("x", "y"))
-        majority = ConstantModel(0.9, 2)  # always predicts class 1
-        perfect_row = np.asarray(data.labels)
-        matrix = build_response_matrix(
-            [("majority", majority), ("perfect", perfect_row)], data)
-        assert matrix.entries.shape == (2, 10)
-        # majority-class predictor: correct exactly on the positive items
-        assert np.array_equal(matrix.entries[0], (data.labels == 1).astype(int))
-        assert np.array_equal(matrix.entries[1], np.ones(10, dtype=int))
-
-    def test_identical_respondents_have_identical_rows(self):
-        rng = np.random.default_rng(1)
-        data = Dataset(rng.normal(size=(8, 1)), [0, 1] * 4, ("x",))
-        m = build_response_matrix(
-            [("a", ConstantModel(0.8, 1)), ("b", ConstantModel(0.8, 1))], data)
-        assert np.array_equal(m.entries[0], m.entries[1])
-
-    def test_wrong_length_vector_rejected(self):
-        data = Dataset(np.zeros((4, 1)) + np.arange(4)[:, None], [0, 1, 0, 1], ("x",))
-        with pytest.raises(IrtError):
-            build_response_matrix([("bad", np.array([1, 0])),
-                                   ("ok", np.array([0, 1, 0, 1]))], data)
 
 
 def simulated_matrix(r=60, n=40, seed=5):
@@ -144,12 +113,12 @@ class TestFit3pl:
 
     def test_max_outer_limits_iterations(self):
         matrix, _ = simulated_matrix()
-        fit = fit_3pl(matrix, FitConfig(max_outer=3))
+        fit = fit_3pl(matrix, max_outer=3)
         assert fit.iterations <= 3
 
     def test_dict_round_trip(self):
         matrix, _ = simulated_matrix(seed=8)
-        fit = fit_3pl(matrix, FitConfig(max_outer=5))
+        fit = fit_3pl(matrix, max_outer=5)
         back = fit_from_dict(fit_to_dict(fit))
         assert np.array_equal(back.items.a, fit.items.a)
         assert np.array_equal(back.abilities.theta, fit.abilities.theta)
@@ -161,12 +130,21 @@ class TestIcc:
     def test_curve_shapes_and_flags(self):
         items = ItemParameters(np.array([1.0, -1.0]), np.array([0.0, 0.0]),
                                np.array([0.1, 0.1]))
-        curves = icc(items, default_theta_grid())
-        assert len(curves) == 2
-        assert not curves[0].negative_discrimination
-        assert curves[1].negative_discrimination
-        assert np.all(np.diff(curves[0].p) > 0)
-        assert np.all(np.diff(curves[1].p) < 0)
+        grid = default_theta_grid()
+        curves = icc(items, grid)
+        assert curves.shape == (2, len(grid))
+        # the a < 0 flag the report draws in red is exactly the falling curve
+        assert np.array_equal(np.all(np.diff(curves, axis=1) < 0, axis=1), items.a < 0)
+        assert np.all(np.diff(curves[0]) > 0)
+
+    def test_rows_equal_per_item_curves(self):
+        items = ItemParameters(np.array([1.3, -0.7, 2.5]), np.array([-1.0, 0.4, 2.0]),
+                               np.array([0.0, 0.2, 0.45]))
+        grid = default_theta_grid()
+        curves = icc(items, grid)
+        for i in range(items.n_items):
+            assert np.array_equal(curves[i], p_correct(items.a[i], items.b[i],
+                                                       items.c[i], grid))
 
     def test_rejects_unsorted_grid(self):
         items = ItemParameters(np.array([1.0]), np.array([0.0]), np.array([0.1]))

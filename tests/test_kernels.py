@@ -16,7 +16,6 @@ from xaibench.irt import (
     C_BOUNDS,
     THETA_BOUNDS,
     Abilities,
-    FitConfig,
     IrtFit,
     ItemParameters,
     ResponseMatrix,
@@ -163,9 +162,9 @@ def ref_loglik_entries(u, a, b, c, theta):
     return u * np.log(p) + (1.0 - u) * np.log(1.0 - p)
 
 
-def ref_item_objective(u, a, b, c, theta, cfg):
+def ref_item_objective(u, a, b, c, theta):
     ll = ref_loglik_entries(u, a, b, c, theta).sum(axis=0)
-    pen = cfg.penalty_weight * ((a - cfg.anchor_a) ** 2 + (c - cfg.anchor_c) ** 2)
+    pen = irt.PENALTY_WEIGHT * ((a - irt.ANCHOR_A) ** 2 + (c - irt.ANCHOR_C) ** 2)
     return ll - pen
 
 
@@ -201,35 +200,36 @@ def ref_scan_golden_max(f, current, lo, hi, scan_points, xtol):
     return np.where(f_cand > f_cur, cand, current)
 
 
-def ref_fit_3pl(responses, cfg):
+def ref_fit_3pl(responses, max_outer):
     u = responses.entries.astype(float)
     r, n = u.shape
     theta = irt._standardized_scores(u)
     a = np.ones(n)
     easiness = np.clip(u.mean(axis=0), 1e-3, 1 - 1e-3)
     b = np.clip(-np.log(easiness / (1.0 - easiness)), *B_BOUNDS)
-    c = np.full(n, cfg.anchor_c)
+    c = np.full(n, irt.ANCHOR_C)
+    scan = (irt.SCAN_POINTS, irt.XTOL)
 
     def total_objective():
-        return float(np.sum(ref_item_objective(u, a, b, c, theta, cfg)))
+        return float(np.sum(ref_item_objective(u, a, b, c, theta)))
 
     history = []
     prev = total_objective()
     converged = False
     iterations = 0
-    for _ in range(cfg.max_outer):
+    for _ in range(max_outer):
         iterations += 1
-        a = ref_scan_golden_max(lambda v: ref_item_objective(u, v, b, c, theta, cfg),
-                                a, *A_BOUNDS, cfg.scan_points, cfg.xtol)
-        b = ref_scan_golden_max(lambda v: ref_item_objective(u, a, v, c, theta, cfg),
-                                b, *B_BOUNDS, cfg.scan_points, cfg.xtol)
-        c = ref_scan_golden_max(lambda v: ref_item_objective(u, a, b, v, theta, cfg),
-                                c, *C_BOUNDS, cfg.scan_points, cfg.xtol)
+        a = ref_scan_golden_max(lambda v: ref_item_objective(u, v, b, c, theta),
+                                a, *A_BOUNDS, *scan)
+        b = ref_scan_golden_max(lambda v: ref_item_objective(u, a, v, c, theta),
+                                b, *B_BOUNDS, *scan)
+        c = ref_scan_golden_max(lambda v: ref_item_objective(u, a, b, v, theta),
+                                c, *C_BOUNDS, *scan)
         theta = ref_scan_golden_max(lambda v: ref_respondent_objective(u, a, b, c, v),
-                                    theta, *THETA_BOUNDS, cfg.scan_points, cfg.xtol)
+                                    theta, *THETA_BOUNDS, *scan)
         cur = total_objective()
         history.append(cur)
-        if cur - prev < cfg.tol:
+        if cur - prev < irt.TOL:
             converged = True
             break
         prev = cur
@@ -253,9 +253,8 @@ def response_matrices(draw):
 @settings(max_examples=40, deadline=None)
 @given(response_matrices(), st.integers(1, 3))
 def test_fit_3pl_matches_reference(responses, max_outer):
-    cfg = FitConfig(max_outer=max_outer)
-    fit = fit_3pl(responses, cfg)
-    assert fit_to_dict(fit) == fit_to_dict(ref_fit_3pl(responses, cfg))
+    fit = fit_3pl(responses, max_outer=max_outer)
+    assert fit_to_dict(fit) == fit_to_dict(ref_fit_3pl(responses, max_outer))
     assert all(y >= x for x, y in zip(fit.history, fit.history[1:]))
 
 

@@ -141,6 +141,26 @@ class TestRunAll:
         with pytest.raises(PipelineError, match=r"\[report\].*missing"):
             run_stage(dataclasses.replace(cfg, out_dir=copy), "report")
 
+    @pytest.mark.parametrize("artifact, drop, slot", [
+        ("ranks.json", lambda ranks: [r for r in ranks if not (
+            r["explainer"] == "eli5" and r["perturbation_fraction"] == 0.0)],
+         "rank slot: eli5:cart:0"),
+        ("metrics.json", lambda metrics: {"cart": {lvl: m for lvl, m in metrics["cart"].items()
+                                                   if lvl != "6"}},
+         "metric report slot: cart:6"),
+    ], ids=("rank", "metric"))
+    def test_report_names_a_missing_slot_before_using_it(self, completed_run, tmp_path,
+                                                         artifact, drop, slot):
+        cfg, _, out_dir = completed_run
+        copy = str(tmp_path / "copy")
+        shutil.copytree(out_dir, copy)
+        path = os.path.join(copy, artifact)
+        with open(path, encoding="utf-8") as fh:
+            loaded = json.load(fh)
+        _write_json(path, drop(loaded))
+        with pytest.raises(ValueError, match=f"missing {slot}"):
+            run_stage(dataclasses.replace(cfg, out_dir=copy), "report")
+
     def test_report_counts_scale_with_config(self, completed_run):
         _, report, out_dir = completed_run
         with open(os.path.join(out_dir, "report.json"), encoding="utf-8") as fh:

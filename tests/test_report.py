@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from xaibench.data import level_key as data_level_key
 from xaibench.explainers import RelevanceRank
-from xaibench.irt import IccCurve, ItemParameters, ReliabilitySummary, icc
+from xaibench.irt import ItemParameters, ReliabilitySummary, icc
 from xaibench.report import (
     GREEN,
     RED,
@@ -30,9 +30,11 @@ def summary():
 
 
 def curves():
+    """(grid, curves, negative) for one positive- and one negative-a item."""
     items = ItemParameters(np.array([1.2, -0.8]), np.array([0.0, 1.0]),
                            np.array([0.1, 0.2]))
-    return icc(items, np.linspace(-4, 4, 33))
+    grid = np.linspace(-4, 4, 33)
+    return grid, icc(items, grid), items.a < 0
 
 
 class TestLevelKey:
@@ -48,7 +50,7 @@ class TestLevelKey:
 
 class TestIccSvg:
     def test_contains_colors_and_annotation(self):
-        svg = render_icc_svg(curves(), summary())
+        svg = render_icc_svg(*curves(), summary())
         assert svg.startswith("<svg")
         assert svg.endswith("</svg>")
         assert GREEN in svg  # positive-discrimination curve
@@ -58,18 +60,16 @@ class TestIccSvg:
         assert "guessing: 0.12" in svg
 
     def test_byte_identical_for_equal_inputs(self):
-        assert render_icc_svg(curves(), summary()) == render_icc_svg(curves(), summary())
+        assert render_icc_svg(*curves(), summary()) == render_icc_svg(*curves(), summary())
 
-    def test_rejects_empty_and_mismatched_grids(self):
+    def test_rejects_empty_curves(self):
+        items = ItemParameters(np.array([]), np.array([]), np.array([]))
+        grid = np.linspace(-4, 4, 33)
         with pytest.raises(ReportError):
-            render_icc_svg([], summary())
-        a = curves()[0]
-        other = IccCurve(np.linspace(-4, 4, 21), np.linspace(0, 1, 21), "x", False)
-        with pytest.raises(ReportError):
-            render_icc_svg([a, other], summary())
+            render_icc_svg(grid, icc(items, grid), items.a < 0, summary())
 
     def test_escapes_title(self):
-        svg = render_icc_svg(curves(), summary(), title="a<b&c")
+        svg = render_icc_svg(*curves(), summary(), title="a<b&c")
         assert "a&lt;b&amp;c" in svg
         assert "a<b&c" not in svg
 
