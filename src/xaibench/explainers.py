@@ -230,60 +230,37 @@ def explain_lofo_style(model: TrainedModel, train: Dataset, test: Dataset,
                             perturbation_fraction, score_std=drops.std(axis=0, ddof=0))
 
 
-def _shapley_kernel_weights(m: int, sizes: np.ndarray) -> np.ndarray:
-    w = np.empty(len(sizes), dtype=float)
-    for i, s in enumerate(sizes):
-        w[i] = (m - 1) / (math.comb(m, s) * s * (m - s))
-    return w
+def shap_exact(m: int, budget: int, exact: bool | None = None) -> bool:
+    """Whether kernel SHAP over M features enumerates every coalition (by
+    default when 2^M <= EXACT_SHAP_LIMIT).  Sampling needs a coalition budget
+    of at least M + 2."""
+    if exact is None:
+        exact = 2 ** m <= EXACT_SHAP_LIMIT
+    if not exact and budget < m + 2:
+        raise ExplainerError("coalition_budget must be >= M + 2 in sampling mode")
+    return exact
 
 
-def _solve_kernel_shap(z: np.ndarray, weights: np.ndarray):
-    """Precompute the WLS solver for the constrained kernel SHAP system.
-
-    Returns a function mapping (y_coalition_matrix, fx_minus_f0) to the
-    (n_instances, M) matrix of Shapley values.
-    """
-    m = z.shape[1]
-    zt = z[:, :-1] - z[:, -1:]
-    w = np.diag(weights)
-    gram = zt.T @ w @ zt
-    solver = np.linalg.solve(gram, zt.T @ w)  # (M-1, K)
-
-    def solve(y, fx_delta):
-        # y: (n, K), fx_delta: (n,)
-        adj = y - np.outer(fx_delta, z[:, -1])
-        phi_head = adj @ solver.T
-        phi_last = fx_delta - phi_head.sum(axis=1)
-        return np.column_stack([phi_head, phi_last]) if m > 1 else phi_last[:, None]
-
-    return solve
-
-
-def _coalition_matrix_exact(m: int) -> np.ndarray:
-    rows = []
-    for mask in range(1, 2 ** m - 1):  # proper, non-empty coalitions
-        rows.append([(mask >> j) & 1 for j in range(m)])
-    return np.array(rows, dtype=float)
-
-
-def _coalition_matrix_sampled(m: int, budget: int, rng) -> np.ndarray:
+def _coalitions(m: int, cfg: ExplainerConfig, exact: bool | None):
+    """Coalition rows z (K, M) and their kernel weights."""
+    if shap_exact(m, cfg.coalition_budget, exact):
+        # every proper, non-empty coalition; bit j of the mask is member j
+        z = ((np.arange(1, 2 ** m - 1)[:, None] >> np.arange(m)) & 1).astype(float)
+        sizes = z.sum(axis=1).astype(int)
+        comb = np.array([math.comb(m, s) for s in range(m + 1)])
+        return z, (m - 1) / (comb[sizes] * sizes * (m - sizes))
+    rng = rng_for(cfg.seed, "shap-coalitions")
     sizes = np.arange(1, m)
     size_w = (m - 1) / (sizes * (m - sizes))
-    size_w = size_w / size_w.sum()
-    rows = []
-    # always cover all singleton and all-but-one coalitions
-    for j in range(m):
-        single = np.zeros(m)
-        single[j] = 1.0
-        rows.append(single)
-        rows.append(1.0 - single)
-    remaining = max(budget - len(rows), 0)
-    drawn_sizes = rng.choice(sizes, size=remaining, p=size_w)
-    for s in drawn_sizes:
-        row = np.zeros(m)
+    drawn_sizes = rng.choice(sizes, size=max(cfg.coalition_budget - 2 * m, 0),
+                             p=size_w / size_w.sum())
+    drawn = np.zeros((len(drawn_sizes), m))
+    for row, s in zip(drawn, drawn_sizes):
         row[rng.choice(m, size=int(s), replace=False)] = 1.0
-        rows.append(row)
-    return np.array(rows, dtype=float)
+    # always cover every singleton and all-but-one coalition, interleaved
+    eye = np.eye(m)
+    z = np.vstack([np.stack([eye, 1.0 - eye], axis=1).reshape(2 * m, m), drawn])
+    return z, np.ones(len(z))  # sampling already follows the kernel law
 
 
 def shapley_values(model: TrainedModel, x: np.ndarray, background_row: np.ndarray,
@@ -299,18 +276,14 @@ def shapley_values(model: TrainedModel, x: np.ndarray, background_row: np.ndarra
         fx = model.predict_proba(x)
         f0 = model.predict_proba(background_row[None, :])[0]
         return (fx - f0)[:, None]
-    if exact is None:
-        exact = 2 ** m <= EXACT_SHAP_LIMIT
-    if exact:
-        z = _coalition_matrix_exact(m)
-        weights = _shapley_kernel_weights(m, z.sum(axis=1).astype(int))
-    else:
-        if cfg.coalition_budget < m + 2:
-            raise ExplainerError("coalition_budget must be >= M + 2 in sampling mode")
-        rng = rng_for(cfg.seed, "shap-coalitions")
-        z = _coalition_matrix_sampled(m, cfg.coalition_budget, rng)
-        weights = np.ones(len(z))  # sampling already follows the kernel law
-    solve = _solve_kernel_shap(z, weights)
+    z, weights = _coalitions(m, cfg, exact)
+    # constrained weighted least squares: phi sums to f(x) - f0, so solve for
+    # the first M - 1 values with the last member's column eliminated
+    zt = z[:, :-1] - z[:, -1:]
+    # C order keeps the sums of the Gram product equal to zt.T @ diag(weights) @ zt;
+    # the Fortran-ordered zt.T * weights changes them in the last bit
+    wzt = np.multiply(zt.T, weights, order="C")
+    solver = np.linalg.solve(wzt @ zt, wzt)  # (M - 1, K)
     # synthetic inputs: coalition members keep x, the rest take the reference
     fx = model.predict_proba(x)
     f0 = float(model.predict_proba(background_row[None, :])[0])
@@ -318,7 +291,8 @@ def shapley_values(model: TrainedModel, x: np.ndarray, background_row: np.ndarra
     blends = (z[None, :, :] * x[:, None, :]
               + (1.0 - z[None, :, :]) * background_row[None, None, :])
     preds = model.predict_proba(blends.reshape(n * k, m)).reshape(n, k)
-    return solve(preds - f0, fx - f0)
+    phi_head = (preds - f0 - np.outer(fx - f0, z[:, -1])) @ solver.T
+    return np.column_stack([phi_head, fx - f0 - phi_head.sum(axis=1)])
 
 
 def brute_force_shapley(predict, x_row: np.ndarray, background_row: np.ndarray) -> np.ndarray:

@@ -79,10 +79,6 @@ class ResponseMatrix:
         if len(self.respondent_ids) != r or len(self.item_ids) != n:
             raise IrtError("identifier counts must match the matrix shape")
 
-    @property
-    def n_items(self) -> int:
-        return self.entries.shape[1]
-
 
 @dataclass(frozen=True)
 class ItemParameters:
@@ -101,10 +97,6 @@ class ItemParameters:
                 raise IrtError(f"{name} outside bounds {bounds}")
         if not (len(self.a) == len(self.b) == len(self.c)):
             raise IrtError("parameter vectors must share a length")
-
-    @property
-    def n_items(self) -> int:
-        return len(self.a)
 
 
 @dataclass(frozen=True)

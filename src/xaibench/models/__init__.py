@@ -7,7 +7,7 @@ from .training import (  # noqa: F401
     stratified_kfold,
     train,
 )
-from .tree import DecisionTreeClassifier, RegressionTree  # noqa: F401
+from .tree import DecisionTreeClassifier  # noqa: F401
 from .gbt import GradientBoostedTrees  # noqa: F401
 from .knn import KNearestNeighbors  # noqa: F401
 from .mlp import MultilayerPerceptron  # noqa: F401

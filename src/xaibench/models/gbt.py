@@ -9,16 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tree import RegressionTree, tree_predict
+from .tree import regression_tree, tree_predict
 
 
 def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
-
-
-def _log_loss(y, p):
-    p = np.clip(p, 1e-12, 1 - 1e-12)
-    return float(-np.mean(y * np.log(p) + (1 - y) * np.log(1 - p)))
 
 
 class GradientBoostedTrees:
@@ -30,7 +25,6 @@ class GradientBoostedTrees:
         self.min_samples_leaf = min_samples_leaf
         self.base_score_ = 0.0
         self.trees_ = []
-        self.train_loss_ = []  # logistic loss after each round
 
     def fit(self, x, y, rng=None):
         x = np.asarray(x, dtype=float)
@@ -39,27 +33,20 @@ class GradientBoostedTrees:
         self.base_score_ = float(np.log(p0 / (1 - p0)))
         f = np.full(len(y), self.base_score_)
         self.trees_ = []
-        self.train_loss_ = []
         for _ in range(self.n_rounds):
             p = _sigmoid(f)
-            grad = y - p
-            hess = p * (1 - p)
-            tree = RegressionTree(self.max_depth, self.min_samples_leaf)
-            tree.fit(x, grad, hess=hess)
-            f = f + self.learning_rate * tree.predict(x)
-            self.trees_.append(tree.root_)
-            self.train_loss_.append(_log_loss(y, _sigmoid(f)))
+            tree = regression_tree(x, y - p, p * (1 - p), self.max_depth,
+                                   self.min_samples_leaf)
+            f = f + self.learning_rate * tree_predict(tree, x)
+            self.trees_.append(tree)
         return self
 
-    def decision_function(self, x) -> np.ndarray:
+    def predict_proba(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         f = np.full(x.shape[0], self.base_score_)
         for root in self.trees_:
             f += self.learning_rate * tree_predict(root, x)
-        return f
-
-    def predict_proba(self, x) -> np.ndarray:
-        return _sigmoid(self.decision_function(x))
+        return _sigmoid(f)
 
     def to_dict(self) -> dict:
         return {
@@ -69,7 +56,6 @@ class GradientBoostedTrees:
             "min_samples_leaf": self.min_samples_leaf,
             "base_score": self.base_score_,
             "trees": self.trees_,
-            "train_loss": self.train_loss_,
         }
 
     @classmethod
@@ -77,5 +63,4 @@ class GradientBoostedTrees:
         obj = cls(d["n_rounds"], d["learning_rate"], d["max_depth"], d["min_samples_leaf"])
         obj.base_score_ = d["base_score"]
         obj.trees_ = d["trees"]
-        obj.train_loss_ = list(d["train_loss"])
         return obj

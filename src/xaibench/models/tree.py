@@ -1,5 +1,5 @@
-"""CART-style binary trees: a Gini classifier and a squared-error regression
-tree (the weak learner for gradient boosting).
+"""CART-style binary trees: a Gini classifier and ``regression_tree``, the
+squared-error weak learner for gradient boosting.
 
 Trees are plain nested dicts so they serialize to JSON losslessly.  A node's
 split search scores all features in one vectorized pass; each feature keeps
@@ -146,43 +146,22 @@ class DecisionTreeClassifier:
         return obj
 
 
-class RegressionTree:
-    """Squared-error CART used as the boosting weak learner.
-
-    Splits are scored on the gradient ``y``; each leaf takes the Newton step
-    sum(grad) / sum(hess).
-    """
-
-    def __init__(self, max_depth: int = 3, min_samples_leaf: int = 1):
-        self.max_depth = max_depth
-        self.min_samples_leaf = min_samples_leaf
-        self.root_ = None
-
-    def fit(self, x, y, hess):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        self.root_ = self._build(x, y, hess, depth=0)
-        return self
-
-    @staticmethod
-    def _leaf(y, hess):
-        return {"value": float(np.sum(y) / max(float(np.sum(hess)), 1e-12))}
-
-    def _build(self, x, y, hess, depth):
-        if (depth >= self.max_depth or len(y) < 2 * self.min_samples_leaf
-                or np.all(y == y[0])):
-            return self._leaf(y, hess)
-        best = _best_split_regression(x, y, self.min_samples_leaf)
-        if best is None:
-            return self._leaf(y, hess)
-        j, thr, _ = best
-        mask = x[:, j] <= thr
-        return {
-            "feature": j,
-            "threshold": thr,
-            "left": self._build(x[mask], y[mask], hess[mask], depth + 1),
-            "right": self._build(x[~mask], y[~mask], hess[~mask], depth + 1),
-        }
-
-    def predict(self, x) -> np.ndarray:
-        return tree_predict(self.root_, x)
+def regression_tree(x: np.ndarray, grad: np.ndarray, hess: np.ndarray, max_depth: int,
+                    min_samples_leaf: int) -> dict:
+    """Squared-error CART on the gradient ``grad``, the boosting weak learner;
+    each leaf takes the Newton step sum(grad) / sum(hess)."""
+    best = None
+    if max_depth > 0 and len(grad) >= 2 * min_samples_leaf and not np.all(grad == grad[0]):
+        best = _best_split_regression(x, grad, min_samples_leaf)
+    if best is None:
+        return {"value": float(np.sum(grad) / max(float(np.sum(hess)), 1e-12))}
+    j, thr, _ = best
+    mask = x[:, j] <= thr
+    return {
+        "feature": j,
+        "threshold": thr,
+        "left": regression_tree(x[mask], grad[mask], hess[mask], max_depth - 1,
+                                min_samples_leaf),
+        "right": regression_tree(x[~mask], grad[~mask], hess[~mask], max_depth - 1,
+                                 min_samples_leaf),
+    }

@@ -25,6 +25,7 @@ from .data import (PerturbationSpec, atomic_open, level_key, load_csv, save_csv,
 from .explainers import (
     EXPLAINERS,
     ExplainerConfig,
+    ExplainerError,
     RelevanceRank,
     explain_dalex_style,
     explain_eli5_style,
@@ -33,6 +34,7 @@ from .explainers import (
     explain_lofo_style,
     explain_skater_style,
     lofo_refits,
+    shap_exact,
 )
 from .irt import (
     default_theta_grid,
@@ -101,6 +103,9 @@ class RunConfig:
         for e in self.explainers:
             if e not in EXPLAINERS:
                 raise ValueError(f"unknown explainer {e!r}")
+        for name, entries in (("models", self.models), ("explainers", self.explainers)):
+            if len(set(entries)) != len(entries):
+                raise ValueError(f"{name} must be distinct, got {list(entries)}")
 
     def perturbation_spec(self, fraction: float) -> PerturbationSpec:
         return PerturbationSpec(
@@ -176,7 +181,9 @@ def stage_train(cfg: RunConfig) -> None:
     """Load, split, standardize and tune every configured model kind."""
     try:
         dataset = load_csv(cfg.dataset)
-    except datamod.DatasetError as exc:
+        if "shap" in cfg.explainers:  # refuse the budget before any fit
+            shap_exact(dataset.n_features, cfg.coalition_budget)
+    except (datamod.DatasetError, ExplainerError) as exc:
         raise PipelineError("train", str(exc))
     train_raw, test_raw = split(dataset, cfg.train_fraction,
                                 derive_seed(cfg.master_seed, "split"))

@@ -1,5 +1,6 @@
 """Source hygiene: no module imports a name that it never uses, and the
-library defines no function or class that only tests call.
+library defines no function, class, method or property that only tests
+call.
 
 No linter ships with the project, so these walk the syntax tree of each
 module.  The import check covers src/, tests/ and bench/; an import whose
@@ -12,9 +13,12 @@ import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-# Module-level definitions that no src/xaibench module reads, kept on purpose.
+# Definitions that no src/xaibench module reads, kept on purpose; a method or
+# property is named ``Class.name``.
 UNREAD_ALLOWED = {
     "brute_force_shapley": "the definition-level oracle kernel SHAP is tested against",
+    "DecisionTreeClassifier.features_used": "acceptance criterion 08 asserts that cart "
+                                            "never splits on the noise feature",
     "reliability_compare": "the paper's model verdict; ROADMAP item 5 reports it",
     "stability_order": "the paper's explainer order; ROADMAP item 5 reports it",
 }
@@ -64,8 +68,10 @@ def test_no_unused_imports():
 
 
 def unread_definitions(sources: dict) -> list:
-    """(module, name) for each module-level function or class that no module
-    of ``sources`` (module -> source) reads, bare or as an attribute."""
+    """(module, name) for each module-level function or class, and each
+    non-dunder method or property of a module-level class (``Class.name``),
+    that no module of ``sources`` (module -> source) reads, bare or as an
+    attribute."""
     trees = {mod: ast.parse(src) for mod, src in sources.items()}
     read = set()
     for tree in trees.values():
@@ -74,18 +80,29 @@ def unread_definitions(sources: dict) -> list:
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
-    return sorted((mod, node.name) for mod, tree in trees.items() for node in tree.body
-                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                  and node.name not in read)
+    unread = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in read:
+                unread.append((mod, node.name))
+            if isinstance(node, ast.ClassDef):
+                unread.extend((mod, f"{node.name}.{item.name}") for item in node.body
+                              if isinstance(item, ast.FunctionDef)
+                              and not item.name.startswith("__") and item.name not in read)
+    return sorted(unread)
 
 
 def test_definition_checker_flags_only_unread_names():
     sources = {"a": ("def used():\n    pass\n"
                      "def helper():\n    return used()\n"
                      "def stored_only():\n    pass\n"
-                     "class Unread:\n    def used(self):\n        pass\n"),
-               "b": "import a\nstored_only = a.helper()\n"}
-    assert unread_definitions(sources) == [("a", "Unread"), ("a", "stored_only")]
+                     "class Unread:\n    def used(self):\n        pass\n"
+                     "class Kept:\n    def __init__(self):\n        pass\n"
+                     "    def read(self):\n        pass\n"
+                     "    @property\n    def unread(self):\n        pass\n"),
+               "b": "import a\nstored_only = a.helper()\na.Kept().read()\n"}
+    assert unread_definitions(sources) == [("a", "Kept.unread"), ("a", "Unread"),
+                                           ("a", "stored_only")]
 
 
 def test_no_definition_only_tests_call():

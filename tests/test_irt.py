@@ -142,7 +142,7 @@ class TestIcc:
                                np.array([0.0, 0.2, 0.45]))
         grid = default_theta_grid()
         curves = icc(items, grid)
-        for i in range(items.n_items):
+        for i in range(len(items.a)):
             assert np.array_equal(curves[i], p_correct(items.a[i], items.b[i],
                                                        items.c[i], grid))
 

@@ -1,15 +1,24 @@
 """Oracle tests for the rewritten kernels: the tree split search, the 3PL
-optimizer, kNN neighbour selection and the MLP minibatch loop.  The
-references below are the original per-feature split loop, the original
-one-candidate-per-call scan + golden-section search, the stable-argsort kNN
-and the per-batch index MLP loop; the rewrites evaluate the same points with
-the same arithmetic, so results must match exactly, not within a tolerance."""
+optimizer, kNN neighbour selection, the MLP minibatch loop and kernel SHAP.
+The references below are the original per-feature split loop, the original
+one-candidate-per-call scan + golden-section search, the stable-argsort kNN,
+the per-batch index MLP loop and the loop-built coalitions with a diagonal
+weight matrix; the rewrites evaluate the same points with the same
+arithmetic, so results must match exactly, not within a tolerance."""
+
+import math
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from xaibench import irt
+from xaibench.explainers import (
+    EXACT_SHAP_LIMIT,
+    ExplainerConfig,
+    ExplainerError,
+    shapley_values,
+)
 from xaibench.irt import (
     A_BOUNDS,
     B_BOUNDS,
@@ -29,6 +38,7 @@ from xaibench.models.tree import (
     _best_split_classification,
     _best_split_regression,
 )
+from xaibench.seeding import rng_for
 
 
 # --- reference split search: one feature at a time ------------------------
@@ -360,3 +370,118 @@ def test_mlp_fit_matches_reference(n, m, h, batch_size, epochs, seed):
     assert net.b1_.tolist() == b1.tolist()
     assert net.w2_.tolist() == w2.tolist()
     assert net.b2_ == b2
+
+
+# --- reference kernel SHAP: loop-built coalitions, diagonal weights -------
+
+def ref_kernel_weights(m, sizes):
+    w = np.empty(len(sizes), dtype=float)
+    for i, s in enumerate(sizes):
+        w[i] = (m - 1) / (math.comb(m, s) * s * (m - s))
+    return w
+
+
+def ref_solver(z, weights):
+    m = z.shape[1]
+    zt = z[:, :-1] - z[:, -1:]
+    w = np.diag(weights)
+    gram = zt.T @ w @ zt
+    solver = np.linalg.solve(gram, zt.T @ w)
+
+    def solve(y, fx_delta):
+        adj = y - np.outer(fx_delta, z[:, -1])
+        phi_head = adj @ solver.T
+        phi_last = fx_delta - phi_head.sum(axis=1)
+        return np.column_stack([phi_head, phi_last]) if m > 1 else phi_last[:, None]
+
+    return solve
+
+
+def ref_coalitions_exact(m):
+    rows = []
+    for mask in range(1, 2 ** m - 1):
+        rows.append([(mask >> j) & 1 for j in range(m)])
+    return np.array(rows, dtype=float)
+
+
+def ref_coalitions_sampled(m, budget, rng):
+    sizes = np.arange(1, m)
+    size_w = (m - 1) / (sizes * (m - sizes))
+    size_w = size_w / size_w.sum()
+    rows = []
+    for j in range(m):
+        single = np.zeros(m)
+        single[j] = 1.0
+        rows.append(single)
+        rows.append(1.0 - single)
+    remaining = max(budget - len(rows), 0)
+    drawn_sizes = rng.choice(sizes, size=remaining, p=size_w)
+    for s in drawn_sizes:
+        row = np.zeros(m)
+        row[rng.choice(m, size=int(s), replace=False)] = 1.0
+        rows.append(row)
+    return np.array(rows, dtype=float)
+
+
+def ref_shapley_values(model, x, background_row, cfg, exact=None):
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    n, m = x.shape
+    if m == 1:
+        fx = model.predict_proba(x)
+        f0 = model.predict_proba(background_row[None, :])[0]
+        return (fx - f0)[:, None]
+    if exact is None:
+        exact = 2 ** m <= EXACT_SHAP_LIMIT
+    if exact:
+        z = ref_coalitions_exact(m)
+        weights = ref_kernel_weights(m, z.sum(axis=1).astype(int))
+    else:
+        if cfg.coalition_budget < m + 2:
+            raise ExplainerError("coalition_budget must be >= M + 2 in sampling mode")
+        z = ref_coalitions_sampled(m, cfg.coalition_budget,
+                                   rng_for(cfg.seed, "shap-coalitions"))
+        weights = np.ones(len(z))
+    solve = ref_solver(z, weights)
+    fx = model.predict_proba(x)
+    f0 = float(model.predict_proba(background_row[None, :])[0])
+    k = len(z)
+    blends = (z[None, :, :] * x[:, None, :]
+              + (1.0 - z[None, :, :]) * background_row[None, None, :])
+    preds = model.predict_proba(blends.reshape(n * k, m)).reshape(n, k)
+    return solve(preds - f0, fx - f0)
+
+
+class InteractionModel:
+    """A smooth row-wise score with one pairwise interaction."""
+
+    def __init__(self, weights):
+        self.weights = weights
+
+    def predict_proba(self, x):
+        z = x @ self.weights + 0.7 * x[:, 0] * x[:, -1]
+        return 1.0 / (1.0 + np.exp(-z))
+
+
+def shap_outcome(fn, *args, **kwargs):
+    """The result's dtype, shape and bytes, or the error's type and message."""
+    try:
+        phi = fn(*args, **kwargs)
+    except ExplainerError as exc:
+        return type(exc), str(exc)
+    return phi.dtype, phi.shape, phi.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(1, 14), st.integers(0, 2 ** 32 - 1))
+def test_shapley_values_match_reference(data, m, seed):
+    exact = data.draw(st.sampled_from([None, False] + ([True] if m <= 12 else [])))
+    # M + 1 is below the sampling minimum and must raise the same error
+    budget = data.draw(st.sampled_from([m + 1, m + 2, 2 * m + 1, 64]))
+    rng = np.random.default_rng(seed)
+    model = InteractionModel(rng.normal(size=m))
+    x = rng.normal(size=(data.draw(st.integers(1, 4)), m))
+    background = rng.normal(size=m)
+    cfg = ExplainerConfig(coalition_budget=budget, seed=seed)
+    got = shap_outcome(shapley_values, model, x, background, cfg, exact=exact)
+    want = shap_outcome(ref_shapley_values, model, x, background, cfg, exact=exact)
+    assert got == want

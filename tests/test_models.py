@@ -65,7 +65,13 @@ class TestGradientBoostedTrees:
         x, y = separable(seed=4)
         gbt = GradientBoostedTrees(n_rounds=40)
         gbt.fit(x, y)
-        losses = gbt.train_loss_
+        # the loss after round k is that of the model made of the first k trees
+        losses = []
+        for k in range(1, 41):
+            p = GradientBoostedTrees.from_dict(
+                dict(gbt.to_dict(), trees=gbt.trees_[:k])).predict_proba(x)
+            p = np.clip(p, 1e-12, 1 - 1e-12)
+            losses.append(float(-np.mean(y * np.log(p) + (1 - y) * np.log(1 - p))))
         assert len(losses) == 40
         assert losses[-1] < losses[0]
         assert min(losses) == losses[-1] or losses[-1] <= losses[0] * 0.5

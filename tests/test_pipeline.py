@@ -72,6 +72,8 @@ class TestRunConfig:
         ({"perturbation_kind": "gaussian"}, "perturbation kind"),
         ({"noise_scale": -1}, "noise_scale"),
         ({"bootstrap_respondents": -3}, "bootstrap_respondents"),
+        ({"models": ("cart", "cart")}, "models must be distinct"),
+        ({"explainers": ("eli5", "eli5")}, "explainers must be distinct"),
     ])
     def test_invalid_values_rejected_at_construction(self, small_dataset_path, bad, match):
         with pytest.raises(ValueError, match=match):
@@ -181,6 +183,20 @@ class TestRunAll:
         cfg = small_config(small_dataset_path, tmp_path / "fresh")
         with pytest.raises(PipelineError, match=r"\[explain\].*missing"):
             run_stage(cfg, "explain")
+
+    def test_train_refuses_a_sampled_shap_budget_before_any_fit(self, tmp_path):
+        # 13 features: 2^13 coalitions exceed the exact limit, so shap samples,
+        # and sampling needs a budget of at least M + 2 = 15
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(80, 13))
+        path = tmp_path / "wide.csv"
+        save_csv(Dataset(x, (x[:, 0] > 0).astype(int), tuple(f"f{j}" for j in range(13))),
+                 path)
+        cfg = RunConfig(dataset=str(path), out_dir=str(tmp_path / "out"), models=("cart",),
+                        explainers=("shap",), coalition_budget=5)
+        with pytest.raises(PipelineError, match=r"\[train\].*coalition_budget"):
+            run_stage(cfg, "train")
+        assert list(tmp_path.glob("out/models/*")) == []
 
     def test_mixed_configs_are_refused(self, completed_run):
         cfg, _, _ = completed_run
