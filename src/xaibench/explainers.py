@@ -178,7 +178,9 @@ def lofo_refits(model: TrainedModel, train: Dataset, cfg: ExplainerConfig) -> li
 
     Returns one ``(base, without)`` pair per fold: ``base`` is fitted on every
     feature and ``without[j]`` without feature j.  With a single feature,
-    ``without[0]`` is the fold's positive rate (a constant predictor).
+    ``without[0]`` is the fold's positive rate (a constant predictor).  An
+    estimator with ``fit_many`` (the MLP) trains a fold's M leave-one-out
+    nets in one call, each from the same stream as a lone ``fit`` would use.
     """
     kind, hyperparams = model.kind, model.hyperparams
     y_tr = train.labels
@@ -192,6 +194,9 @@ def lofo_refits(model: TrainedModel, train: Dataset, cfg: ExplainerConfig) -> li
         if m == 1:
             # no features left: constant majority-rate predictor
             without = [float(np.mean(y_fold))]
+        elif hasattr(base, "fit_many"):
+            without = base.fit_many([np.delete(x_fold, j, axis=1) for j in range(m)], y_fold,
+                                    [rng_for(cfg.seed, "lofo", fi, j) for j in range(m)])
         else:
             without = []
             for j in range(m):

@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 THRESHOLD = 0.5  # probability >= threshold predicts class 1
 
@@ -50,7 +49,11 @@ def roc_auc_score(y_true, proba) -> float:
     n_neg = len(y_true) - n_pos
     if n_pos == 0 or n_neg == 0:
         return 0.5
-    ranks = rankdata(proba)  # tie groups share their average rank
+    # 1-based ranks, a tie group sharing its average rank: half-integers,
+    # exact in float64, so equal to scipy's rankdata bit for bit
+    _, inverse, counts = np.unique(proba, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    ranks = (ends - 0.5 * (counts - 1))[inverse]
     rank_sum_pos = float(np.sum(ranks[y_true == 1]))
     u = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)

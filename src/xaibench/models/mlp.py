@@ -2,6 +2,15 @@
 
 tanh hidden units, logistic output.  Initialization and batch order come
 from the supplied generator, so training is reproducible given a seed.
+
+:meth:`MultilayerPerceptron.fit_many` trains K nets with equal
+hyperparameters in lockstep: the weights are stacked to (K, m, h) and
+(K, h, 1), and each minibatch step is one (K, bs, m) ``np.matmul`` block in
+place of K Python-level steps.  Every net draws from its own generator in
+the single-net order (w1, w2, then one permutation per epoch), and every
+matmul slice is the 2-D product a single net would compute, so each net
+ends with the same weights as when trained alone.  :meth:`fit` is the case
+K = 1.
 """
 
 from __future__ import annotations
@@ -26,37 +35,52 @@ class MultilayerPerceptron:
         self.w2_ = None
         self.b2_ = 0.0
 
-    def fit(self, x, y, rng=None):
-        rng = rng or np.random.default_rng(0)
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        n, m = x.shape
-        h = self.hidden_units
-        scale = 1.0 / np.sqrt(m)
-        self.w1_ = rng.normal(0.0, scale, size=(m, h))
-        self.b1_ = np.zeros(h)
-        self.w2_ = rng.normal(0.0, 1.0 / np.sqrt(h), size=h)
-        self.b2_ = 0.0
-        bs = self.batch_size
-        for _ in range(self.epochs):
-            order = rng.permutation(n)
-            xo, yo = x[order], y[order]
-            for start in range(0, n, bs):
-                xb, yb = xo[start:start + bs], yo[start:start + bs]
-                a = np.tanh(xb @ self.w1_ + self.b1_)
-                p = _sigmoid(a @ self.w2_ + self.b2_)
-                delta = (p - yb) / len(yb)  # dL/dz for cross-entropy + sigmoid
-                gw2 = a.T @ delta
-                gb2 = float(delta.sum())
-                da = delta[:, None] * self.w2_ * (1 - a ** 2)
-                gw1 = xb.T @ da
-                gb1 = da.sum(axis=0)
-                lr = self.learning_rate
-                self.w2_ -= lr * gw2
-                self.b2_ -= lr * gb2
-                self.w1_ -= lr * gw1
-                self.b1_ -= lr * gb1
+    def fit(self, x, y, rng):
+        (net,) = self.fit_many([x], y, [rng])
+        self.w1_, self.b1_, self.w2_, self.b2_ = net.w1_, net.b1_, net.w2_, net.b2_
         return self
+
+    def fit_many(self, xs, y, rngs) -> list:
+        """Train one net per ``(xs[k], rngs[k])`` on the shared labels ``y``,
+        with this net's hyperparameters; every ``xs[k]`` has the same shape.
+        Returns the K fitted nets."""
+        x = np.stack([np.asarray(xk, dtype=float) for xk in xs])  # (K, n, m)
+        y = np.asarray(y, dtype=float)
+        k, n, m = x.shape
+        h = self.hidden_units
+        # w2 and the outputs are columns, (K, h, 1) and (K, bs, 1), so each
+        # step is a batched matmul with no reshaping
+        w1 = np.stack([r.normal(0.0, 1.0 / np.sqrt(m), size=(m, h)) for r in rngs])
+        b1 = np.zeros((k, 1, h))
+        w2 = np.stack([r.normal(0.0, 1.0 / np.sqrt(h), size=(h, 1)) for r in rngs])
+        b2 = np.zeros((k, 1, 1))
+        nets = np.arange(k)[:, None]
+        bs, lr = self.batch_size, self.learning_rate
+        for _ in range(self.epochs):
+            order = np.stack([r.permutation(n) for r in rngs])  # (K, n)
+            xo, yo = x[nets, order], y[order][:, :, None]
+            for start in range(0, n, bs):
+                xb, yb = xo[:, start:start + bs], yo[:, start:start + bs]
+                a = np.tanh(xb @ w1 + b1)
+                p = _sigmoid(a @ w2 + b2)
+                delta = (p - yb) / yb.shape[1]  # dL/dz for cross-entropy + sigmoid
+                gw2 = a.transpose(0, 2, 1) @ delta
+                gb2 = delta.sum(axis=1, keepdims=True)
+                da = delta * w2.transpose(0, 2, 1) * (1 - a ** 2)
+                gw1 = xb.transpose(0, 2, 1) @ da
+                gb1 = da.sum(axis=1, keepdims=True)
+                w2 -= lr * gw2
+                b2 -= lr * gb2
+                w1 -= lr * gw1
+                b1 -= lr * gb1
+        return [self._fitted(w1[i], b1[i, 0], w2[i, :, 0], float(b2[i, 0, 0]))
+                for i in range(k)]
+
+    def _fitted(self, w1, b1, w2, b2) -> "MultilayerPerceptron":
+        net = MultilayerPerceptron(self.hidden_units, self.learning_rate,
+                                   self.epochs, self.batch_size)
+        net.w1_, net.b1_, net.w2_, net.b2_ = w1, b1, w2, b2
+        return net
 
     def predict_proba(self, x) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))

@@ -22,8 +22,9 @@ from xaibench.explainers import (
     shapley_values,
 )
 from xaibench.irt import ResponseMatrix, fit_3pl, fit_to_dict
-from xaibench.models import train
-from xaibench.seeding import rng_for
+from xaibench.models import stratified_kfold, train
+from xaibench.models.training import build_estimator
+from xaibench.seeding import derive_seed, rng_for
 
 from conftest import LinearProbaModel, make_signal_noise_dataset
 
@@ -61,6 +62,25 @@ def ref_exirt(model, test, cfg):
     theta = dict(zip(matrix.respondent_ids, fit.abilities.theta))
     scores = [theta["original"] - theta[f"shuffled:{name}"] for name in test.feature_names]
     return rank_from_scores(test.feature_names, scores, "exirt", model.kind), fit
+
+
+def ref_lofo_refits(model, train_data, cfg):
+    """lofo refits fitted one net at a time, each with its own ``fit`` call
+    on the stream ``lofo_refits`` gives it."""
+    y = train_data.labels
+    m = train_data.n_features
+    refits = []
+    folds = stratified_kfold(y, cfg.cv_folds, derive_seed(cfg.seed, "lofo-folds"))
+    for fi, (tr, _) in enumerate(folds):
+        x_fold, y_fold = train_data.features[tr], y[tr]
+        base = build_estimator(model.kind, model.hyperparams)
+        base.fit(x_fold, y_fold, rng=rng_for(cfg.seed, "lofo", fi, "base"))
+        without = [float(np.mean(y_fold))] if m == 1 else [
+            build_estimator(model.kind, model.hyperparams).fit(
+                np.delete(x_fold, j, axis=1), y_fold, rng=rng_for(cfg.seed, "lofo", fi, j))
+            for j in range(m)]
+        refits.append((base, without))
+    return refits
 
 
 class TestRankMachinery:
@@ -211,6 +231,26 @@ class TestRankers:
         assert all(isinstance(without[0], float) for _, without in refits)
         assert (explain_lofo_style(model, data, data, cfg, refits=refits)
                 == explain_lofo_style(model, data, data, cfg))
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_lofo_mlp_refits_equal_one_net_at_a_time(self, m):
+        data = make_signal_noise_dataset(n_rows=150, seed=4)
+        data = Dataset(data.features[:, :m], data.labels, data.feature_names[:m])
+        train_data, test_data = data.take(np.arange(100)), data.take(np.arange(100, 150))
+        model = train("mlp", train_data, 2, seed=21)
+        cfg = ExplainerConfig(seed=13, cv_folds=3)
+        refits = lofo_refits(model, train_data, cfg)
+        want = ref_lofo_refits(model, train_data, cfg)
+        assert len(refits) == len(want) == 3
+        for (base, without), (want_base, want_without) in zip(refits, want):
+            assert len(without) == len(want_without) == m
+            for net, want_net in zip([base, *without], [want_base, *want_without]):
+                if isinstance(want_net, float):
+                    assert net == want_net  # the constant predictor
+                else:
+                    assert net.to_dict() == want_net.to_dict()
+        assert (explain_lofo_style(model, train_data, test_data, cfg, refits=refits).as_dict()
+                == explain_lofo_style(model, train_data, test_data, cfg, refits=want).as_dict())
 
     def test_exirt_returns_fit_with_pool_sized_matrix(self, fitted):
         model, train_data, test_data = fitted

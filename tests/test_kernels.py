@@ -4,12 +4,19 @@ The references below are the original per-feature split loop, the original
 one-candidate-per-call scan + golden-section search, the stable-argsort kNN,
 the per-batch index MLP loop and the loop-built coalitions with a diagonal
 weight matrix; the rewrites evaluate the same points with the same
-arithmetic, so results must match exactly, not within a tolerance."""
+arithmetic, so results must match exactly, not within a tolerance.
+
+``MultilayerPerceptron.fit_many`` trains K nets in lockstep with stacked
+(K, bs, m) matmuls, and its test holds each net to the single-net reference.
+That a stacked ``np.matmul`` equals the 2-D product of each slice bit for
+bit is a property of this numpy/OpenBLAS build (numpy hands each slice to
+the same BLAS call), not something numpy guarantees; that test is what
+guards it."""
 
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from xaibench import irt
@@ -370,6 +377,26 @@ def test_mlp_fit_matches_reference(n, m, h, batch_size, epochs, seed):
     assert net.b1_.tolist() == b1.tolist()
     assert net.w2_.tolist() == w2.tolist()
     assert net.b2_ == b2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 17), st.integers(1, 16), st.integers(1, 32),
+       st.sampled_from([1, 7, 32]), st.integers(1, 70), st.integers(1, 3),
+       st.integers(0, 2 ** 32 - 1))
+def test_mlp_fit_many_matches_reference_per_net(k, m, h, batch_size, n, epochs, seed):
+    assume(batch_size == 1 or n % batch_size)  # the last batch is short
+    data_rng = np.random.default_rng(seed)
+    xs = [data_rng.normal(size=(n, m)) for _ in range(k)]
+    y = data_rng.integers(0, 2, size=n).astype(float)
+    nets = MultilayerPerceptron(h, 0.5, epochs, batch_size).fit_many(
+        xs, y, [rng_for(seed, "net", i) for i in range(k)])
+    assert len(nets) == k
+    for i, (x, net) in enumerate(zip(xs, nets)):
+        w1, b1, w2, b2 = ref_mlp_fit(x, y, h, 0.5, epochs, batch_size, rng_for(seed, "net", i))
+        assert net.w1_.tolist() == w1.tolist()
+        assert net.b1_.tolist() == b1.tolist()
+        assert net.w2_.tolist() == w2.tolist()
+        assert net.b2_ == b2
 
 
 # --- reference kernel SHAP: loop-built coalitions, diagonal weights -------

@@ -1,7 +1,10 @@
-"""Classification metrics against hand-computed and library-free oracles."""
+"""Classification metrics against hand-computed and library-free oracles,
+and the AUC against its scipy rankdata formulation."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.stats import rankdata
 
 from xaibench.metrics import (
     accuracy_score,
@@ -56,6 +59,33 @@ def test_roc_auc_matches_pair_counting_oracle(n, levels, seed):
     neg = proba[y == 0]
     wins = sum((p > q) + 0.5 * (p == q) for p in pos for q in neg)
     assert abs(roc_auc_score(y, proba) - wins / (len(pos) * len(neg))) <= 1e-12
+
+
+def ref_roc_auc_rankdata(y_true, proba):
+    """The AUC with scipy's rankdata for the average ranks."""
+    y_true = np.asarray(y_true)
+    n_pos = int(np.sum(y_true == 1))
+    n_neg = len(y_true) - n_pos
+    if n_pos == 0 or n_neg == 0:
+        return 0.5
+    ranks = rankdata(np.asarray(proba, dtype=float))
+    u = float(np.sum(ranks[y_true == 1])) - n_pos * (n_pos + 1) / 2.0
+    return u / (n_pos * n_neg)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.integers(1, 300), st.integers(1, 12),
+       st.sampled_from(["mixed", "all0", "all1"]))
+def test_roc_auc_equals_rankdata_reference(data, n, levels, classes):
+    # few distinct scores, so most rows sit in a tie group; some draws
+    # carry a single class, or one row of the minority class
+    if classes == "mixed":
+        y = data.draw(arrays(np.int64, n, elements=st.integers(0, 1)))
+    else:
+        y = np.full(n, int(classes == "all1"))
+    grid = data.draw(st.lists(st.floats(0, 1), min_size=levels, max_size=levels))
+    proba = np.array(grid)[data.draw(arrays(np.int64, n, elements=st.integers(0, levels - 1)))]
+    assert roc_auc_score(y, proba) == ref_roc_auc_rankdata(y, proba)
 
 
 def test_classification_report_values():
