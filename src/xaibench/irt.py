@@ -8,6 +8,28 @@ model-reliability verdicts.
 Respondents are rows, items are columns.  All optimizer moves are
 accept-only-if-better, so the tracked objective never decreases across
 outer iterations.
+
+``fit_3pl`` evaluates up to SCAN_POINTS candidate vectors per objective call
+in one (SCAN_POINTS, R, N) work buffer allocated once per fit, with ``out=``
+and in-place ufuncs, so no call allocates a (K, R, N) temporary.  Each step
+gives the same bits as the textbook form
+``log(where(u, p, 1 - p))`` with ``p = clip(c + (1 - c) / (1 + exp(-z)))``
+and ``z = theta*a - a*b`` (not a*(theta - b), which rounds differently):
+
+- ``exp(a*b - theta*a)`` is ``exp(-z)``: IEEE subtraction is antisymmetric
+  under round-to-nearest, so y - x is exactly -(x - y); only the sign of
+  a zero can differ, and exp ignores it.
+- z is not clipped to +-500 as in ``p_correct``: the box bounds keep
+  |z| <= 4*4 + 4*6 = 40, where that clip never binds.
+- ``np.minimum(np.maximum(p, lo), hi)`` is ``np.clip`` for non-NaN p.
+- ``s + t*p`` with s = 1 - u and t = 2u - 1 is p where u = 1 (0 + 1*p)
+  and 1 - p where u = 0 (1 + -1*p): exact because ``ResponseMatrix``
+  admits only 0 and 1.
+- Commuted additions and products (``e + 1``, ``q / d + c``) round the
+  same, and the buffer slices have the layout of a fresh array, so the
+  sums over respondents and over items add in the same order.
+- What stays fixed through a pass is computed once: theta*a in the b pass
+  and the whole 1 + exp(a*b - theta*a) in the c pass.
 """
 
 from __future__ import annotations
@@ -64,18 +86,20 @@ class ResponseMatrix:
     item_ids: tuple
 
     def __post_init__(self):
-        u = np.array(self.entries, dtype=int)
+        x = np.asarray(self.entries)
+        if x.ndim != 2:
+            raise IrtError("entries must be 2-D")
+        r, n = x.shape
+        if r < 2 or n < 2:
+            raise IrtError("need at least 2 respondents and 2 items")
+        # check the given values before the cast, which would truncate 0.7 to 0
+        if not np.all((x == 0) | (x == 1)):
+            raise IrtError("entries must be binary")
+        u = x.astype(int)
         u.flags.writeable = False
         object.__setattr__(self, "entries", u)
         object.__setattr__(self, "respondent_ids", tuple(self.respondent_ids))
         object.__setattr__(self, "item_ids", tuple(self.item_ids))
-        if u.ndim != 2:
-            raise IrtError("entries must be 2-D")
-        r, n = u.shape
-        if r < 2 or n < 2:
-            raise IrtError("need at least 2 respondents and 2 items")
-        if not np.all((u == 0) | (u == 1)):
-            raise IrtError("entries must be binary")
         if len(self.respondent_ids) != r or len(self.item_ids) != n:
             raise IrtError("identifier counts must match the matrix shape")
 
@@ -130,31 +154,25 @@ class ReliabilitySummary:
     negative_item_count: int
 
 
-def _prob_matrix(a, b, c, theta):
-    """Clipped hit probabilities (..., R, N) for item vectors (N,) or stacked
-    (K, N) and abilities (R,) or (K, R).  z = theta*a - a*b, not
-    a*(theta - b), which rounds differently."""
-    z = np.clip(theta[..., :, None] * a[..., None, :] - (a * b)[..., None, :], -500, 500)
-    p = c[..., None, :] + (1.0 - c[..., None, :]) / (1.0 + np.exp(-z))
-    return np.clip(p, _PROB_CLIP, 1.0 - _PROB_CLIP)
+def _denominators(w, ab, theta_a):
+    """1 + exp(a*b - theta*a) into w; theta_a may be w itself."""
+    np.subtract(ab, theta_a, out=w)
+    np.exp(w, out=w)
+    w += 1.0
+    return w
 
 
-def _loglik_entries(u, a, b, c, theta):
-    # equals u*log(p) + (1-u)*log(1-p) bit for bit: u is 0/1 and both logs are finite
-    p = _prob_matrix(a, b, c, theta)
-    return np.log(np.where(u, p, 1.0 - p))
-
-
-def _item_objective(u, a, b, c, theta):
-    """Penalized per-item log-likelihood, shaped (..., N)."""
-    ll = _loglik_entries(u, a, b, c, theta).sum(axis=-2)
-    pen = PENALTY_WEIGHT * ((a - ANCHOR_A) ** 2 + (c - ANCHOR_C) ** 2)
-    return ll - pen
-
-
-def _respondent_objective(u, a, b, c, theta):
-    """Per-respondent log-likelihood, shaped (..., R)."""
-    return _loglik_entries(u, a, b, c, theta).sum(axis=-1)
+def _log_lik(w, denom, c, s, t):
+    """Per-entry log-likelihoods log(s + t*p) into w, where p is the clipped
+    hit probability c + (1 - c) / denom; denom may be w itself."""
+    c = c[..., None, :]
+    np.divide(1.0 - c, denom, out=w)
+    w += c
+    np.maximum(w, _PROB_CLIP, out=w)
+    np.minimum(w, 1.0 - _PROB_CLIP, out=w)
+    w *= t
+    w += s
+    return np.log(w, out=w)
 
 
 def _scan_golden_max(f, current, lo, hi, scan_points=SCAN_POINTS, xtol=XTOL):
@@ -211,8 +229,32 @@ def fit_3pl(responses: ResponseMatrix, max_outer: int = MAX_OUTER) -> IrtFit:
     b = np.clip(-np.log(easiness / (1.0 - easiness)), *B_BOUNDS)
     c = np.full(n, ANCHOR_C)
 
+    s, t = 1.0 - u, 2.0 * u - 1.0  # s + t*p is p where u = 1, 1 - p where u = 0
+    work = np.empty((SCAN_POINTS, r, n))
+
+    def item_objective(w, denom, a, c):
+        pen = PENALTY_WEIGHT * ((a - ANCHOR_A) ** 2 + (c - ANCHOR_C) ** 2)
+        return _log_lik(w, denom, c, s, t).sum(axis=-2) - pen
+
+    def a_objective(v):
+        w = work[:len(v)]
+        np.multiply(theta[:, None], v[:, None, :], out=w)
+        return item_objective(w, _denominators(w, (v * b)[:, None, :], w), v, c)
+
+    def b_objective(v):
+        w = work[:len(v)]
+        return item_objective(w, _denominators(w, (a * v)[:, None, :], theta_a), a, c)
+
+    def c_objective(v):
+        return item_objective(work[:len(v)], denom, a, v)
+
+    def theta_objective(v):
+        w = work[:len(v)]
+        np.multiply(v[:, :, None], a, out=w)
+        return _log_lik(w, _denominators(w, a * b, w), c, s, t).sum(axis=-1)
+
     def total_objective():
-        return float(np.sum(_item_objective(u, a, b, c, theta)))
+        return float(np.sum(a_objective(a[None])[0]))
 
     history = []
     prev = total_objective()
@@ -220,11 +262,12 @@ def fit_3pl(responses: ResponseMatrix, max_outer: int = MAX_OUTER) -> IrtFit:
     iterations = 0
     for _ in range(max_outer):
         iterations += 1
-        a = _scan_golden_max(lambda v: _item_objective(u, v, b, c, theta), a, *A_BOUNDS)
-        b = _scan_golden_max(lambda v: _item_objective(u, a, v, c, theta), b, *B_BOUNDS)
-        c = _scan_golden_max(lambda v: _item_objective(u, a, b, v, theta), c, *C_BOUNDS)
-        theta = _scan_golden_max(lambda v: _respondent_objective(u, a, b, c, v),
-                                 theta, *THETA_BOUNDS)
+        a = _scan_golden_max(a_objective, a, *A_BOUNDS)
+        theta_a = theta[:, None] * a  # b_objective's invariant
+        b = _scan_golden_max(b_objective, b, *B_BOUNDS)
+        denom = _denominators(theta_a, a * b, theta_a)  # c_objective's invariant
+        c = _scan_golden_max(c_objective, c, *C_BOUNDS)
+        theta = _scan_golden_max(theta_objective, theta, *THETA_BOUNDS)
         cur = total_objective()
         history.append(cur)
         if cur - prev < TOL:

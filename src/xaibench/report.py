@@ -52,8 +52,11 @@ def _svg_open(title: str) -> list:
     ]
 
 
-def _polyline(points, color, width=1.0, opacity=1.0) -> str:
-    pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
+def _points(pairs) -> str:
+    return " ".join(f"{x:.2f},{y:.2f}" for x, y in pairs)
+
+
+def _polyline(pts: str, color, width=1.0, opacity=1.0) -> str:
     return (f'<polyline fill="none" stroke="{color}" stroke-width="{width}" '
             f'stroke-opacity="{opacity}" points="{pts}"/>')
 
@@ -82,20 +85,26 @@ def render_icc_svg(grid, curves, negative, summary: ReliabilitySummary,
 
     parts = _svg_open(title)
     # axes
-    parts.append(_polyline([(left, top), (left, HEIGHT - bottom),
-                            (WIDTH - right, HEIGHT - bottom)], "#000000", 1.0))
+    parts.append(_polyline(_points([(left, top), (left, HEIGHT - bottom),
+                                    (WIDTH - right, HEIGHT - bottom)]), "#000000", 1.0))
     for t in np.linspace(x0, x1, 9):
         parts.append(_text(px(t), HEIGHT - bottom + 18, _fmt(t), 10, "middle"))
     for p in (0.0, 0.25, 0.5, 0.75, 1.0):
         parts.append(_text(left - 8, py(p) + 4, _fmt(p), 10, "end"))
     parts.append(_text(WIDTH / 2, HEIGHT - 16, "ability (theta)", 12, "middle"))
     parts.append(_text(16, HEIGHT / 2, "p(correct)", 12, "middle"))
-    for row, neg in zip(curves, negative):
-        parts.append(_polyline([(px(t), py(p)) for t, p in zip(grid, row)],
-                               RED if neg else GREEN, 0.6, opacity=0.5))
+    # every curve shares the grid: format its x coordinates once per chart
+    xs = [f"{x:.2f}" for x in px(np.asarray(grid, dtype=float)).tolist()]
+
+    def curve_points(ys):
+        return " ".join(f"{x},{y:.2f}" for x, y in zip(xs, ys))
+
+    for ys, neg in zip(py(np.asarray(curves, dtype=float)), negative):
+        # one row of Python floats at a time keeps the peak memory flat
+        parts.append(_polyline(curve_points(ys.tolist()), RED if neg else GREEN, 0.6,
+                               opacity=0.5))
     avg = np.mean(curves, axis=0)  # pointwise average
-    parts.append(_polyline([(px(t), py(p)) for t, p in zip(grid, avg)],
-                           "#000000", 3.0))
+    parts.append(_polyline(curve_points(py(avg).tolist()), "#000000", 3.0))
     annotation = (f"difficulty: {_fmt(summary.mean_difficulty)} "
                   f"discrimination: {_fmt(summary.mean_discrimination)} "
                   f"guessing: {_fmt(summary.mean_guessing)}")
@@ -142,7 +151,7 @@ def render_bump_svg(table, record=None, title: str = "") -> str:
         color = _PALETTE[ci % len(_PALETTE)]
         pts = [(px(i), py(pos[(f, feat)])) for i, f in enumerate(fractions)
                if (f, feat) in pos]
-        parts.append(_polyline(pts, color, 2.0))
+        parts.append(_polyline(_points(pts), color, 2.0))
         first_f = fractions[0]
         if (first_f, feat) in pos:
             parts.append(_text(left - 8, py(pos[(first_f, feat)]) + 4, feat, 10,

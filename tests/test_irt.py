@@ -1,6 +1,8 @@
 """3PL engine: evaluation, response matrices, fitting, ICCs, summaries and
 the reliability comparison rule."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,25 @@ class TestResponseMatrix:
             ResponseMatrix(np.array([[0, 2], [1, 0]]), ("a", "b"), ("i0", "i1"))
         with pytest.raises(IrtError):
             ResponseMatrix(np.array([[0, 1]]), ("a",), ("i0", "i1"))
+
+    @pytest.mark.parametrize("entries", [[[0.7, 1.0], [1.9, 0.0]],
+                                         [[0.0, 1.0], [np.nan, 0.0]],
+                                         [[0.0, 1.0], [np.inf, 0.0]]])
+    def test_non_binary_values_are_rejected_before_the_integer_cast(self, entries):
+        # the cast would truncate 0.7 to 0 and warn on NaN before any check
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IrtError, match="binary"):
+                ResponseMatrix(entries, ("a", "b"), ("i0", "i1"))
+
+    def test_bool_and_float_binary_entries_become_read_only_ints(self):
+        given = np.array([[1.0, 0.0], [0.0, 1.0]])
+        for entries in (given, given.astype(bool)):
+            m = ResponseMatrix(entries, ("a", "b"), ("i0", "i1"))
+            assert m.entries.dtype == int
+            assert m.entries.tolist() == [[1, 0], [0, 1]]
+            assert not m.entries.flags.writeable
+        assert given.flags.writeable  # the caller's array is copied, not frozen
 
 
 def simulated_matrix(r=60, n=40, seed=5):

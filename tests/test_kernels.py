@@ -4,7 +4,9 @@ The references below are the original per-feature split loop, the original
 one-candidate-per-call scan + golden-section search, the stable-argsort kNN,
 the per-batch index MLP loop and the loop-built coalitions with a diagonal
 weight matrix; the rewrites evaluate the same points with the same
-arithmetic, so results must match exactly, not within a tolerance.
+arithmetic, so results must match exactly, not within a tolerance.  The 3PL
+reference is the textbook u*log(p) + (1-u)*log(1-p) on fresh arrays, which
+``fit_3pl``'s in-place work-buffer kernel must reproduce bit for bit.
 
 ``MultilayerPerceptron.fit_many`` trains K nets in lockstep with stacked
 (K, bs, m) matmuls, and its test holds each net to the single-net reference.
@@ -16,6 +18,7 @@ guards it."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -273,6 +276,46 @@ def test_fit_3pl_matches_reference(responses, max_outer):
     fit = fit_3pl(responses, max_outer=max_outer)
     assert fit_to_dict(fit) == fit_to_dict(ref_fit_3pl(responses, max_outer))
     assert all(y >= x for x, y in zip(fit.history, fit.history[1:]))
+
+
+@pytest.mark.parametrize("r, n, seed", [(29, 58, 0), (29, 173, 1), (200, 100, 2)])
+def test_fit_3pl_matches_reference_at_exirt_shapes(r, n, seed):
+    # eXirt's matrices are 29 x 58 (paper-default) and 29 x 173 (tall-items);
+    # every scan fills the whole (SCAN_POINTS, R, N) work buffer
+    rng = np.random.default_rng(seed)
+    u = (rng.random((r, n)) < rng.uniform(0.2, 0.95, n)).astype(int)
+    u[:, 3], u[:, 4] = 0, 1  # degenerate items
+    u[1, :], u[2, :] = 0, 1  # degenerate respondents
+    responses = ResponseMatrix(u, [f"r{i}" for i in range(r)], [f"i{j}" for j in range(n)])
+    fit = fit_3pl(responses, max_outer=2)
+    assert fit_to_dict(fit) == fit_to_dict(ref_fit_3pl(responses, 2))
+
+
+def test_fit_3pl_exponent_cannot_reach_the_clip_it_omits():
+    # fit_3pl drops p_correct's +-500 clip on a*b - theta*a; the box bounds
+    # must keep the exponent inside it
+    a = max(map(abs, A_BOUNDS))
+    assert a * (max(map(abs, THETA_BOUNDS)) + max(map(abs, B_BOUNDS))) < 500
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_fit_3pl_kernel_rewrites_are_exact(data):
+    size = data.draw(st.integers(1, 40))
+    p = data.draw(arrays(np.float64, size,
+                         elements=st.floats(irt._PROB_CLIP, 1.0 - irt._PROB_CLIP)))
+    u = data.draw(arrays(np.int64, size, elements=st.integers(0, 1))).astype(float)
+    s, t = 1.0 - u, 2.0 * u - 1.0
+    assert (s + t * p).tobytes() == np.where(u, p, 1.0 - p).tobytes()
+
+    def bounded(bounds):
+        return data.draw(arrays(np.float64, size, elements=st.floats(*bounds)))
+
+    a, b, theta = bounded(A_BOUNDS), bounded(B_BOUNDS), bounded(THETA_BOUNDS)
+    folded, negated = a * b - theta * a, -(theta * a - a * b)
+    # equal as numbers; a zero may differ in sign, which exp ignores
+    assert folded.tolist() == negated.tolist()
+    assert np.exp(folded).tobytes() == np.exp(negated).tobytes()
 
 
 @settings(max_examples=100, deadline=None)

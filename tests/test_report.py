@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from xaibench import report
 from xaibench.data import level_key as data_level_key
 from xaibench.explainers import RelevanceRank
-from xaibench.irt import ItemParameters, ReliabilitySummary, icc
+from xaibench.irt import ItemParameters, ReliabilitySummary, default_theta_grid, icc
 from xaibench.report import (
     GREEN,
     RED,
@@ -37,6 +38,47 @@ def curves():
     return grid, icc(items, grid), items.a < 0
 
 
+def ref_render_icc_svg(grid, curves, negative, summary,
+                      title="Item characteristic curves"):
+    """The per-point ICC renderer: every coordinate is computed and formatted
+    from its own numpy scalar."""
+    left, right, top, bottom = 70, 30, 50, 60
+    x0, x1 = float(grid[0]), float(grid[-1])
+
+    def px(theta):
+        return left + (theta - x0) / (x1 - x0) * (report.WIDTH - left - right)
+
+    def py(p):
+        return report.HEIGHT - bottom - p * (report.HEIGHT - top - bottom)
+
+    def polyline(points, color, width=1.0, opacity=1.0):
+        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
+        return (f'<polyline fill="none" stroke="{color}" stroke-width="{width}" '
+                f'stroke-opacity="{opacity}" points="{pts}"/>')
+
+    h, w, text = report.HEIGHT, report.WIDTH, report._text
+    parts = report._svg_open(title)
+    parts.append(polyline([(left, top), (left, h - bottom), (w - right, h - bottom)],
+                          "#000000", 1.0))
+    for t in np.linspace(x0, x1, 9):
+        parts.append(text(px(t), h - bottom + 18, f"{t:.2f}", 10, "middle"))
+    for p in (0.0, 0.25, 0.5, 0.75, 1.0):
+        parts.append(text(left - 8, py(p) + 4, f"{p:.2f}", 10, "end"))
+    parts.append(text(w / 2, h - 16, "ability (theta)", 12, "middle"))
+    parts.append(text(16, h / 2, "p(correct)", 12, "middle"))
+    for row, neg in zip(curves, negative):
+        parts.append(polyline([(px(t), py(p)) for t, p in zip(grid, row)],
+                              RED if neg else GREEN, 0.6, opacity=0.5))
+    avg = np.mean(curves, axis=0)
+    parts.append(polyline([(px(t), py(p)) for t, p in zip(grid, avg)], "#000000", 3.0))
+    parts.append(text(left + 10, top + 16,
+                      f"difficulty: {summary.mean_difficulty:.2f} "
+                      f"discrimination: {summary.mean_discrimination:.2f} "
+                      f"guessing: {summary.mean_guessing:.2f}", 12))
+    parts.append("</svg>")
+    return "\n".join(parts)
+
+
 class TestLevelKey:
     def test_percent_strings(self):
         assert level_key(0.0) == "0"
@@ -58,6 +100,19 @@ class TestIccSvg:
         assert "difficulty: -1.25" in svg
         assert "discrimination: 1.50" in svg
         assert "guessing: 0.12" in svg
+
+    @pytest.mark.parametrize("n_items, grid", [
+        (1, np.linspace(-4, 4, 2)),
+        (2, np.linspace(-4, 4, 33)),
+        (173, default_theta_grid()),  # a tall-items chart
+        (9, np.array([-3.0, -1.1, -0.2, 0.0, 0.35, 2.9])),  # uneven grid
+    ])
+    def test_equals_the_per_point_renderer(self, n_items, grid):
+        rng = np.random.default_rng(n_items)
+        items = ItemParameters(rng.uniform(-4, 4, n_items), rng.uniform(-6, 6, n_items),
+                               rng.uniform(0, 0.5, n_items))
+        args = (grid, icc(items, grid), items.a < 0, summary())
+        assert render_icc_svg(*args, title="t") == ref_render_icc_svg(*args, title="t")
 
     def test_byte_identical_for_equal_inputs(self):
         assert render_icc_svg(*curves(), summary()) == render_icc_svg(*curves(), summary())
