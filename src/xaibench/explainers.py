@@ -23,7 +23,8 @@ import numpy as np
 from .data import Dataset
 from .irt import ResponseMatrix, fit_3pl
 from .metrics import accuracy_score, labels_from_proba, roc_auc_score
-from .models.training import TrainedModel, build_estimator, stratified_kfold
+from .models.training import (TrainedModel, build_estimator, predict_blends,
+                              stratified_kfold)
 from .seeding import derive_seed, rng_for
 
 EXPLAINERS = ("dalex", "eli5", "exirt", "lofo", "shap", "skater")
@@ -276,7 +277,7 @@ def shapley_values(model: TrainedModel, x: np.ndarray, background_row: np.ndarra
     sampled mode draws coalitions by the kernel size distribution.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    n, m = x.shape
+    m = x.shape[1]
     if m == 1:
         fx = model.predict_proba(x)
         f0 = model.predict_proba(background_row[None, :])[0]
@@ -289,13 +290,13 @@ def shapley_values(model: TrainedModel, x: np.ndarray, background_row: np.ndarra
     # the Fortran-ordered zt.T * weights changes them in the last bit
     wzt = np.multiply(zt.T, weights, order="C")
     solver = np.linalg.solve(wzt @ zt, wzt)  # (M - 1, K)
-    # synthetic inputs: coalition members keep x, the rest take the reference
     fx = model.predict_proba(x)
     f0 = float(model.predict_proba(background_row[None, :])[0])
-    k = len(z)
-    blends = (z[None, :, :] * x[:, None, :]
-              + (1.0 - z[None, :, :]) * background_row[None, None, :])
-    preds = model.predict_proba(blends.reshape(n * k, m)).reshape(n, k)
+    # synthetic inputs: coalition members keep x, the rest take the reference
+    if hasattr(model, "predict_coalitions"):
+        preds = model.predict_coalitions(x, background_row, z)
+    else:  # a bare model with predict_proba alone
+        preds = predict_blends(model.predict_proba, x, background_row, z)
     phi_head = (preds - f0 - np.outer(fx - f0, z[:, -1])) @ solver.T
     return np.column_stack([phi_head, fx - f0 - phi_head.sum(axis=1)])
 

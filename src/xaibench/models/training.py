@@ -68,15 +68,34 @@ class TrainedModel:
     hyperparams: dict
     cv_score: float
 
-    def predict_proba(self, features) -> np.ndarray:
+    def _checked(self, features) -> np.ndarray:
         features = np.atleast_2d(np.asarray(features, dtype=float))
         if features.shape[1] != self.n_features:
             raise DatasetError(
                 f"model expects {self.n_features} features, got {features.shape[1]}")
-        return np.clip(self.estimator.predict_proba(features), 0.0, 1.0)
+        return features
+
+    def predict_proba(self, features) -> np.ndarray:
+        return np.clip(self.estimator.predict_proba(self._checked(features)), 0.0, 1.0)
+
+    def predict_coalitions(self, features, background, z) -> np.ndarray:
+        """``predict_blends(self.predict_proba, ...)``, scored without the
+        blends when the estimator can (kNN)."""
+        features = self._checked(features)
+        if not hasattr(self.estimator, "predict_coalitions"):
+            return predict_blends(self.predict_proba, features, background, z)
+        return np.clip(self.estimator.predict_coalitions(features, background, z), 0.0, 1.0)
 
     def predict(self, features) -> np.ndarray:
         return labels_from_proba(self.predict_proba(features))
+
+
+def predict_blends(predict_proba, x, background, z) -> np.ndarray:
+    """(n, K) probabilities of the coalition blends: row (i, c) takes x[i, j]
+    where the 0/1 coalition row z[c, j] is 1 and background[j] where it is 0."""
+    (n, m), k = x.shape, len(z)
+    blends = z[None, :, :] * x[:, None, :] + (1.0 - z[None, :, :]) * background[None, None, :]
+    return predict_proba(blends.reshape(n * k, m)).reshape(n, k)
 
 
 def build_estimator(kind: str, params: dict):

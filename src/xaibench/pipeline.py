@@ -187,6 +187,11 @@ def stage_train(cfg: RunConfig) -> None:
         raise PipelineError("train", str(exc))
     train_raw, test_raw = split(dataset, cfg.train_fraction,
                                 derive_seed(cfg.master_seed, "split"))
+    # tuning and lofo fold the training split; each fold needs both classes
+    smaller = min(train_raw.class_counts().values())
+    if cfg.cv_folds > smaller:
+        raise PipelineError("train", f"cv_folds={cfg.cv_folds} exceeds the smaller "
+                                     f"training class count {smaller}")
     stats = zscore_fit(train_raw)
     train_std = zscore_apply(train_raw, stats)
     os.makedirs(_path(cfg, "prepared"), exist_ok=True)

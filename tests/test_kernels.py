@@ -6,16 +6,22 @@ the per-batch index MLP loop and the loop-built coalitions with a diagonal
 weight matrix; the rewrites evaluate the same points with the same
 arithmetic, so results must match exactly, not within a tolerance.  The 3PL
 reference is the textbook u*log(p) + (1-u)*log(1-p) on fresh arrays, which
-``fit_3pl``'s in-place work-buffer kernel must reproduce bit for bit.
+``fit_3pl``'s in-place work-buffer kernel must reproduce bit for bit, down
+to the value of every objective call.  kNN's ``predict_coalitions`` must
+give ``predict_proba``'s probabilities on the materialized coalition blends,
+and their squared distances, byte for byte.
 
 ``MultilayerPerceptron.fit_many`` trains K nets in lockstep with stacked
 (K, bs, m) matmuls, and its test holds each net to the single-net reference.
 That a stacked ``np.matmul`` equals the 2-D product of each slice bit for
 bit is a property of this numpy/OpenBLAS build (numpy hands each slice to
 the same BLAS call), not something numpy guarantees; that test is what
-guards it."""
+guards it.  Likewise the order in which ``.sum(axis=-1)`` adds a contiguous
+last axis, which ``predict_coalitions`` reproduces, is numpy's pairwise
+kernel, and a guard test pins it."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -41,6 +47,7 @@ from xaibench.irt import (
     fit_3pl,
     fit_to_dict,
 )
+from xaibench.models import knn
 from xaibench.models.knn import KNearestNeighbors
 from xaibench.models.mlp import MultilayerPerceptron
 from xaibench.models.tree import (
@@ -220,7 +227,7 @@ def ref_scan_golden_max(f, current, lo, hi, scan_points, xtol):
     return np.where(f_cand > f_cur, cand, current)
 
 
-def ref_fit_3pl(responses, max_outer):
+def ref_fit_3pl(responses, max_outer, scan=ref_scan_golden_max):
     u = responses.entries.astype(float)
     r, n = u.shape
     theta = irt._standardized_scores(u)
@@ -228,7 +235,7 @@ def ref_fit_3pl(responses, max_outer):
     easiness = np.clip(u.mean(axis=0), 1e-3, 1 - 1e-3)
     b = np.clip(-np.log(easiness / (1.0 - easiness)), *B_BOUNDS)
     c = np.full(n, irt.ANCHOR_C)
-    scan = (irt.SCAN_POINTS, irt.XTOL)
+    steps = (irt.SCAN_POINTS, irt.XTOL)
 
     def total_objective():
         return float(np.sum(ref_item_objective(u, a, b, c, theta)))
@@ -239,14 +246,11 @@ def ref_fit_3pl(responses, max_outer):
     iterations = 0
     for _ in range(max_outer):
         iterations += 1
-        a = ref_scan_golden_max(lambda v: ref_item_objective(u, v, b, c, theta),
-                                a, *A_BOUNDS, *scan)
-        b = ref_scan_golden_max(lambda v: ref_item_objective(u, a, v, c, theta),
-                                b, *B_BOUNDS, *scan)
-        c = ref_scan_golden_max(lambda v: ref_item_objective(u, a, b, v, theta),
-                                c, *C_BOUNDS, *scan)
-        theta = ref_scan_golden_max(lambda v: ref_respondent_objective(u, a, b, c, v),
-                                    theta, *THETA_BOUNDS, *scan)
+        a = scan(lambda v: ref_item_objective(u, v, b, c, theta), a, *A_BOUNDS, *steps)
+        b = scan(lambda v: ref_item_objective(u, a, v, c, theta), b, *B_BOUNDS, *steps)
+        c = scan(lambda v: ref_item_objective(u, a, b, v, theta), c, *C_BOUNDS, *steps)
+        theta = scan(lambda v: ref_respondent_objective(u, a, b, c, v),
+                     theta, *THETA_BOUNDS, *steps)
         cur = total_objective()
         history.append(cur)
         if cur - prev < irt.TOL:
@@ -270,11 +274,35 @@ def response_matrices(draw):
     return ResponseMatrix(u, [f"r{i}" for i in range(r)], [f"i{j}" for j in range(n)])
 
 
+def recording(scan, rows):
+    """scan, with each objective call's candidate vectors and values appended
+    to rows as bytes, one (candidate, value) pair per vector."""
+    def recorded(f, current, lo, hi, *args):
+        def objective(v):
+            out = f(v)
+            rows.extend((vi.tobytes(), oi.tobytes())
+                        for vi, oi in zip(np.atleast_2d(v), np.atleast_2d(out)))
+            return out
+        return scan(objective, current, lo, hi, *args)
+    return recorded
+
+
+def assert_fit_3pl_matches_reference(responses, max_outer):
+    # the golden-section path rarely turns on a last-bit change of one
+    # objective value, so every value of every objective call is compared
+    got, want = [], []
+    with mock.patch.object(irt, "_scan_golden_max", recording(irt._scan_golden_max, got)):
+        fit = fit_3pl(responses, max_outer=max_outer)
+    ref = ref_fit_3pl(responses, max_outer, scan=recording(ref_scan_golden_max, want))
+    assert fit_to_dict(fit) == fit_to_dict(ref)
+    assert got == want
+    return fit
+
+
 @settings(max_examples=40, deadline=None)
 @given(response_matrices(), st.integers(1, 3))
 def test_fit_3pl_matches_reference(responses, max_outer):
-    fit = fit_3pl(responses, max_outer=max_outer)
-    assert fit_to_dict(fit) == fit_to_dict(ref_fit_3pl(responses, max_outer))
+    fit = assert_fit_3pl_matches_reference(responses, max_outer)
     assert all(y >= x for x, y in zip(fit.history, fit.history[1:]))
 
 
@@ -287,8 +315,7 @@ def test_fit_3pl_matches_reference_at_exirt_shapes(r, n, seed):
     u[:, 3], u[:, 4] = 0, 1  # degenerate items
     u[1, :], u[2, :] = 0, 1  # degenerate respondents
     responses = ResponseMatrix(u, [f"r{i}" for i in range(r)], [f"i{j}" for j in range(n)])
-    fit = fit_3pl(responses, max_outer=2)
-    assert fit_to_dict(fit) == fit_to_dict(ref_fit_3pl(responses, 2))
+    assert_fit_3pl_matches_reference(responses, 2)
 
 
 def test_fit_3pl_exponent_cannot_reach_the_clip_it_omits():
@@ -373,6 +400,79 @@ def test_knn_chunks_match_reference():
     x = rng.integers(0, 3, size=(600, 3)).astype(float)  # spans several chunks
     got = KNearestNeighbors(5).fit(x_train, y_train).predict_proba(x)
     assert got.tolist() == ref_knn_predict_proba(x_train, y_train, 5, x).tolist()
+
+
+# --- kNN on kernel-SHAP coalitions: the materialized blends are the oracle --
+
+def blends_of(x, background, z):
+    n, m = x.shape
+    return (z[None, :, :] * x[:, None, :]
+            + (1.0 - z[None, :, :]) * background[None, None, :]).reshape(n * len(z), m)
+
+
+def assert_coalitions_match_blends(model, x, background, z):
+    n, k = len(x), len(z)
+    blends = blends_of(x, background, z)
+    got = model.predict_coalitions(x, background, z)
+    assert got.shape == (n, k)
+    assert got.tobytes() == model.predict_proba(blends).reshape(n, k).tobytes()
+    # the distances too: a last-bit change shows even where no neighbour flips
+    want = ((blends[:, None, :] - model.x_[None, :, :]) ** 2).sum(axis=2)
+    want = want.reshape(n, k, len(model.x_)).transpose(1, 0, 2)
+    for start, d2 in model._coalition_distances(x, background, z):
+        assert d2.tobytes() == want[:, start:start + d2.shape[1]].tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_knn_predict_coalitions_matches_blends(data):
+    m = data.draw(st.integers(1, 20))
+    n_train = data.draw(st.integers(1, 25))
+    k = data.draw(st.integers(1, 30))  # k >= n_train included
+    n = data.draw(st.integers(1, 3 * knn._BLOCK + 1))  # several row blocks
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    if data.draw(st.booleans()):  # integer grid: many distances tie, also at the k-th
+        def values(shape):
+            return rng.integers(0, 3, size=shape).astype(float)
+    else:  # spread magnitudes: the summation order shows in the last bits
+        def values(shape):
+            return rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+    x_train = values((n_train, m))
+    x_train[rng.integers(0, n_train, size=n_train // 3)] = x_train[0]  # duplicates tie
+    y_train = rng.integers(0, 2, size=n_train).astype(float)
+    if m <= 9 and data.draw(st.booleans()):  # exact: every mask, empty and full too
+        z = ((np.arange(2 ** m)[:, None] >> np.arange(m)) & 1).astype(float)
+    else:  # sampled, repeats included
+        z = rng.integers(0, 2, size=(data.draw(st.integers(0, 64)), m)).astype(float)
+    model = KNearestNeighbors(k).fit(x_train, y_train)
+    assert_coalitions_match_blends(model, values((n, m)), values(m), z)
+
+
+@pytest.mark.parametrize("m", [129, 257])
+def test_knn_predict_coalitions_splits_wide_rows_like_numpy(m):
+    # above 128 columns numpy sums two halves, each cut at a multiple of 8
+    rng = np.random.default_rng(m)
+    x_train = rng.normal(size=(12, m)) * 10.0 ** rng.integers(-3, 4, size=(12, m))
+    model = KNearestNeighbors(3).fit(x_train, rng.integers(0, 2, size=12).astype(float))
+    z = rng.integers(0, 2, size=(20, m)).astype(float)
+    assert_coalitions_match_blends(model, rng.normal(size=(3, m)), rng.normal(size=m), z)
+
+
+def tree_sum(a, node):
+    if isinstance(node, int):
+        return a[..., node]
+    return tree_sum(a, node[0]) + tree_sum(a, node[1])
+
+
+def test_numpy_sums_a_last_axis_in_the_order_knn_reproduces():
+    # predict_proba keeps .sum(axis=2) and predict_coalitions rebuilds its
+    # order; numpy does not document that order, so an upgrade that changes
+    # it must fail here
+    rng = np.random.default_rng(0)
+    for m in [*range(1, 41), 127, 128, 129, 257]:
+        for shape in [(33, m), (4, 37, m)]:
+            a = rng.random(shape) * 10.0 ** rng.integers(-6, 7, size=shape)
+            assert a.sum(axis=-1).tobytes() == tree_sum(a, knn._sum_order(0, m)).tobytes(), m
 
 
 # --- reference MLP fit: index the rows of every minibatch -----------------

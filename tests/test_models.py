@@ -17,6 +17,21 @@ from xaibench.models import (
     stratified_kfold,
     train,
 )
+from xaibench.models.training import TrainedModel, predict_blends
+
+
+class Overshoot:
+    """Row sums as scores: they leave [0, 1], so the wrapper must clip them."""
+
+    def predict_proba(self, x):
+        return x.sum(axis=1)
+
+
+class OvershootCoalitions(Overshoot):
+    """The same scores, with a coalition method as kNN has."""
+
+    def predict_coalitions(self, x, background, z):
+        return predict_blends(self.predict_proba, x, background, z)
 
 
 def separable(n=200, seed=0):
@@ -174,6 +189,31 @@ class TestTrain:
         model = train("cart", signal_noise_data, 4, seed=11)
         with pytest.raises(ValueError):
             model.predict_proba(np.ones((4, 99)))
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_predict_coalitions_equals_predict_proba_on_the_blends(self, kind,
+                                                                   signal_noise_data):
+        # knn scores the coalitions itself; gbt, cart and mlp predict the blends
+        model = train(kind, signal_noise_data, 4, seed=11)
+        x = signal_noise_data.features[:7]
+        background = signal_noise_data.features.mean(axis=0)
+        z = ((np.arange(8)[:, None] >> np.arange(3)) & 1).astype(float)
+        blends = z[None, :, :] * x[:, None, :] + (1.0 - z[None, :, :]) * background
+        want = model.predict_proba(blends.reshape(-1, 3)).reshape(7, 8)
+        assert model.predict_coalitions(x, background, z).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("estimator", [Overshoot(), OvershootCoalitions()])
+    def test_predict_coalitions_checks_and_clips_like_predict_proba(self, estimator):
+        model = TrainedModel("knn", estimator, 2, ("a", "b"), 0, {}, 0.5)
+        x = np.array([[0.25, 0.5], [-2.0, 3.0]])
+        background = np.array([-1.0, 0.0])
+        z = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        got = model.predict_coalitions(x, background, z)
+        assert got.tolist() == [[0.0, 0.25, 0.0, 0.75], [0.0, 0.0, 1.0, 1.0]]
+        blends = z[None, :, :] * x[:, None, :] + (1.0 - z[None, :, :]) * background
+        assert got.tobytes() == model.predict_proba(blends.reshape(-1, 2)).reshape(2, 4).tobytes()
+        with pytest.raises(DatasetError, match="expects 2 features, got 3"):
+            model.predict_coalitions(np.ones((2, 3)), np.ones(3), np.ones((1, 3)))
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_save_load_round_trip(self, kind, tmp_path, signal_noise_data):

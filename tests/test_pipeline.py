@@ -198,6 +198,20 @@ class TestRunAll:
             run_stage(cfg, "train")
         assert list(tmp_path.glob("out/models/*")) == []
 
+    def test_train_refuses_more_folds_than_the_smaller_class_before_any_write(self, tmp_path):
+        # 24 rows split 17 / 7; the training split has 6 positives, so 12
+        # folds would leave half the validation folds without a positive
+        path = tmp_path / "tiny.csv"
+        save_csv(make_synthetic_diabetes(seed=29, n_rows=24, n_positive=9), path)
+        cfg = RunConfig(dataset=str(path), out_dir=str(tmp_path / "out"), models=("cart",),
+                        explainers=("eli5",), cv_folds=12)
+        with pytest.raises(PipelineError, match=r"\[train\] cv_folds=12 exceeds the "
+                                                r"smaller training class count 6"):
+            run_stage(cfg, "train")
+        assert not (tmp_path / "out").exists()
+        run_stage(dataclasses.replace(cfg, cv_folds=6), "train")  # one positive per fold
+        assert (tmp_path / "out" / "models" / "cart.json").exists()
+
     def test_mixed_configs_are_refused(self, completed_run):
         cfg, _, _ = completed_run
         other = dataclasses.replace(cfg, master_seed=cfg.master_seed + 1)
