@@ -10,6 +10,14 @@ and returns a RelevanceRank; ``explain_exirt`` returns ``(rank, fit)``, and
 All randomness flows through per-feature seed streams derived from the
 config seed, so equal seeds give identical ranks regardless of evaluation
 order.
+
+dalex, eli5, skater and eXirt build every perturbed copy of the test set
+first and score them all through one ``TrainedModel.predict_blocks`` call.
+On gbt, cart and kNN, a row's prediction does not depend on the other rows
+of the call, so that is one ``predict_proba`` on the stacked copies and
+gives the same bits as a call per copy.  The MLP gets a call per copy: BLAS
+blocks its matmuls by row count, so a stacked call would differ in the low
+bits.  Scores are then accumulated in the order of the per-copy loops.
 """
 
 from __future__ import annotations
@@ -139,20 +147,33 @@ def explain_dalex_style(model: TrainedModel, train: Dataset, test: Dataset,
     _check_schema(model, test)
     col_mean = test.features.mean(axis=0)
     m = test.n_features
-    drops = np.zeros(m)
+    subsample_labels, blocks = [], []  # per rep: the subsample, then its m inversions
     for rep in range(cfg.repetitions):
         rng = rng_for(cfg.seed, "dalex", rep)
         idx = _stratified_subsample(test.labels, DALEX_SUBSAMPLE, rng)
         x = test.features[idx]
-        y = test.labels[idx]
-        base_auc = roc_auc_score(y, model.predict_proba(x))
+        subsample_labels.append(test.labels[idx])
+        blocks.append(x)
         for j in range(m):
             inv = np.array(x, copy=True)
             inv[:, j] = 2.0 * col_mean[j] - inv[:, j]
-            drops[j] += base_auc - roc_auc_score(y, model.predict_proba(inv))
+            blocks.append(inv)
+    proba = iter(model.predict_blocks(blocks))
+    drops = np.zeros(m)
+    for y in subsample_labels:
+        base_auc = roc_auc_score(y, next(proba))
+        for j in range(m):
+            drops[j] += base_auc - roc_auc_score(y, next(proba))
     drops /= cfg.repetitions
     return rank_from_scores(test.feature_names, drops, "dalex", model.kind,
                             perturbation_fraction)
+
+
+def _shuffles(test: Dataset, cfg: ExplainerConfig, stream: str):
+    """(j, copy of the test features with column j shuffled), feature-major:
+    ``cfg.repetitions`` shuffles of each feature, each from its own stream."""
+    return [(j, _shuffled(test.features, j, rng_for(cfg.seed, stream, name, rep)))
+            for j, name in enumerate(test.feature_names) for rep in range(cfg.repetitions)]
 
 
 def explain_eli5_style(model: TrainedModel, train: Dataset, test: Dataset,
@@ -160,14 +181,12 @@ def explain_eli5_style(model: TrainedModel, train: Dataset, test: Dataset,
     """Mean decrease accuracy under per-feature column shuffles."""
     _check_schema(model, test)
     y = test.labels
-    base_acc = accuracy_score(y, labels_from_proba(model.predict_proba(test.features)))
-    m = test.n_features
-    drops = np.zeros(m)
-    for j, name in enumerate(test.feature_names):
-        for rep in range(cfg.repetitions):
-            x = _shuffled(test.features, j, rng_for(cfg.seed, "eli5", name, rep))
-            acc = accuracy_score(y, labels_from_proba(model.predict_proba(x)))
-            drops[j] += base_acc - acc
+    shuffles = _shuffles(test, cfg, "eli5")
+    base, *proba = model.predict_blocks([test.features] + [x for _, x in shuffles])
+    base_acc = accuracy_score(y, labels_from_proba(base))
+    drops = np.zeros(test.n_features)
+    for (j, _), p in zip(shuffles, proba):
+        drops[j] += base_acc - accuracy_score(y, labels_from_proba(p))
     drops /= cfg.repetitions
     return rank_from_scores(test.feature_names, drops, "eli5", model.kind,
                             perturbation_fraction)
@@ -347,14 +366,12 @@ def explain_skater_style(model: TrainedModel, train: Dataset, test: Dataset,
     """Entropy-perturbation relevance: mean absolute change of the binary
     prediction entropy when a feature column is shuffled."""
     _check_schema(model, test)
-    base_entropy = _binary_entropy(model.predict_proba(test.features))
-    m = test.n_features
-    scores = np.zeros(m)
-    for j, name in enumerate(test.feature_names):
-        for rep in range(cfg.repetitions):
-            x = _shuffled(test.features, j, rng_for(cfg.seed, "skater", name, rep))
-            ent = _binary_entropy(model.predict_proba(x))
-            scores[j] += float(np.mean(np.abs(ent - base_entropy)))
+    shuffles = _shuffles(test, cfg, "skater")
+    base, *proba = model.predict_blocks([test.features] + [x for _, x in shuffles])
+    base_entropy = _binary_entropy(base)
+    scores = np.zeros(test.n_features)
+    for (j, _), p in zip(shuffles, proba):
+        scores[j] += float(np.mean(np.abs(_binary_entropy(p) - base_entropy)))
     scores /= cfg.repetitions
     return rank_from_scores(test.feature_names, scores, "skater", model.kind,
                             perturbation_fraction)
@@ -374,12 +391,10 @@ def explain_exirt(model: TrainedModel, train: Dataset, test: Dataset,
     """
     _check_schema(model, test)
     y = test.labels
-    base_correct = model.predict(test.features) == y
-    rows, ids = [base_correct], ["original"]
-    for j, name in enumerate(test.feature_names):
-        x = _shuffled(test.features, j, rng_for(cfg.seed, "exirt", name))
-        rows.append(model.predict(x) == y)
-        ids.append(f"shuffled:{name}")
+    probes = [_shuffled(test.features, j, rng_for(cfg.seed, "exirt", name))
+              for j, name in enumerate(test.feature_names)]
+    rows = [labels_from_proba(p) == y for p in model.predict_blocks([test.features, *probes])]
+    base_correct = rows[0]
     for b in range(cfg.bootstrap_respondents):
         rng = rng_for(cfg.seed, "exirt-bootstrap", b)
         resample = rng.integers(0, test.n_rows, size=test.n_rows)
@@ -389,10 +404,7 @@ def explain_exirt(model: TrainedModel, train: Dataset, test: Dataset,
         selected = np.zeros(test.n_rows, dtype=bool)
         selected[np.unique(resample)] = True
         rows.append(selected & base_correct)
-        ids.append(f"bootstrap:{b}")
-    matrix = ResponseMatrix(np.array(rows), ids,
-                            tuple(f"item_{i}" for i in range(test.n_rows)))
-    fit = fit_3pl(matrix)
+    fit = fit_3pl(ResponseMatrix(np.array(rows)))
     theta = fit.abilities.theta  # rows: original, one probe per feature, bootstrap
     rank = rank_from_scores(test.feature_names, theta[0] - theta[1:1 + test.n_features],
                             "exirt", model.kind, perturbation_fraction)

@@ -82,8 +82,6 @@ class ResponseMatrix:
     """Binary correctness matrix U, shaped respondents x items."""
 
     entries: np.ndarray
-    respondent_ids: tuple
-    item_ids: tuple
 
     def __post_init__(self):
         x = np.asarray(self.entries)
@@ -98,10 +96,6 @@ class ResponseMatrix:
         u = x.astype(int)
         u.flags.writeable = False
         object.__setattr__(self, "entries", u)
-        object.__setattr__(self, "respondent_ids", tuple(self.respondent_ids))
-        object.__setattr__(self, "item_ids", tuple(self.item_ids))
-        if len(self.respondent_ids) != r or len(self.item_ids) != n:
-            raise IrtError("identifier counts must match the matrix shape")
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,17 @@ import numpy as np
 
 from ..data import Dataset, DatasetError, atomic_open
 from ..seeding import rng_for
-from ..metrics import labels_from_proba, roc_auc_score
+from ..metrics import roc_auc_score
 from .gbt import GradientBoostedTrees
 from .knn import KNearestNeighbors
 from .mlp import MultilayerPerceptron
 from .tree import DecisionTreeClassifier
 
 MODEL_KINDS = ("gbt", "mlp", "cart", "knn")
+
+# Kinds whose prediction for a row does not depend on the other rows of the
+# call, bit for bit.  The MLP's is not: BLAS blocks its matmuls by row count.
+ROW_EXACT = ("gbt", "cart", "knn")
 
 _MODEL_FORMAT_VERSION = 1
 
@@ -86,8 +90,14 @@ class TrainedModel:
             return predict_blends(self.predict_proba, features, background, z)
         return np.clip(self.estimator.predict_coalitions(features, background, z), 0.0, 1.0)
 
-    def predict(self, features) -> np.ndarray:
-        return labels_from_proba(self.predict_proba(features))
+    def predict_blocks(self, blocks) -> list:
+        """``[self.predict_proba(b) for b in blocks]``, in one estimator call
+        on the stacked blocks when the kind is ``ROW_EXACT``."""
+        blocks = [self._checked(b) for b in blocks]
+        if self.kind not in ROW_EXACT:
+            return [self.predict_proba(b) for b in blocks]
+        proba = self.predict_proba(np.concatenate(blocks))
+        return np.split(proba, np.cumsum([len(b) for b in blocks[:-1]]))
 
 
 def predict_blends(predict_proba, x, background, z) -> np.ndarray:
@@ -121,6 +131,20 @@ def stratified_kfold(labels, folds: int, seed: int):
     return out
 
 
+def _boosting_prefix(kind: str, params: dict, fitted: list):
+    """The gbt of ``params`` as the first trees of a longer fit in ``fitted``
+    with otherwise equal params, or None.  Boosting draws no random numbers,
+    so an n-round fit is the first n trees of any longer one, tree for tree."""
+    if kind != "gbt":
+        return None
+    n = params["n_rounds"]
+    for est in fitted:
+        prefix = dict(est.to_dict(), n_rounds=n)
+        if est.n_rounds >= n and all(prefix[k] == v for k, v in params.items()):
+            return GradientBoostedTrees.from_dict(dict(prefix, trees=est.trees_[:n]))
+    return None
+
+
 def train(kind: str, train_data: Dataset, folds: int, seed: int) -> TrainedModel:
     """Grid search over ``default_grids()[kind]`` by mean AUC across ``folds``
     stratified folds, then refit the winner on the full split.
@@ -136,12 +160,16 @@ def train(kind: str, train_data: Dataset, folds: int, seed: int) -> TrainedModel
         raise DatasetError("training data contains a single class")
     x = train_data.features
     splits = stratified_kfold(y, folds, seed)
+    fitted = [[] for _ in splits]  # each fold's tuning fits
     best_params, best_score = None, -np.inf
     for pi, params in enumerate(default_grids()[kind]):
         scores = []
         for fi, (tr, val) in enumerate(splits):
-            est = build_estimator(kind, params)
-            est.fit(x[tr], y[tr], rng=rng_for(seed, "cv", pi, fi))
+            est = _boosting_prefix(kind, params, fitted[fi])
+            if est is None:
+                est = build_estimator(kind, params)
+                est.fit(x[tr], y[tr], rng=rng_for(seed, "cv", pi, fi))
+                fitted[fi].append(est)
             scores.append(roc_auc_score(y[val], est.predict_proba(x[val])))
         mean_auc = float(np.mean(scores))
         if mean_auc > best_score + 1e-12:

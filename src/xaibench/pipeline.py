@@ -183,10 +183,10 @@ def stage_train(cfg: RunConfig) -> None:
         dataset = load_csv(cfg.dataset)
         if "shap" in cfg.explainers:  # refuse the budget before any fit
             shap_exact(dataset.n_features, cfg.coalition_budget)
+        train_raw, test_raw = split(dataset, cfg.train_fraction,
+                                    derive_seed(cfg.master_seed, "split"))
     except (datamod.DatasetError, ExplainerError) as exc:
         raise PipelineError("train", str(exc))
-    train_raw, test_raw = split(dataset, cfg.train_fraction,
-                                derive_seed(cfg.master_seed, "split"))
     # tuning and lofo fold the training split; each fold needs both classes
     smaller = min(train_raw.class_counts().values())
     if cfg.cv_folds > smaller:

@@ -81,8 +81,7 @@ def test_criterion_02_irt_parameter_recovery():
     theta = rng.uniform(-2.0, 2.0, r)
     p = p_correct(a, b, c, theta[:, None])
     u = (rng.random((r, n)) < p).astype(int)
-    matrix = ResponseMatrix(u, tuple(f"r{j}" for j in range(r)),
-                            tuple(f"i{i}" for i in range(n)))
+    matrix = ResponseMatrix(u)
     start = time.time()
     fit = fit_3pl(matrix)
     elapsed = time.time() - start

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from xaibench.data import Dataset
 from xaibench.explainers import (
+    DALEX_SUBSAMPLE,
     EXPLAINERS,
     ExplainerConfig,
     ExplainerError,
@@ -20,9 +21,11 @@ from xaibench.explainers import (
     lofo_refits,
     rank_from_scores,
     shapley_values,
+    _stratified_subsample,
 )
 from xaibench.irt import ResponseMatrix, fit_3pl, fit_to_dict
-from xaibench.models import stratified_kfold, train
+from xaibench.metrics import accuracy_score, labels_from_proba, roc_auc_score
+from xaibench.models import MODEL_KINDS, stratified_kfold, train
 from xaibench.models.training import build_estimator
 from xaibench.seeding import derive_seed, rng_for
 
@@ -39,28 +42,75 @@ def fitted():
     return model, train_data, test_data
 
 
+def ref_dalex(model, test, cfg):
+    """dalex with one predict_proba call per subsample and per inversion."""
+    col_mean = test.features.mean(axis=0)
+    drops = np.zeros(test.n_features)
+    for rep in range(cfg.repetitions):
+        idx = _stratified_subsample(test.labels, DALEX_SUBSAMPLE, rng_for(cfg.seed, "dalex", rep))
+        x, y = test.features[idx], test.labels[idx]
+        base_auc = roc_auc_score(y, model.predict_proba(x))
+        for j in range(test.n_features):
+            inv = np.array(x, copy=True)
+            inv[:, j] = 2.0 * col_mean[j] - inv[:, j]
+            drops[j] += base_auc - roc_auc_score(y, model.predict_proba(inv))
+    return rank_from_scores(test.feature_names, drops / cfg.repetitions, "dalex", model.kind)
+
+
+def ref_shuffled(test, j, rng):
+    x = np.array(test.features, copy=True)
+    x[:, j] = x[rng.permutation(test.n_rows), j]
+    return x
+
+
+def ref_eli5(model, test, cfg):
+    """eli5 with one predict_proba call per shuffle."""
+    y = test.labels
+    base_acc = accuracy_score(y, labels_from_proba(model.predict_proba(test.features)))
+    drops = np.zeros(test.n_features)
+    for j, name in enumerate(test.feature_names):
+        for rep in range(cfg.repetitions):
+            x = ref_shuffled(test, j, rng_for(cfg.seed, "eli5", name, rep))
+            drops[j] += base_acc - accuracy_score(y, labels_from_proba(model.predict_proba(x)))
+    return rank_from_scores(test.feature_names, drops / cfg.repetitions, "eli5", model.kind)
+
+
+def ref_skater(model, test, cfg):
+    """skater with one predict_proba call per shuffle."""
+    def entropy(p):
+        p = np.clip(p, 1e-12, 1 - 1e-12)
+        return -(p * np.log2(p) + (1 - p) * np.log2(1 - p))
+
+    base = entropy(model.predict_proba(test.features))
+    scores = np.zeros(test.n_features)
+    for j, name in enumerate(test.feature_names):
+        for rep in range(cfg.repetitions):
+            x = ref_shuffled(test, j, rng_for(cfg.seed, "skater", name, rep))
+            scores[j] += float(np.mean(np.abs(entropy(model.predict_proba(x)) - base)))
+    return rank_from_scores(test.feature_names, scores / cfg.repetitions, "skater", model.kind)
+
+
 def ref_exirt(model, test, cfg):
-    """eXirt built from label vectors: each respondent's 0/1 predictions,
-    scored against the test labels, and abilities looked up by respondent id."""
+    """eXirt built from label vectors: each respondent's 0/1 predictions, one
+    predict_proba call per respondent, scored against the test labels.  The
+    pool is the original model, one probe per feature, then the bootstrap
+    respondents, and abilities are read by that position."""
     y = test.labels
     base_labels = (model.predict_proba(test.features) >= 0.5).astype(int)
-    pool = [("original", base_labels)]
+    pool = [base_labels]
     for j, name in enumerate(test.feature_names):
-        x = np.array(test.features, copy=True)
-        x[:, j] = x[rng_for(cfg.seed, "exirt", name).permutation(test.n_rows), j]
-        pool.append((f"shuffled:{name}", (model.predict_proba(x) >= 0.5).astype(int)))
+        x = ref_shuffled(test, j, rng_for(cfg.seed, "exirt", name))
+        pool.append((model.predict_proba(x) >= 0.5).astype(int))
     base_correct = (base_labels == y).astype(int)
     for b in range(cfg.bootstrap_respondents):
         rng = rng_for(cfg.seed, "exirt-bootstrap", b)
         resample = rng.integers(0, test.n_rows, size=test.n_rows)
         selected = np.zeros(test.n_rows, dtype=bool)
         selected[np.unique(resample)] = True
-        pool.append((f"bootstrap:{b}", np.where(selected & (base_correct == 1), y, 1 - y)))
-    matrix = ResponseMatrix(np.array([(labels == y).astype(int) for _, labels in pool]),
-                            [rid for rid, _ in pool], [f"item_{i}" for i in range(len(y))])
-    fit = fit_3pl(matrix)
-    theta = dict(zip(matrix.respondent_ids, fit.abilities.theta))
-    scores = [theta["original"] - theta[f"shuffled:{name}"] for name in test.feature_names]
+        pool.append(np.where(selected & (base_correct == 1), y, 1 - y))
+    fit = fit_3pl(ResponseMatrix(np.array([(labels == y).astype(int) for labels in pool])))
+    theta = fit.abilities.theta
+    scores = [theta[0] - theta[1 + j] for j in range(test.n_features)]
     return rank_from_scores(test.feature_names, scores, "exirt", model.kind), fit
 
 
@@ -260,7 +310,8 @@ class TestRankers:
         assert len(fit.abilities.theta) == 1 + test_data.n_features + 5
         assert rank.explainer == "exirt"
 
-    @pytest.mark.parametrize("kind, bootstrap", [("gbt", 3), ("knn", 20)])
+    @pytest.mark.parametrize("kind, bootstrap", [("gbt", 3), ("knn", 20), ("cart", 4),
+                                                 ("mlp", 4)])
     def test_exirt_matches_the_label_vector_reference(self, fitted, kind, bootstrap):
         _, train_data, test_data = fitted
         # knn misses some test rows, so bootstrap rows differ from plain selections
@@ -270,6 +321,17 @@ class TestRankers:
         want_rank, want_fit = ref_exirt(model, test_data, cfg)
         assert rank == want_rank
         assert fit_to_dict(fit) == fit_to_dict(want_fit)
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_batched_explainers_equal_a_predict_call_per_variant(self, fitted, kind):
+        # gbt, cart and knn score every variant in one stacked call, mlp one per block
+        _, train_data, test_data = fitted
+        model = train(kind, train_data, 4, seed=19)
+        cfg = ExplainerConfig(seed=13, repetitions=3)
+        for explain, ref in ((explain_dalex_style, ref_dalex), (explain_eli5_style, ref_eli5),
+                             (explain_skater_style, ref_skater)):
+            assert (explain(model, train_data, test_data, cfg).as_dict()
+                    == ref(model, test_data, cfg).as_dict()), explain.__name__
 
     def test_exirt_ignored_feature_scores_zero(self):
         rng = np.random.default_rng(6)

@@ -60,9 +60,9 @@ class TestPCorrect:
 class TestResponseMatrix:
     def test_validation(self):
         with pytest.raises(IrtError):
-            ResponseMatrix(np.array([[0, 2], [1, 0]]), ("a", "b"), ("i0", "i1"))
+            ResponseMatrix(np.array([[0, 2], [1, 0]]))
         with pytest.raises(IrtError):
-            ResponseMatrix(np.array([[0, 1]]), ("a",), ("i0", "i1"))
+            ResponseMatrix(np.array([[0, 1]]))
 
     @pytest.mark.parametrize("entries", [[[0.7, 1.0], [1.9, 0.0]],
                                          [[0.0, 1.0], [np.nan, 0.0]],
@@ -72,12 +72,12 @@ class TestResponseMatrix:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(IrtError, match="binary"):
-                ResponseMatrix(entries, ("a", "b"), ("i0", "i1"))
+                ResponseMatrix(entries)
 
     def test_bool_and_float_binary_entries_become_read_only_ints(self):
         given = np.array([[1.0, 0.0], [0.0, 1.0]])
         for entries in (given, given.astype(bool)):
-            m = ResponseMatrix(entries, ("a", "b"), ("i0", "i1"))
+            m = ResponseMatrix(entries)
             assert m.entries.dtype == int
             assert m.entries.tolist() == [[1, 0], [0, 1]]
             assert not m.entries.flags.writeable
@@ -92,8 +92,7 @@ def simulated_matrix(r=60, n=40, seed=5):
     theta = rng.uniform(-2.0, 2.0, r)
     p = p_correct(a, b, c, theta[:, None])
     u = (rng.random((r, n)) < p).astype(int)
-    return ResponseMatrix(u, tuple(f"r{j}" for j in range(r)),
-                          tuple(f"i{i}" for i in range(n))), theta
+    return ResponseMatrix(u), theta
 
 
 class TestFit3pl:
@@ -127,7 +126,7 @@ class TestFit3pl:
     def test_degenerate_rows_keep_shape(self):
         u = np.vstack([np.ones(6, dtype=int), np.zeros(6, dtype=int),
                        np.array([1, 0, 1, 0, 1, 0])])
-        m = ResponseMatrix(u, ("all1", "all0", "mix"), tuple(f"i{i}" for i in range(6)))
+        m = ResponseMatrix(u)
         fit = fit_3pl(m)
         assert fit.items.a.shape == (6,)
         assert fit.abilities.theta.shape == (3,)

@@ -271,7 +271,7 @@ def response_matrices(draw):
         u[i, :] = draw(st.integers(0, 1))
     for j in draw(st.lists(st.integers(0, n - 1), max_size=3)):
         u[:, j] = draw(st.integers(0, 1))
-    return ResponseMatrix(u, [f"r{i}" for i in range(r)], [f"i{j}" for j in range(n)])
+    return ResponseMatrix(u)
 
 
 def recording(scan, rows):
@@ -314,7 +314,7 @@ def test_fit_3pl_matches_reference_at_exirt_shapes(r, n, seed):
     u = (rng.random((r, n)) < rng.uniform(0.2, 0.95, n)).astype(int)
     u[:, 3], u[:, 4] = 0, 1  # degenerate items
     u[1, :], u[2, :] = 0, 1  # degenerate respondents
-    responses = ResponseMatrix(u, [f"r{i}" for i in range(r)], [f"i{j}" for j in range(n)])
+    responses = ResponseMatrix(u)
     assert_fit_3pl_matches_reference(responses, 2)
 
 

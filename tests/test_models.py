@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from xaibench.data import Dataset, DatasetError
 from xaibench.metrics import roc_auc_score
@@ -17,7 +18,10 @@ from xaibench.models import (
     stratified_kfold,
     train,
 )
-from xaibench.models.training import TrainedModel, predict_blends
+from xaibench.models.training import ROW_EXACT, TrainedModel, build_estimator, predict_blends
+from xaibench.seeding import rng_for
+
+from conftest import make_signal_noise_dataset
 
 
 class Overshoot:
@@ -32,6 +36,43 @@ class OvershootCoalitions(Overshoot):
 
     def predict_coalitions(self, x, background, z):
         return predict_blends(self.predict_proba, x, background, z)
+
+
+class CountingOvershoot(Overshoot):
+    """Overshoot that records the row count of each call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def predict_proba(self, x):
+        self.calls.append(len(x))
+        return super().predict_proba(x)
+
+
+def ref_train(kind, train_data, folds, seed):
+    """``train`` with a fit per grid candidate and fold."""
+    y, x = train_data.labels, train_data.features
+    splits = stratified_kfold(y, folds, seed)
+    best_params, best_score = None, -np.inf
+    for pi, params in enumerate(default_grids()[kind]):
+        scores = []
+        for fi, (tr, val) in enumerate(splits):
+            est = build_estimator(kind, params)
+            est.fit(x[tr], y[tr], rng=rng_for(seed, "cv", pi, fi))
+            scores.append(roc_auc_score(y[val], est.predict_proba(x[val])))
+        mean_auc = float(np.mean(scores))
+        if mean_auc > best_score + 1e-12:
+            best_score, best_params = mean_auc, params
+    est = build_estimator(kind, best_params)
+    est.fit(x, y, rng=rng_for(seed, "final"))
+    return TrainedModel(kind, est, train_data.n_features, train_data.feature_names, seed,
+                        dict(best_params), best_score)
+
+
+@pytest.fixture(scope="module")
+def trained_kinds():
+    data = make_signal_noise_dataset()
+    return data, {kind: train(kind, data, 4, seed=11) for kind in MODEL_KINDS}
 
 
 def separable(n=200, seed=0):
@@ -214,6 +255,46 @@ class TestTrain:
         assert got.tobytes() == model.predict_proba(blends.reshape(-1, 2)).reshape(2, 4).tobytes()
         with pytest.raises(DatasetError, match="expects 2 features, got 3"):
             model.predict_coalitions(np.ones((2, 3)), np.ones(3), np.ones((1, 3)))
+
+    @pytest.mark.parametrize("seed, winner", [(0, {"n_rounds": 100, "max_depth": 3}),
+                                              (2, {"n_rounds": 50, "max_depth": 3}),
+                                              (1, {"n_rounds": 100, "max_depth": 2})])
+    def test_gbt_tuning_by_prefix_equals_a_fit_per_candidate(self, seed, winner):
+        # the 50-round candidate is scored from the 100-round fit's first trees
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(80, 3))
+        data = Dataset(x, (x[:, 0] + rng.normal(size=80) > 0).astype(int), ("a", "b", "c"))
+        got, want = train("gbt", data, 3, seed), ref_train("gbt", data, 3, seed)
+        assert got.hyperparams == dict(winner, learning_rate=0.1) == want.hyperparams
+        assert got.cv_score.hex() == want.cv_score.hex()
+        assert got.estimator.to_dict() == want.estimator.to_dict()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(MODEL_KINDS),
+           st.lists(st.one_of(st.just(1), st.integers(1, 300)), min_size=1, max_size=6),
+           st.integers(0, 2 ** 32 - 1))
+    def test_predict_blocks_equals_a_call_per_block(self, trained_kinds, kind, sizes, seed):
+        # blocks over 256 rows cross knn's distance chunks at other offsets
+        data, models = trained_kinds
+        rng = np.random.default_rng(seed)
+        blocks = [data.features[rng.integers(0, data.n_rows, n)] for n in sizes]
+        for x in blocks[::2]:  # shuffled and off-grid values, as explainers make
+            x[:, rng.integers(x.shape[1])] = rng.normal(size=len(x)) * 3.0
+        got = models[kind].predict_blocks(blocks)
+        assert len(got) == len(blocks)
+        for proba, x in zip(got, blocks):
+            assert proba.tobytes() == models[kind].predict_proba(x).tobytes()
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_predict_blocks_stacks_only_row_exact_kinds(self, kind):
+        estimator = CountingOvershoot()
+        model = TrainedModel(kind, estimator, 2, ("a", "b"), 0, {}, 0.5)
+        blocks = [[[0.25, 0.5], [-2.0, 3.0]], [[0.5, 0.25]], [[1.0, 1.0], [0.0, 0.0]]]
+        got = model.predict_blocks(blocks)
+        assert [p.tolist() for p in got] == [[0.75, 1.0], [0.75], [1.0, 0.0]]
+        assert estimator.calls == ([5] if kind in ROW_EXACT else [2, 1, 2])
+        with pytest.raises(DatasetError, match="expects 2 features, got 3"):
+            model.predict_blocks([np.ones((1, 2)), np.ones((1, 3))])
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_save_load_round_trip(self, kind, tmp_path, signal_noise_data):

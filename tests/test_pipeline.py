@@ -212,6 +212,15 @@ class TestRunAll:
         run_stage(dataclasses.replace(cfg, cv_folds=6), "train")  # one positive per fold
         assert (tmp_path / "out" / "models" / "cart.json").exists()
 
+    def test_train_refuses_a_class_split_cannot_stratify_before_any_write(self, tmp_path):
+        path = tmp_path / "one_positive.csv"
+        save_csv(make_synthetic_diabetes(seed=29, n_rows=30, n_positive=1), path)
+        cfg = RunConfig(dataset=str(path), out_dir=str(tmp_path / "out"), models=("cart",),
+                        explainers=("eli5",))
+        with pytest.raises(PipelineError, match=r"\[train\] class 1 has fewer than 2 members"):
+            run_stage(cfg, "train")
+        assert not (tmp_path / "out").exists()
+
     def test_mixed_configs_are_refused(self, completed_run):
         cfg, _, _ = completed_run
         other = dataclasses.replace(cfg, master_seed=cfg.master_seed + 1)
