@@ -159,8 +159,9 @@ def load_csv(path) -> Dataset:
                 except ValueError:
                     raise DatasetError(
                         f"non-numeric cell at row {r}, column {c + 1} ({header[c]!r}): {cell!r}")
-                if math.isnan(v):
-                    raise DatasetError(f"missing value at row {r}, column {c + 1} ({header[c]!r})")
+                if not math.isfinite(v):
+                    what = "missing" if math.isnan(v) else "infinite"
+                    raise DatasetError(f"{what} value at row {r}, column {c + 1} ({header[c]!r})")
                 vals.append(v)
             label = vals[-1]
             if label not in (0.0, 1.0):

@@ -169,27 +169,32 @@ def explain_dalex_style(model: TrainedModel, train: Dataset, test: Dataset,
                             perturbation_fraction)
 
 
-def _shuffles(test: Dataset, cfg: ExplainerConfig, stream: str):
-    """(j, copy of the test features with column j shuffled), feature-major:
-    ``cfg.repetitions`` shuffles of each feature, each from its own stream."""
-    return [(j, _shuffled(test.features, j, rng_for(cfg.seed, stream, name, rep)))
-            for j, name in enumerate(test.feature_names) for rep in range(cfg.repetitions)]
+def _shuffle_relevance(model: TrainedModel, test: Dataset, cfg: ExplainerConfig,
+                       explainer: str, scorer, perturbation_fraction) -> RelevanceRank:
+    """Per-feature column-shuffle relevance: ``cfg.repetitions`` shuffles of
+    each feature, each from its own stream, all predicted in one call.
+    ``scorer(base)`` takes the unshuffled predictions and returns the score
+    of one shuffled copy's predictions; a feature's relevance is its mean."""
+    _check_schema(model, test)
+    shuffles = [(j, _shuffled(test.features, j, rng_for(cfg.seed, explainer, name, rep)))
+                for j, name in enumerate(test.feature_names) for rep in range(cfg.repetitions)]
+    base, *proba = model.predict_blocks([test.features] + [x for _, x in shuffles])
+    score = scorer(base)
+    scores = np.zeros(test.n_features)
+    for (j, _), p in zip(shuffles, proba):
+        scores[j] += score(p)
+    scores /= cfg.repetitions
+    return rank_from_scores(test.feature_names, scores, explainer, model.kind,
+                            perturbation_fraction)
 
 
 def explain_eli5_style(model: TrainedModel, train: Dataset, test: Dataset,
                        cfg: ExplainerConfig, perturbation_fraction=0.0) -> RelevanceRank:
     """Mean decrease accuracy under per-feature column shuffles."""
-    _check_schema(model, test)
-    y = test.labels
-    shuffles = _shuffles(test, cfg, "eli5")
-    base, *proba = model.predict_blocks([test.features] + [x for _, x in shuffles])
-    base_acc = accuracy_score(y, labels_from_proba(base))
-    drops = np.zeros(test.n_features)
-    for (j, _), p in zip(shuffles, proba):
-        drops[j] += base_acc - accuracy_score(y, labels_from_proba(p))
-    drops /= cfg.repetitions
-    return rank_from_scores(test.feature_names, drops, "eli5", model.kind,
-                            perturbation_fraction)
+    def drop(base):
+        base_acc = accuracy_score(test.labels, labels_from_proba(base))
+        return lambda p: base_acc - accuracy_score(test.labels, labels_from_proba(p))
+    return _shuffle_relevance(model, test, cfg, "eli5", drop, perturbation_fraction)
 
 
 def lofo_refits(model: TrainedModel, train: Dataset, cfg: ExplainerConfig) -> list:
@@ -365,16 +370,11 @@ def explain_skater_style(model: TrainedModel, train: Dataset, test: Dataset,
                          cfg: ExplainerConfig, perturbation_fraction=0.0) -> RelevanceRank:
     """Entropy-perturbation relevance: mean absolute change of the binary
     prediction entropy when a feature column is shuffled."""
-    _check_schema(model, test)
-    shuffles = _shuffles(test, cfg, "skater")
-    base, *proba = model.predict_blocks([test.features] + [x for _, x in shuffles])
-    base_entropy = _binary_entropy(base)
-    scores = np.zeros(test.n_features)
-    for (j, _), p in zip(shuffles, proba):
-        scores[j] += float(np.mean(np.abs(_binary_entropy(p) - base_entropy)))
-    scores /= cfg.repetitions
-    return rank_from_scores(test.feature_names, scores, "skater", model.kind,
-                            perturbation_fraction)
+    def entropy_change(base):
+        base_entropy = _binary_entropy(base)
+        return lambda p: float(np.mean(np.abs(_binary_entropy(p) - base_entropy)))
+    return _shuffle_relevance(model, test, cfg, "skater", entropy_change,
+                              perturbation_fraction)
 
 
 def explain_exirt(model: TrainedModel, train: Dataset, test: Dataset,

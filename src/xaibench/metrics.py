@@ -3,7 +3,7 @@ rank-based ROC AUC with the Mann-Whitney tie convention."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -19,13 +19,7 @@ class MetricReport:
     roc_auc: float
 
     def as_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "roc_auc": self.roc_auc,
-        }
+        return asdict(self)
 
 
 def labels_from_proba(proba: np.ndarray) -> np.ndarray:

@@ -192,6 +192,12 @@ def stage_train(cfg: RunConfig) -> None:
     if cfg.cv_folds > smaller:
         raise PipelineError("train", f"cv_folds={cfg.cv_folds} exceeds the smaller "
                                      f"training class count {smaller}")
+    # a one-class test split gives every AUC the 0.5 fallback and every
+    # dalex and eli5 score 0, so the run would "succeed" with no signal
+    absent = [c for c, n in test_raw.class_counts().items() if n == 0]
+    if absent:
+        raise PipelineError("train", f"the test split has no rows of class {absent[0]}; "
+                                     f"lower train_fraction={cfg.train_fraction}")
     stats = zscore_fit(train_raw)
     train_std = zscore_apply(train_raw, stats)
     os.makedirs(_path(cfg, "prepared"), exist_ok=True)

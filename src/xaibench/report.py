@@ -1,5 +1,6 @@
 """Deterministic artifact rendering: ICC plots, bump charts and p-value
-heatmaps as standalone SVG, plus the consolidated machine-readable report.
+heatmaps as standalone SVG, plus report.json, the one written copy of every
+report table (metrics, reliability, ranks, stability and the post-hoc tests).
 
 Rendering is a pure function of its inputs; equal inputs give byte-identical
 documents.  Colors follow the ICC convention: green for positive
@@ -8,7 +9,6 @@ discrimination, red for negative, thick black for the pointwise average.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 from dataclasses import asdict, dataclass, field
@@ -246,9 +246,9 @@ def check_slots(config: dict, metrics: dict, reliability: dict, ranks) -> None:
 
 
 def write_report(r: RunReport, out_dir) -> None:
-    """Emit report.json, the CSV side tables and the SVG set for a report
-    whose slots :func:`check_slots` accepted.  Byte-identical across runs
-    with equal config and seeds."""
+    """Emit report.json and the SVG set for a report whose slots
+    :func:`check_slots` accepted.  Byte-identical across runs with equal
+    config and seeds."""
     os.makedirs(out_dir, exist_ok=True)
 
     def path(name):
@@ -258,41 +258,7 @@ def write_report(r: RunReport, out_dir) -> None:
         json.dump(report_to_dict(r), fh, sort_keys=True, indent=2)
         fh.write("\n")
 
-    with atomic_open(path("metrics.csv"), newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "level", "accuracy", "precision", "recall",
-                         "f1", "roc_auc"])
-        for kind in sorted(r.metrics):
-            for lvl in sorted(r.metrics[kind], key=int):
-                m = r.metrics[kind][lvl]
-                writer.writerow([kind, lvl, repr(m.accuracy), repr(m.precision),
-                                 repr(m.recall), repr(m.f1), repr(m.roc_auc)])
-
-    with atomic_open(path("ranks.csv"), newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["explainer", "model", "perturbation", "position",
-                         "feature", "score"])
-        for rk in sorted(r.ranks, key=lambda k: (k.explainer, k.model_kind,
-                                                 k.perturbation_fraction)):
-            for pos, (feat, score) in enumerate(zip(rk.ordered_features, rk.scores), 1):
-                writer.writerow([rk.explainer, rk.model_kind,
-                                 level_key(rk.perturbation_fraction), pos, feat,
-                                 repr(score)])
-
-    with atomic_open(path("stability.csv"), newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["explainer", "model", "fraction", "rho", "sum"])
-        for rec in sorted(r.stability, key=lambda s: (s.explainer, s.model_kind)):
-            for f in sorted(rec.rho_by_fraction):
-                writer.writerow([rec.explainer, rec.model_kind, level_key(f),
-                                 repr(rec.rho_by_fraction[f]), repr(rec.sum)])
-
     if r.nemenyi is not None:
-        with atomic_open(path("nemenyi.csv"), newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([""] + list(r.nemenyi.labels))
-            for label, row in zip(r.nemenyi.labels, r.nemenyi.p):
-                writer.writerow([label] + [repr(float(v)) for v in row])
         with atomic_open(path("heatmap.svg")) as fh:
             fh.write(render_heatmap_svg(r.nemenyi))
 

@@ -82,9 +82,10 @@ class TestCsvRoundTrip:
 
     def test_non_numeric_cell_names_row_and_column(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("x,y,class\n1,2,0\n1,oops,1\n")
-        with pytest.raises(DatasetError, match=r"row 3, column 2"):
-            load_csv(path)
+        for cell in ("oops", "inf", "-inf", "nan"):
+            path.write_text(f"x,y,class\n1,2,0\n1,{cell},1\n")
+            with pytest.raises(DatasetError, match=r"row 3, column 2"):
+                load_csv(path)
 
     def test_ragged_row(self, tmp_path):
         path = tmp_path / "ragged.csv"

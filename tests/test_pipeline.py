@@ -98,13 +98,13 @@ class TestRunAll:
         _, _, out_dir = completed_run
         for rel in ("prepared/train.csv", "prepared/test_raw.csv",
                     "prepared/stats.json", "models/cart.json",
-                    "metrics.json", "ranks.json", "report.json",
-                    "metrics.csv", "ranks.csv", "stability.csv",
-                    "nemenyi.csv", "heatmap.svg",
+                    "metrics.json", "ranks.json", "report.json", "heatmap.svg",
                     "icc_cart_0.svg", "bump_eli5_cart.svg", "irt/fit_cart_0.json"):
             assert os.path.exists(os.path.join(out_dir, rel)), rel
-        # cheap to recompute, so only report.json carries them
-        for rel in ("variants", "reliability.json", "stability.json", "statstest.json"):
+        # cheap to recompute, or already a report.json section, so only
+        # report.json carries them
+        for rel in ("variants", "reliability.json", "stability.json", "statstest.json",
+                    "metrics.csv", "ranks.csv", "stability.csv", "nemenyi.csv"):
             assert not os.path.exists(os.path.join(out_dir, rel)), rel
         assert not [n for n in os.listdir(os.path.join(out_dir, "irt"))
                     if n.startswith("icc_")]
@@ -221,6 +221,18 @@ class TestRunAll:
             run_stage(cfg, "train")
         assert not (tmp_path / "out").exists()
 
+    def test_train_refuses_a_test_split_without_a_class_before_any_write(self, tmp_path):
+        # 30 rows with 2 positives: train_fraction=0.9 puts both in training,
+        # so every AUC would read the single-class 0.5 and dalex/eli5 score 0
+        path = tmp_path / "two_positives.csv"
+        save_csv(make_synthetic_diabetes(seed=29, n_rows=30, n_positive=2), path)
+        cfg = RunConfig(dataset=str(path), out_dir=str(tmp_path / "out"), models=("cart",),
+                        explainers=("dalex", "eli5"), train_fraction=0.9, cv_folds=2)
+        with pytest.raises(PipelineError, match=r"\[train\] the test split has no rows "
+                                                r"of class 1"):
+            run_stage(cfg, "train")
+        assert not (tmp_path / "out").exists()
+
     def test_mixed_configs_are_refused(self, completed_run):
         cfg, _, _ = completed_run
         other = dataclasses.replace(cfg, master_seed=cfg.master_seed + 1)
@@ -304,16 +316,39 @@ class TestArtifactWrites:
 
 
 class TestTracerHooks:
-    def test_tracer_installs(self):
+    def test_tracer_installs(self, tmp_path):
         """The benchmark tracer rebinds names in xaibench.pipeline and
-        xaibench.report; a renamed or dropped import fails here."""
+        xaibench.report, and its worker imports level_key from
+        xaibench.report.  A renamed or dropped import fails here, and so
+        does a stage that stops calling through a traced name: each
+        explainer and the report writer must record time in a traced run."""
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        code = ("import sys; sys.path[:0] = sys.argv[1:]; "
-                "import tracing; tracing.install(tracing.Tracer())")
+        path = tmp_path / "data.csv"
+        save_csv(make_synthetic_diabetes(seed=29, n_rows=120, n_positive=42), path)
+        code = "\n".join((
+            "import json, sys",
+            "sys.path[:0] = sys.argv[1:3]",
+            "import tracing",
+            "from xaibench.pipeline import STAGES, RunConfig, run_stage",
+            "from xaibench.report import level_key",
+            "tracer = tracing.Tracer()",
+            "tracing.install(tracer)",
+            "cfg = RunConfig(dataset=sys.argv[3], out_dir=sys.argv[4], models=('cart', 'knn'),",
+            "                fractions=(0.0, 0.1), cv_folds=2, coalition_budget=64)",
+            "for stage in STAGES:",
+            "    with tracer.span('pipeline.' + stage):",
+            "        run_stage(cfg, stage)",
+            "print(json.dumps(tracing.layer_metrics(tracer.spans, tracer.counts)))",
+        ))
         proc = subprocess.run([sys.executable, "-c", code, os.path.join(root, "src"),
-                               os.path.join(root, "bench")],
+                               os.path.join(root, "bench"), str(path),
+                               str(tmp_path / "out")],
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
+        layers = json.loads(proc.stdout)
+        timed = [k for k in layers if k.startswith("explainers.")] + ["report.write_report_s"]
+        assert len(timed) == 7
+        assert {k: layers[k] for k in timed if not layers[k] > 0} == {}
 
 
 class TestStageComposition:

@@ -11,6 +11,7 @@ from xaibench import report
 from xaibench.data import level_key as data_level_key
 from xaibench.explainers import RelevanceRank
 from xaibench.irt import ItemParameters, ReliabilitySummary, default_theta_grid, icc
+from xaibench.metrics import MetricReport
 from xaibench.report import (
     GREEN,
     RED,
@@ -193,8 +194,16 @@ names = st.text(min_size=1, max_size=8)
 
 class TestRecordRoundTrips:
     """Each record type has one serializer, and what it writes survives the
-    JSON text of report.json; RelevanceRank, which the report stage reads
-    back from ranks.json, also round-trips."""
+    JSON text of report.json; RelevanceRank and MetricReport, which the
+    report stage reads back from ranks.json and metrics.json, also
+    round-trip."""
+
+    @given(finite, finite, finite, finite, finite)
+    def test_metric_report(self, accuracy, precision, recall, f1, roc_auc):
+        m = MetricReport(accuracy, precision, recall, f1, roc_auc)
+        d = m.as_dict()
+        assert list(d) == ["accuracy", "precision", "recall", "f1", "roc_auc"]
+        assert MetricReport(**through_json(d)) == m
 
     @given(st.lists(names, min_size=1, max_size=6, unique=True), st.data(),
            names, names, st.floats(0.0, 1.0), st.booleans())
