@@ -13,7 +13,7 @@ import sys
 
 from . import __version__
 from .data import PERTURBATION_KINDS
-from .datasets import write_synthetic_diabetes
+from .datasets import DEFAULT_SEED, write_synthetic_diabetes
 from .explainers import EXPLAINERS
 from .models import MODEL_KINDS
 from .pipeline import STAGES, PipelineError, RunConfig, run_all, run_stage
@@ -94,7 +94,7 @@ def make_parser() -> argparse.ArgumentParser:
         _add_common_flags(sp)
     synth = sub.add_parser("synth-data", help="write the bundled synthetic dataset")
     synth.add_argument("--out", required=True, help="CSV path to write")
-    synth.add_argument("--seed", type=int, default=None)
+    synth.add_argument("--seed", type=int, default=DEFAULT_SEED)
     return parser
 
 
@@ -103,10 +103,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "synth-data":
-            if args.seed is None:
-                write_synthetic_diabetes(args.out)
-            else:
-                write_synthetic_diabetes(args.out, seed=args.seed)
+            write_synthetic_diabetes(args.out, seed=args.seed)
             return 0
         cfg = build_config(args)
         if args.command == "run":

@@ -405,7 +405,7 @@ def explain_exirt(model: TrainedModel, train: Dataset, test: Dataset,
         selected[np.unique(resample)] = True
         rows.append(selected & base_correct)
     fit = fit_3pl(ResponseMatrix(np.array(rows)))
-    theta = fit.abilities.theta  # rows: original, one probe per feature, bootstrap
+    theta = fit.theta  # rows: original, one probe per feature, bootstrap
     rank = rank_from_scores(test.feature_names, theta[0] - theta[1:1 + test.n_features],
                             "exirt", model.kind, perturbation_fraction)
     return rank, fit

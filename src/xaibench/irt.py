@@ -99,13 +99,22 @@ class ResponseMatrix:
 
 
 @dataclass(frozen=True)
-class ItemParameters:
+class IrtFit:
+    """Item parameters, abilities and the fit's trace; each vector is
+    read-only and inside its box bounds."""
+
     a: np.ndarray  # discrimination
     b: np.ndarray  # difficulty
     c: np.ndarray  # guessing
+    theta: np.ndarray  # ability
+    log_likelihood: float  # final penalized objective
+    history: tuple  # objective after each outer iteration, non-decreasing
+    iterations: int
+    converged: bool
 
     def __post_init__(self):
-        for name, bounds in (("a", A_BOUNDS), ("b", B_BOUNDS), ("c", C_BOUNDS)):
+        for name, bounds in (("a", A_BOUNDS), ("b", B_BOUNDS), ("c", C_BOUNDS),
+                             ("theta", THETA_BOUNDS)):
             v = np.array(getattr(self, name), dtype=float)
             v.flags.writeable = False
             object.__setattr__(self, name, v)
@@ -114,29 +123,7 @@ class ItemParameters:
             if np.any(v < bounds[0] - 1e-9) or np.any(v > bounds[1] + 1e-9):
                 raise IrtError(f"{name} outside bounds {bounds}")
         if not (len(self.a) == len(self.b) == len(self.c)):
-            raise IrtError("parameter vectors must share a length")
-
-
-@dataclass(frozen=True)
-class Abilities:
-    theta: np.ndarray
-
-    def __post_init__(self):
-        v = np.array(self.theta, dtype=float)
-        v.flags.writeable = False
-        object.__setattr__(self, "theta", v)
-        if np.any(v < THETA_BOUNDS[0] - 1e-9) or np.any(v > THETA_BOUNDS[1] + 1e-9):
-            raise IrtError(f"theta outside bounds {THETA_BOUNDS}")
-
-
-@dataclass(frozen=True)
-class IrtFit:
-    items: ItemParameters
-    abilities: Abilities
-    log_likelihood: float  # final penalized objective
-    history: tuple  # objective after each outer iteration, non-decreasing
-    iterations: int
-    converged: bool
+            raise IrtError("item parameter vectors must share a length")
 
 
 @dataclass(frozen=True)
@@ -269,8 +256,7 @@ def fit_3pl(responses: ResponseMatrix, max_outer: int = MAX_OUTER) -> IrtFit:
             break
         prev = cur
     return IrtFit(
-        items=ItemParameters(a, b, c),
-        abilities=Abilities(theta),
+        a, b, c, theta,
         log_likelihood=history[-1],
         history=tuple(history),
         iterations=iterations,
@@ -282,23 +268,23 @@ def default_theta_grid() -> np.ndarray:
     return np.linspace(THETA_BOUNDS[0], THETA_BOUNDS[1], 161)
 
 
-def icc(items: ItemParameters, theta_grid) -> np.ndarray:
-    """Characteristic curves over an ascending ability grid, one row per
-    item: an (N, G) array of hit probabilities."""
+def icc(a, b, c, theta_grid) -> np.ndarray:
+    """Characteristic curves of the items with parameter vectors a, b, c over
+    an ascending ability grid, one row per item: an (N, G) array of hit
+    probabilities."""
     grid = np.asarray(theta_grid, dtype=float)
     if np.any(np.diff(grid) <= 0):
         raise IrtError("theta grid must be strictly ascending")
-    return p_correct(items.a[:, None], items.b[:, None], items.c[:, None], grid)
+    return p_correct(a[:, None], b[:, None], c[:, None], grid)
 
 
 def summarize(fit: IrtFit) -> ReliabilitySummary:
-    items = fit.items
     return ReliabilitySummary(
-        mean_difficulty=float(np.mean(items.b)),
-        mean_discrimination=float(np.mean(items.a)),
-        mean_guessing=float(np.mean(items.c)),
-        mean_ability=float(np.mean(fit.abilities.theta)),
-        negative_item_count=int(np.sum(items.a < 0)),
+        mean_difficulty=float(np.mean(fit.b)),
+        mean_discrimination=float(np.mean(fit.a)),
+        mean_guessing=float(np.mean(fit.c)),
+        mean_ability=float(np.mean(fit.theta)),
+        negative_item_count=int(np.sum(fit.a < 0)),
     )
 
 
@@ -338,10 +324,10 @@ def reliability_compare(x: ReliabilitySummary, y: ReliabilitySummary,
 
 def fit_to_dict(fit: IrtFit) -> dict:
     return {
-        "a": fit.items.a.tolist(),
-        "b": fit.items.b.tolist(),
-        "c": fit.items.c.tolist(),
-        "theta": fit.abilities.theta.tolist(),
+        "a": fit.a.tolist(),
+        "b": fit.b.tolist(),
+        "c": fit.c.tolist(),
+        "theta": fit.theta.tolist(),
         "log_likelihood": fit.log_likelihood,
         "history": list(fit.history),
         "iterations": fit.iterations,
@@ -350,11 +336,5 @@ def fit_to_dict(fit: IrtFit) -> dict:
 
 
 def fit_from_dict(d: dict) -> IrtFit:
-    return IrtFit(
-        items=ItemParameters(np.array(d["a"]), np.array(d["b"]), np.array(d["c"])),
-        abilities=Abilities(np.array(d["theta"])),
-        log_likelihood=d["log_likelihood"],
-        history=tuple(d["history"]),
-        iterations=d["iterations"],
-        converged=d["converged"],
-    )
+    """The fit that :func:`fit_to_dict` wrote; its keys are the field names."""
+    return IrtFit(**dict(d, history=tuple(d["history"])))

@@ -32,6 +32,15 @@ def accuracy_score(y_true, y_pred) -> float:
     return float(np.mean(y_true == y_pred))
 
 
+def average_ranks(values) -> np.ndarray:
+    """1-based ranks of a 1-D array, a tie group sharing its average rank:
+    half-integers, exact in float64, so equal to scipy's rankdata bit for
+    bit."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    return (ends - 0.5 * (counts - 1))[inverse]
+
+
 def roc_auc_score(y_true, proba) -> float:
     """Mann-Whitney AUC: P(score_pos > score_neg) + 0.5 P(equal).
 
@@ -43,11 +52,7 @@ def roc_auc_score(y_true, proba) -> float:
     n_neg = len(y_true) - n_pos
     if n_pos == 0 or n_neg == 0:
         return 0.5
-    # 1-based ranks, a tie group sharing its average rank: half-integers,
-    # exact in float64, so equal to scipy's rankdata bit for bit
-    _, inverse, counts = np.unique(proba, return_inverse=True, return_counts=True)
-    ends = np.cumsum(counts)
-    ranks = (ends - 0.5 * (counts - 1))[inverse]
+    ranks = average_ranks(proba)
     rank_sum_pos = float(np.sum(ranks[y_true == 1]))
     u = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)

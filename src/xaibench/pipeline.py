@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import json
+import numbers
 import os
 from dataclasses import asdict, dataclass
 
@@ -78,6 +79,12 @@ class RunConfig:
     master_seed: int = 7
 
     def __post_init__(self):
+        for name in ("cv_folds", "repetitions", "coalition_budget", "bootstrap_respondents",
+                     "master_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # numpy integers echo as JSON
         object.__setattr__(self, "fractions", tuple(float(f) for f in self.fractions))
         object.__setattr__(self, "models", tuple(self.models))
         object.__setattr__(self, "explainers", tuple(self.explainers))
@@ -276,22 +283,6 @@ def stage_explain(cfg: RunConfig) -> None:
     _write_json(_path(cfg, "ranks.json"), ranks)
 
 
-def _stability(cfg: RunConfig, ranks) -> list:
-    """Each (explainer, kind) pair's rho per nonzero level against its
-    level-0 rank."""
-    nonzero = tuple(sorted(f for f in cfg.fractions if f > 0))
-    records = []
-    if nonzero:
-        for explainer in cfg.explainers:
-            for kind in cfg.models:
-                group = [r for r in ranks
-                         if r.explainer == explainer and r.model_kind == kind]
-                baseline = next(r for r in group if r.perturbation_fraction == 0.0)
-                perturbed = [r for r in group if r.perturbation_fraction > 0]
-                records.append(stability_sum(baseline, perturbed, nonzero))
-    return records
-
-
 def _posthoc(cfg: RunConfig, metrics: dict):
     """Friedman test and Nemenyi matrix over the (kind, level) treatments,
     with the classification metrics as blocks; (None, None) below two
@@ -331,8 +322,8 @@ def stage_report(cfg: RunConfig) -> RunReport:
                 fit = fit_from_dict(_read_json(
                     _require(cfg, "report", "irt", f"fit_{kind}_{lvl}.json")))
                 reliability[kind][lvl] = summarize(fit)
-                curves[kind, lvl] = (grid, icc(fit.items, grid), fit.items.a < 0)
-    check_slots(cfg.echo(), metrics, reliability, ranks)
+                curves[kind, lvl] = (grid, icc(fit.a, fit.b, fit.c, grid), fit.a < 0)
+    pair_ranks = check_slots(cfg.echo(), metrics, ranks)  # level 0 first in each pair
     friedman_result, nem = _posthoc(cfg, metrics)
     report = RunReport(
         dataset_summary=meta["dataset"],
@@ -341,10 +332,11 @@ def stage_report(cfg: RunConfig) -> RunReport:
         metrics=metrics,
         reliability=reliability,
         ranks=ranks,
-        stability=_stability(cfg, ranks),
+        stability=[stability_sum(r) for r in pair_ranks.values() if len(r) > 1],
         friedman=friedman_result,
         nemenyi=nem,
         icc=curves,
+        bumps=pair_ranks,
     )
     write_report(report, cfg.out_dir)
     return report
@@ -364,10 +356,7 @@ def run_stage(cfg: RunConfig, stage: str):
 
 
 def run_all(cfg: RunConfig) -> RunReport:
-    """Execute every stage in order and return the consolidated report."""
-    report = None
+    """Execute every stage in order and return the report stage's report."""
     for stage in STAGES:
         result = run_stage(cfg, stage)
-        if stage == "report":
-            report = result
-    return report
+    return result  # report is the last stage

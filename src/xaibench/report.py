@@ -17,7 +17,6 @@ import numpy as np
 
 from .data import atomic_open, level_key
 from .irt import ReliabilitySummary
-from .stability import bump_chart_data
 from .stats import PosthocMatrix
 
 WIDTH = 800
@@ -113,25 +112,24 @@ def render_icc_svg(grid, curves, negative, summary: ReliabilitySummary,
     return "\n".join(parts)
 
 
-def render_bump_svg(table, record=None, title: str = "") -> str:
+def render_bump_svg(ranks, record=None, title: str = "") -> str:
     """Rank positions per feature across perturbation levels.
 
-    ``table`` is the long-form (fraction, feature, position) list produced
-    by bump_chart_data; ``record`` optionally supplies per-level Spearman
-    annotations and the correlation sum for the title.
+    ``ranks`` are one (explainer, model) pair's ranks in ascending level
+    order, as :func:`check_slots` returns them; ``record`` optionally
+    supplies per-level Spearman annotations and the correlation sum for the
+    title.
     """
-    fractions = sorted({row[0] for row in table})
-    features = sorted({row[1] for row in table})
-    if not fractions:
-        raise ReportError("empty bump table")
-    pos = {(f, feat): p for f, feat, p in table}
-    n_pos = max(p for _, _, p in table)
+    if not ranks:
+        raise ReportError("no ranks to chart")
+    positions = [rank.positions() for rank in ranks]
+    n_pos = len(positions[0])
     left, right, top, bottom = 150, 40, 60, 70
 
     def px(i):
-        if len(fractions) == 1:
+        if len(ranks) == 1:
             return left + (WIDTH - left - right) / 2
-        return left + i / (len(fractions) - 1) * (WIDTH - left - right)
+        return left + i / (len(ranks) - 1) * (WIDTH - left - right)
 
     def py(p):
         if n_pos == 1:
@@ -142,20 +140,17 @@ def render_bump_svg(table, record=None, title: str = "") -> str:
     if record is not None:
         full_title = (title + " " if title else "") + f"sum = {record.sum:.2f}"
     parts = _svg_open(full_title)
-    for i, f in enumerate(fractions):
+    for i, rank in enumerate(ranks):
+        f = rank.perturbation_fraction
         parts.append(_text(px(i), HEIGHT - bottom + 24, f"{f * 100:g}%", 11, "middle"))
         if record is not None and f in record.rho_by_fraction:
             parts.append(_text(px(i), HEIGHT - bottom + 42,
                                f"rho={record.rho_by_fraction[f]:.2f}", 10, "middle"))
-    for ci, feat in enumerate(features):
+    for ci, feat in enumerate(sorted(positions[0])):
         color = _PALETTE[ci % len(_PALETTE)]
-        pts = [(px(i), py(pos[(f, feat)])) for i, f in enumerate(fractions)
-               if (f, feat) in pos]
+        pts = [(px(i), py(pos[feat])) for i, pos in enumerate(positions)]
         parts.append(_polyline(_points(pts), color, 2.0))
-        first_f = fractions[0]
-        if (first_f, feat) in pos:
-            parts.append(_text(left - 8, py(pos[(first_f, feat)]) + 4, feat, 10,
-                               "end", color))
+        parts.append(_text(left - 8, py(positions[0][feat]) + 4, feat, 10, "end", color))
     parts.append(_text(WIDTH / 2, HEIGHT - 12, "perturbation level", 12, "middle"))
     parts.append("</svg>")
     return "\n".join(parts)
@@ -205,6 +200,7 @@ class RunReport:
     friedman: dict | None
     nemenyi: PosthocMatrix | None
     icc: dict = field(default_factory=dict)  # (kind, level) -> (grid, curves, negative)
+    bumps: dict = field(default_factory=dict)  # (explainer, kind) -> ranks, ascending level
 
 
 def report_to_dict(r: RunReport) -> dict:
@@ -223,26 +219,34 @@ def report_to_dict(r: RunReport) -> dict:
     }
 
 
-def check_slots(config: dict, metrics: dict, reliability: dict, ranks) -> None:
-    """Refuse a run whose metrics, reliability or ranks lack a configured
-    (explainer, model, level) slot, naming the first one missing."""
+def check_slots(config: dict, metrics: dict, ranks) -> dict:
+    """Refuse a run whose metrics or ranks lack a configured (explainer,
+    model, level) slot, or whose ranks fill a slot twice or one the config
+    lacks, naming the first such slot.  Returns each configured (explainer,
+    model) pair's ranks in ascending level order."""
     kinds = config.get("models", [])
-    levels = [level_key(f) for f in config.get("fractions", [])]
+    levels = [level_key(f) for f in sorted(config.get("fractions", []))]
     explainers = config.get("explainers", [])
     for kind in kinds:
         for lvl in levels:
             if kind not in metrics or lvl not in metrics[kind]:
                 raise ReportError(f"missing metric report slot: {kind}:{lvl}")
-            if "exirt" in explainers:
-                if kind not in reliability or lvl not in reliability[kind]:
-                    raise ReportError(f"missing reliability slot: {kind}:{lvl}")
-    have = {(rk.explainer, rk.model_kind, level_key(rk.perturbation_fraction))
-            for rk in ranks}
+    slots = {}
+    for rk in ranks:
+        slot = (rk.explainer, rk.model_kind, level_key(rk.perturbation_fraction))
+        if slot in slots:
+            raise ReportError(f"repeated rank slot: {':'.join(slot)}")
+        slots[slot] = rk
+    pairs = {}
     for e in explainers:
         for kind in kinds:
             for lvl in levels:
-                if (e, kind, lvl) not in have:
+                if (e, kind, lvl) not in slots:
                     raise ReportError(f"missing rank slot: {e}:{kind}:{lvl}")
+            pairs[e, kind] = [slots.pop((e, kind, lvl)) for lvl in levels]
+    if slots:
+        raise ReportError(f"unconfigured rank slot: {':'.join(next(iter(slots)))}")
+    return pairs
 
 
 def write_report(r: RunReport, out_dir) -> None:
@@ -267,12 +271,8 @@ def write_report(r: RunReport, out_dir) -> None:
             fh.write(render_icc_svg(grid, curves, negative, r.reliability[kind][lvl],
                                     title=f"{kind} at {lvl}% perturbation"))
 
-    by_pair = {}
-    for rk in r.ranks:
-        by_pair.setdefault((rk.explainer, rk.model_kind), []).append(rk)
     records = {(rec.explainer, rec.model_kind): rec for rec in r.stability}
-    for (expl, kind) in sorted(by_pair):
-        table = bump_chart_data(by_pair[(expl, kind)])
-        rec = records.get((expl, kind))
+    for (expl, kind), ranks in r.bumps.items():
         with atomic_open(path(f"bump_{expl}_{kind}.svg")) as fh:
-            fh.write(render_bump_svg(table, rec, title=f"{expl} / {kind}"))
+            fh.write(render_bump_svg(ranks, records.get((expl, kind)),
+                                     title=f"{expl} / {kind}"))

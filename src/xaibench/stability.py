@@ -1,6 +1,5 @@
 """Rank-stability analytics: Spearman correlations of perturbed versus
-baseline ranks, per-model correlation sums, explainer ordering and
-bump-chart tables."""
+baseline ranks, per-model correlation sums and explainer ordering."""
 
 from __future__ import annotations
 
@@ -39,42 +38,20 @@ def spearman(rank_a: RelevanceRank, rank_b: RelevanceRank) -> float:
     return 1.0 - 6.0 * d2 / (n * (n * n - 1))
 
 
-def stability_sum(baseline: RelevanceRank, perturbed, fractions) -> StabilityRecord:
-    """Rho against baseline per nonzero fraction, plus their sum.
+def stability_sum(ranks) -> StabilityRecord:
+    """Rho of each later rank against the first, the baseline, plus their sum.
 
-    ``fractions`` names the perturbation levels that must be present.
+    ``ranks`` are one (explainer, model) pair's ranks in ascending level
+    order, as ``report.check_slots`` returns them.
     """
-    by_fraction = {}
-    for rank in perturbed:
-        f = rank.perturbation_fraction
-        if f in by_fraction:
-            raise StabilityError(f"duplicate rank for fraction {f}")
-        by_fraction[f] = rank
-    missing = [f for f in fractions if f not in by_fraction]
-    if missing:
-        raise StabilityError(f"missing perturbation fractions: {missing}")
-    rho = {f: spearman(baseline, by_fraction[f]) for f in sorted(fractions)}
+    baseline = ranks[0]
+    rho = {r.perturbation_fraction: spearman(baseline, r) for r in ranks[1:]}
     return StabilityRecord(
         explainer=baseline.explainer,
         model_kind=baseline.model_kind,
         rho_by_fraction=rho,
         sum=float(sum(rho.values())),
     )
-
-
-def bump_chart_data(records) -> list:
-    """Long-form (fraction, feature, position) rows for one explainer/model,
-    ordered by fraction then position."""
-    rows = []
-    feature_set = None
-    for rank in sorted(records, key=lambda r: r.perturbation_fraction):
-        if feature_set is None:
-            feature_set = set(rank.ordered_features)
-        elif set(rank.ordered_features) != feature_set:
-            raise StabilityError("inconsistent feature sets across ranks")
-        for pos, feat in enumerate(rank.ordered_features, start=1):
-            rows.append((rank.perturbation_fraction, feat, pos))
-    return rows
 
 
 def stability_order(records) -> list:

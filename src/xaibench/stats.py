@@ -6,7 +6,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2, rankdata, studentized_range
+from scipy.stats import chi2, studentized_range
+
+from .metrics import average_ranks
 
 
 class StatsError(ValueError):
@@ -57,7 +59,7 @@ class PosthocMatrix:
 
 
 def _within_block_ranks(values: np.ndarray) -> np.ndarray:
-    return np.vstack([rankdata(row, method="average") for row in values])
+    return np.vstack([average_ranks(row) for row in values])
 
 
 def friedman(table: MeasurementTable):

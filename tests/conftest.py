@@ -39,6 +39,3 @@ class LinearProbaModel:
     def predict_proba(self, x):
         z = np.atleast_2d(np.asarray(x, dtype=float)) @ self.weights + self.bias
         return 1.0 / (1.0 + np.exp(-z))
-
-    def predict(self, x):
-        return (self.predict_proba(x) >= 0.5).astype(int)

@@ -85,9 +85,9 @@ def test_criterion_02_irt_parameter_recovery():
     start = time.time()
     fit = fit_3pl(matrix)
     elapsed = time.time() - start
-    corr = float(np.corrcoef(fit.abilities.theta, theta)[0, 1])
-    b_err = float(np.mean(np.abs(fit.items.b - b)))
-    sign_rate = float(np.mean(np.sign(fit.items.a) == np.sign(a)))
+    corr = float(np.corrcoef(fit.theta, theta)[0, 1])
+    b_err = float(np.mean(np.abs(fit.b - b)))
+    sign_rate = float(np.mean(np.sign(fit.a) == np.sign(a)))
     monotone = bool(np.all(np.diff(fit.history) >= -1e-9))
     ok = (corr >= 0.85 and b_err <= 0.5 and sign_rate >= 0.80
           and monotone and elapsed < 60)

@@ -109,7 +109,7 @@ def ref_exirt(model, test, cfg):
         selected[np.unique(resample)] = True
         pool.append(np.where(selected & (base_correct == 1), y, 1 - y))
     fit = fit_3pl(ResponseMatrix(np.array([(labels == y).astype(int) for labels in pool])))
-    theta = fit.abilities.theta
+    theta = fit.theta
     scores = [theta[0] - theta[1 + j] for j in range(test.n_features)]
     return rank_from_scores(test.feature_names, scores, "exirt", model.kind), fit
 
@@ -307,7 +307,7 @@ class TestRankers:
         cfg = ExplainerConfig(seed=13, bootstrap_respondents=5)
         rank, fit = explain_exirt(model, train_data, test_data, cfg)
         # pool = original + one probe per feature + bootstrap respondents
-        assert len(fit.abilities.theta) == 1 + test_data.n_features + 5
+        assert len(fit.theta) == 1 + test_data.n_features + 5
         assert rank.explainer == "exirt"
 
     @pytest.mark.parametrize("kind, bootstrap", [("gbt", 3), ("knn", 20), ("cart", 4),

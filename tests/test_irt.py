@@ -1,6 +1,7 @@
 """3PL engine: evaluation, response matrices, fitting, ICCs, summaries and
 the reliability comparison rule."""
 
+import json
 import warnings
 
 import numpy as np
@@ -10,9 +11,8 @@ from xaibench.irt import (
     AMBIGUOUS,
     X_MORE_RELIABLE,
     Y_MORE_RELIABLE,
-    Abilities,
     IrtError,
-    ItemParameters,
+    IrtFit,
     ReliabilitySummary,
     ResponseMatrix,
     default_theta_grid,
@@ -106,30 +106,30 @@ class TestFit3pl:
     def test_recovers_ability_ordering(self):
         matrix, theta = simulated_matrix()
         fit = fit_3pl(matrix)
-        assert np.corrcoef(fit.abilities.theta, theta)[0, 1] > 0.8
+        assert np.corrcoef(fit.theta, theta)[0, 1] > 0.8
 
     def test_parameters_respect_bounds(self):
         matrix, _ = simulated_matrix(seed=6)
         fit = fit_3pl(matrix)
-        assert np.all((fit.items.a >= -4) & (fit.items.a <= 4))
-        assert np.all((fit.items.b >= -6) & (fit.items.b <= 6))
-        assert np.all((fit.items.c >= 0) & (fit.items.c <= 0.5))
-        assert np.all((fit.abilities.theta >= -4) & (fit.abilities.theta <= 4))
+        assert np.all((fit.a >= -4) & (fit.a <= 4))
+        assert np.all((fit.b >= -6) & (fit.b <= 6))
+        assert np.all((fit.c >= 0) & (fit.c <= 0.5))
+        assert np.all((fit.theta >= -4) & (fit.theta <= 4))
 
     def test_deterministic(self):
         matrix, _ = simulated_matrix(seed=7)
         f1 = fit_3pl(matrix)
         f2 = fit_3pl(matrix)
-        assert np.array_equal(f1.items.b, f2.items.b)
-        assert np.array_equal(f1.abilities.theta, f2.abilities.theta)
+        assert np.array_equal(f1.b, f2.b)
+        assert np.array_equal(f1.theta, f2.theta)
 
     def test_degenerate_rows_keep_shape(self):
         u = np.vstack([np.ones(6, dtype=int), np.zeros(6, dtype=int),
                        np.array([1, 0, 1, 0, 1, 0])])
         m = ResponseMatrix(u)
         fit = fit_3pl(m)
-        assert fit.items.a.shape == (6,)
-        assert fit.abilities.theta.shape == (3,)
+        assert fit.a.shape == (6,)
+        assert fit.theta.shape == (3,)
 
     def test_max_outer_limits_iterations(self):
         matrix, _ = simulated_matrix()
@@ -140,44 +140,91 @@ class TestFit3pl:
         matrix, _ = simulated_matrix(seed=8)
         fit = fit_3pl(matrix, max_outer=5)
         back = fit_from_dict(fit_to_dict(fit))
-        assert np.array_equal(back.items.a, fit.items.a)
-        assert np.array_equal(back.abilities.theta, fit.abilities.theta)
+        assert np.array_equal(back.a, fit.a)
+        assert np.array_equal(back.theta, fit.theta)
         assert back.history == fit.history
         assert back.converged == fit.converged
+
+    def test_saved_json_keeps_the_nested_layouts_text(self):
+        """irt/fit_*.json is written with json.dump(sort_keys=True, indent=1);
+        its text equals the one built from the field layout of the nested
+        item-parameter and ability records: a, b, c, theta, then the trace."""
+        fit = fit_3pl(simulated_matrix(seed=8)[0], max_outer=5)
+        nested = {"a": fit.a.tolist(), "b": fit.b.tolist(), "c": fit.c.tolist(),
+                  "theta": fit.theta.tolist(), "log_likelihood": fit.log_likelihood,
+                  "history": list(fit.history), "iterations": fit.iterations,
+                  "converged": fit.converged}
+        for kwargs in ({"sort_keys": True, "indent": 1}, {}):
+            assert json.dumps(fit_to_dict(fit), **kwargs) == json.dumps(nested, **kwargs)
+        tiny = IrtFit([1.5, -0.25], [0.0, 2.0], [0.1, 0.0], [0.5], log_likelihood=-3.0,
+                      history=(-4.0, -3.0), iterations=2, converged=True)
+        assert json.dumps(fit_to_dict(tiny)) == (
+            '{"a": [1.5, -0.25], "b": [0.0, 2.0], "c": [0.1, 0.0], "theta": [0.5], '
+            '"log_likelihood": -3.0, "history": [-4.0, -3.0], "iterations": 2, '
+            '"converged": true}')
+
+
+class TestIrtFit:
+    def fields(self, **change):
+        d = {"a": [1.0, -2.0], "b": [0.5, 1.5], "c": [0.1, 0.3], "theta": [0.0, 1.0, -1.0],
+             "log_likelihood": 0.0, "history": (0.0,), "iterations": 1, "converged": True}
+        d.update(change)
+        return d
+
+    @pytest.mark.parametrize("change, match", [
+        ({"a": [[1.0, -2.0]]}, "a must be a vector"),
+        ({"theta": 0.5}, "theta must be a vector"),
+        ({"a": [1.0, 4.5]}, "a outside bounds"),
+        ({"b": [-6.5, 0.0]}, "b outside bounds"),
+        ({"c": [0.1, 0.6]}, "c outside bounds"),
+        ({"c": [-0.1, 0.0]}, "c outside bounds"),
+        ({"theta": [0.0, 4.2]}, "theta outside bounds"),
+        ({"c": [0.1]}, "share a length"),
+    ])
+    def test_rejects_bad_vectors(self, change, match):
+        with pytest.raises(IrtError, match=match):
+            IrtFit(**self.fields(**change))
+
+    def test_vectors_become_read_only_float_copies(self):
+        a = np.array([1, -2])
+        fit = IrtFit(**self.fields(a=a))
+        for name in ("a", "b", "c", "theta"):
+            v = getattr(fit, name)
+            assert v.dtype == float and not v.flags.writeable, name
+        assert fit.a.tolist() == [1.0, -2.0]
+        assert a.flags.writeable
 
 
 class TestIcc:
     def test_curve_shapes_and_flags(self):
-        items = ItemParameters(np.array([1.0, -1.0]), np.array([0.0, 0.0]),
-                               np.array([0.1, 0.1]))
+        a, b, c = np.array([1.0, -1.0]), np.array([0.0, 0.0]), np.array([0.1, 0.1])
         grid = default_theta_grid()
-        curves = icc(items, grid)
+        curves = icc(a, b, c, grid)
         assert curves.shape == (2, len(grid))
         # the a < 0 flag the report draws in red is exactly the falling curve
-        assert np.array_equal(np.all(np.diff(curves, axis=1) < 0, axis=1), items.a < 0)
+        assert np.array_equal(np.all(np.diff(curves, axis=1) < 0, axis=1), a < 0)
         assert np.all(np.diff(curves[0]) > 0)
 
     def test_rows_equal_per_item_curves(self):
-        items = ItemParameters(np.array([1.3, -0.7, 2.5]), np.array([-1.0, 0.4, 2.0]),
-                               np.array([0.0, 0.2, 0.45]))
+        a, b, c = np.array([1.3, -0.7, 2.5]), np.array([-1.0, 0.4, 2.0]), \
+            np.array([0.0, 0.2, 0.45])
         grid = default_theta_grid()
-        curves = icc(items, grid)
-        for i in range(len(items.a)):
-            assert np.array_equal(curves[i], p_correct(items.a[i], items.b[i],
-                                                       items.c[i], grid))
+        curves = icc(a, b, c, grid)
+        for i in range(len(a)):
+            assert np.array_equal(curves[i], p_correct(a[i], b[i],
+                                                       c[i], grid))
 
     def test_rejects_unsorted_grid(self):
-        items = ItemParameters(np.array([1.0]), np.array([0.0]), np.array([0.1]))
+        a, b, c = np.array([1.0]), np.array([0.0]), np.array([0.1])
         with pytest.raises(IrtError):
-            icc(items, np.array([0.0, -1.0, 1.0]))
+            icc(a, b, c, np.array([0.0, -1.0, 1.0]))
 
 
 class TestSummarize:
     def test_means_and_negative_count(self):
-        items = ItemParameters(np.array([1.0, -2.0]), np.array([0.5, 1.5]),
-                               np.array([0.1, 0.3]))
-        fit_like = type("F", (), {"items": items,
-                                  "abilities": Abilities(np.array([1.0, -1.0, 0.0]))})
+        fit_like = IrtFit(np.array([1.0, -2.0]), np.array([0.5, 1.5]),
+                          np.array([0.1, 0.3]), np.array([1.0, -1.0, 0.0]),
+                          log_likelihood=0.0, history=(0.0,), iterations=1, converged=True)
         s = summarize(fit_like)
         assert s.mean_difficulty == 1.0
         assert s.mean_discrimination == -0.5

@@ -40,9 +40,7 @@ from xaibench.irt import (
     B_BOUNDS,
     C_BOUNDS,
     THETA_BOUNDS,
-    Abilities,
     IrtFit,
-    ItemParameters,
     ResponseMatrix,
     fit_3pl,
     fit_to_dict,
@@ -257,7 +255,7 @@ def ref_fit_3pl(responses, max_outer, scan=ref_scan_golden_max):
             converged = True
             break
         prev = cur
-    return IrtFit(ItemParameters(a, b, c), Abilities(theta), history[-1],
+    return IrtFit(a, b, c, theta, history[-1],
                   tuple(history), iterations, converged)
 
 

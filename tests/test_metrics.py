@@ -1,5 +1,5 @@
 """Classification metrics against hand-computed and library-free oracles,
-and the AUC against its scipy rankdata formulation."""
+and the AUC and average ranks against scipy's rankdata."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -8,6 +8,7 @@ from scipy.stats import rankdata
 
 from xaibench.metrics import (
     accuracy_score,
+    average_ranks,
     classification_report,
     labels_from_proba,
     roc_auc_score,
@@ -86,6 +87,20 @@ def test_roc_auc_equals_rankdata_reference(data, n, levels, classes):
     grid = data.draw(st.lists(st.floats(0, 1), min_size=levels, max_size=levels))
     proba = np.array(grid)[data.draw(arrays(np.int64, n, elements=st.integers(0, levels - 1)))]
     assert roc_auc_score(y, proba) == ref_roc_auc_rankdata(y, proba)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.integers(1, 8), st.integers(1, 12), st.integers(1, 6))
+def test_average_ranks_equal_rankdata_over_tied_rows(data, rows, cols, levels):
+    # the within-block ranks of the Friedman and Nemenyi tests: each row of a
+    # few-valued table ranked on its own, -0.0 and 0.0 tying
+    value = st.sampled_from([-0.0, 0.0, 0.25, -1.5, 1e300]) | st.floats(-1, 1)
+    grid = data.draw(st.lists(value, min_size=levels, max_size=levels))
+    values = np.array(grid)[data.draw(arrays(np.int64, (rows, cols),
+                                             elements=st.integers(0, levels - 1)))]
+    got = np.vstack([average_ranks(row) for row in values])
+    want = rankdata(values, method="average", axis=1)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_classification_report_values():

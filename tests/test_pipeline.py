@@ -74,10 +74,24 @@ class TestRunConfig:
         ({"bootstrap_respondents": -3}, "bootstrap_respondents"),
         ({"models": ("cart", "cart")}, "models must be distinct"),
         ({"explainers": ("eli5", "eli5")}, "explainers must be distinct"),
+        ({"repetitions": 2.5}, "repetitions must be an integer"),
+        ({"cv_folds": 3.0}, "cv_folds must be an integer"),
+        ({"coalition_budget": 100.5}, "coalition_budget must be an integer"),
+        ({"bootstrap_respondents": 1.5}, "bootstrap_respondents must be an integer"),
+        ({"master_seed": 1.5}, "master_seed must be an integer"),
+        ({"repetitions": True}, "repetitions must be an integer"),
+        ({"master_seed": "7"}, "master_seed must be an integer"),
     ])
     def test_invalid_values_rejected_at_construction(self, small_dataset_path, bad, match):
         with pytest.raises(ValueError, match=match):
             RunConfig(dataset=small_dataset_path, out_dir="x", **bad)
+
+    def test_numpy_integer_counts_become_ints(self, small_dataset_path):
+        cfg = RunConfig(dataset=small_dataset_path, out_dir="x", cv_folds=np.int64(3),
+                        repetitions=np.int32(2), master_seed=np.uint8(9))
+        assert (cfg.cv_folds, cfg.repetitions, cfg.master_seed) == (3, 2, 9)
+        assert json.loads(json.dumps(cfg.echo()))["master_seed"] == 9
+        assert all(type(v) is int for v in (cfg.cv_folds, cfg.repetitions, cfg.master_seed))
 
     def test_echo_omits_grids(self, small_dataset_path):
         cfg = RunConfig(dataset=small_dataset_path, out_dir="x")
@@ -146,11 +160,14 @@ class TestRunAll:
     @pytest.mark.parametrize("artifact, drop, slot", [
         ("ranks.json", lambda ranks: [r for r in ranks if not (
             r["explainer"] == "eli5" and r["perturbation_fraction"] == 0.0)],
-         "rank slot: eli5:cart:0"),
+         "missing rank slot: eli5:cart:0"),
         ("metrics.json", lambda metrics: {"cart": {lvl: m for lvl, m in metrics["cart"].items()
                                                    if lvl != "6"}},
-         "metric report slot: cart:6"),
-    ], ids=("rank", "metric"))
+         "missing metric report slot: cart:6"),
+        ("ranks.json", lambda ranks: ranks + [r for r in ranks if (
+            r["explainer"] == "eli5" and r["perturbation_fraction"] == 0.0)],
+         "repeated rank slot: eli5:cart:0"),
+    ], ids=("rank", "metric", "repeated-rank"))
     def test_report_names_a_missing_slot_before_using_it(self, completed_run, tmp_path,
                                                          artifact, drop, slot):
         cfg, _, out_dir = completed_run
@@ -160,7 +177,7 @@ class TestRunAll:
         with open(path, encoding="utf-8") as fh:
             loaded = json.load(fh)
         _write_json(path, drop(loaded))
-        with pytest.raises(ValueError, match=f"missing {slot}"):
+        with pytest.raises(ValueError, match=slot):
             run_stage(dataclasses.replace(cfg, out_dir=copy), "report")
 
     def test_report_counts_scale_with_config(self, completed_run):
@@ -321,7 +338,8 @@ class TestTracerHooks:
         xaibench.report, and its worker imports level_key from
         xaibench.report.  A renamed or dropped import fails here, and so
         does a stage that stops calling through a traced name: each
-        explainer and the report writer must record time in a traced run."""
+        explainer, the report writer and each report-stage helper the
+        tracer rebinds must record time in a traced run."""
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         path = tmp_path / "data.csv"
         save_csv(make_synthetic_diabetes(seed=29, n_rows=120, n_positive=42), path)
@@ -346,8 +364,10 @@ class TestTracerHooks:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         layers = json.loads(proc.stdout)
-        timed = [k for k in layers if k.startswith("explainers.")] + ["report.write_report_s"]
-        assert len(timed) == 7
+        timed = [k for k in layers if k.startswith("explainers.")] + [
+            "report.write_report_s", "stability.stability_sum_s", "irt.icc_s",
+            "stats.friedman_s", "stats.nemenyi_s", "report.render_icc_svg_s"]
+        assert len(timed) == 12
         assert {k: layers[k] for k in timed if not layers[k] > 0} == {}
 
 

@@ -5,23 +5,24 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from xaibench import report
 from xaibench.data import level_key as data_level_key
 from xaibench.explainers import RelevanceRank
-from xaibench.irt import ItemParameters, ReliabilitySummary, default_theta_grid, icc
+from xaibench.irt import ReliabilitySummary, default_theta_grid, icc
 from xaibench.metrics import MetricReport
 from xaibench.report import (
     GREEN,
     RED,
     ReportError,
+    check_slots,
     level_key,
     render_bump_svg,
     render_heatmap_svg,
     render_icc_svg,
 )
-from xaibench.stability import StabilityRecord, bump_chart_data
+from xaibench.stability import StabilityError, StabilityRecord, spearman, stability_sum
 from xaibench.stats import PosthocMatrix
 
 
@@ -33,10 +34,9 @@ def summary():
 
 def curves():
     """(grid, curves, negative) for one positive- and one negative-a item."""
-    items = ItemParameters(np.array([1.2, -0.8]), np.array([0.0, 1.0]),
-                           np.array([0.1, 0.2]))
+    a, b, c = np.array([1.2, -0.8]), np.array([0.0, 1.0]), np.array([0.1, 0.2])
     grid = np.linspace(-4, 4, 33)
-    return grid, icc(items, grid), items.a < 0
+    return grid, icc(a, b, c, grid), a < 0
 
 
 def ref_render_icc_svg(grid, curves, negative, summary,
@@ -110,19 +110,19 @@ class TestIccSvg:
     ])
     def test_equals_the_per_point_renderer(self, n_items, grid):
         rng = np.random.default_rng(n_items)
-        items = ItemParameters(rng.uniform(-4, 4, n_items), rng.uniform(-6, 6, n_items),
-                               rng.uniform(0, 0.5, n_items))
-        args = (grid, icc(items, grid), items.a < 0, summary())
+        a, b, c = rng.uniform(-4, 4, n_items), rng.uniform(-6, 6, n_items), \
+            rng.uniform(0, 0.5, n_items)
+        args = (grid, icc(a, b, c, grid), a < 0, summary())
         assert render_icc_svg(*args, title="t") == ref_render_icc_svg(*args, title="t")
 
     def test_byte_identical_for_equal_inputs(self):
         assert render_icc_svg(*curves(), summary()) == render_icc_svg(*curves(), summary())
 
     def test_rejects_empty_curves(self):
-        items = ItemParameters(np.array([]), np.array([]), np.array([]))
+        a = b = c = np.array([])
         grid = np.linspace(-4, 4, 33)
         with pytest.raises(ReportError):
-            render_icc_svg(grid, icc(items, grid), items.a < 0, summary())
+            render_icc_svg(grid, icc(a, b, c, grid), a < 0, summary())
 
     def test_escapes_title(self):
         svg = render_icc_svg(*curves(), summary(), title="a<b&c")
@@ -137,18 +137,110 @@ def ranks_for_bump():
     ]
 
 
+def ref_bump_chart_data(records) -> list:
+    """Long-form (fraction, feature, position) rows for one explainer/model,
+    ordered by fraction then position: the table the bump chart was once
+    drawn from."""
+    rows = []
+    feature_set = None
+    for rank in sorted(records, key=lambda r: r.perturbation_fraction):
+        if feature_set is None:
+            feature_set = set(rank.ordered_features)
+        elif set(rank.ordered_features) != feature_set:
+            raise StabilityError("inconsistent feature sets across ranks")
+        for pos, feat in enumerate(rank.ordered_features, start=1):
+            rows.append((rank.perturbation_fraction, feat, pos))
+    return rows
+
+
+def ref_render_bump_svg(table, record=None, title=""):
+    """The bump chart drawn from the long-form table."""
+    fractions = sorted({row[0] for row in table})
+    features = sorted({row[1] for row in table})
+    if not fractions:
+        raise ReportError("empty bump table")
+    pos = {(f, feat): p for f, feat, p in table}
+    n_pos = max(p for _, _, p in table)
+    left, right, top, bottom = 150, 40, 60, 70
+    w, h, text = report.WIDTH, report.HEIGHT, report._text
+
+    def px(i):
+        if len(fractions) == 1:
+            return left + (w - left - right) / 2
+        return left + i / (len(fractions) - 1) * (w - left - right)
+
+    def py(p):
+        if n_pos == 1:
+            return top + (h - top - bottom) / 2
+        return top + (p - 1) / (n_pos - 1) * (h - top - bottom)
+
+    full_title = title
+    if record is not None:
+        full_title = (title + " " if title else "") + f"sum = {record.sum:.2f}"
+    parts = report._svg_open(full_title)
+    for i, f in enumerate(fractions):
+        parts.append(text(px(i), h - bottom + 24, f"{f * 100:g}%", 11, "middle"))
+        if record is not None and f in record.rho_by_fraction:
+            parts.append(text(px(i), h - bottom + 42,
+                              f"rho={record.rho_by_fraction[f]:.2f}", 10, "middle"))
+    for ci, feat in enumerate(features):
+        color = report._PALETTE[ci % len(report._PALETTE)]
+        pts = [(px(i), py(pos[(f, feat)])) for i, f in enumerate(fractions)
+               if (f, feat) in pos]
+        parts.append(report._polyline(report._points(pts), color, 2.0))
+        first_f = fractions[0]
+        if (first_f, feat) in pos:
+            parts.append(text(left - 8, py(pos[(first_f, feat)]) + 4, feat, 10,
+                              "end", color))
+    parts.append(text(w / 2, h - 12, "perturbation level", 12, "middle"))
+    parts.append("</svg>")
+    return "\n".join(parts)
+
+
+def ref_stability_sum(baseline, perturbed, fractions):
+    """Rho against a separately passed baseline per named nonzero fraction,
+    looked up by fraction among the perturbed ranks, plus their sum."""
+    by_fraction = {}
+    for rank in perturbed:
+        f = rank.perturbation_fraction
+        if f in by_fraction:
+            raise StabilityError(f"duplicate rank for fraction {f}")
+        by_fraction[f] = rank
+    missing = [f for f in fractions if f not in by_fraction]
+    if missing:
+        raise StabilityError(f"missing perturbation fractions: {missing}")
+    rho = {f: spearman(baseline, by_fraction[f]) for f in sorted(fractions)}
+    return StabilityRecord(baseline.explainer, baseline.model_kind, rho,
+                           float(sum(rho.values())))
+
+
+@st.composite
+def shuffled_pair_ranks(draw):
+    """One (explainer, model) pair's ranks over 1-4 levels and 1-12
+    features, in shuffled order, with the config fractions in shuffled
+    order too."""
+    nonzero = draw(st.lists(st.floats(0.006, 1.0), max_size=3, unique_by=level_key))
+    fractions = draw(st.permutations([0.0] + nonzero))
+    features = draw(st.lists(st.text("abxyz<&", min_size=1, max_size=3), min_size=1,
+                             max_size=12, unique=True))
+    n = len(features)
+    ranks = [RelevanceRank(tuple(draw(st.permutations(features))),
+                           tuple(float(n - i) for i in range(n)), "eli5", "gbt", f)
+             for f in fractions]
+    return fractions, draw(st.permutations(ranks))
+
+
 class TestBumpSvg:
     def test_levels_features_and_rho_annotations(self):
-        table = bump_chart_data(ranks_for_bump())
         record = StabilityRecord("eli5", "gbt", {0.04: 0.5}, 0.5)
-        svg = render_bump_svg(table, record, title="eli5 / gbt")
+        svg = render_bump_svg(ranks_for_bump(), record, title="eli5 / gbt")
         assert "0%" in svg and "4%" in svg
         assert ">x</text>" in svg and ">y</text>" in svg
         assert "rho=0.50" in svg
         assert "sum = 0.50" in svg
 
     def test_works_without_record(self):
-        svg = render_bump_svg(bump_chart_data(ranks_for_bump()))
+        svg = render_bump_svg(ranks_for_bump())
         assert "rho=" not in svg
 
     def test_rejects_empty_table(self):
@@ -156,8 +248,68 @@ class TestBumpSvg:
             render_bump_svg([])
 
     def test_deterministic(self):
-        table = bump_chart_data(ranks_for_bump())
-        assert render_bump_svg(table) == render_bump_svg(table)
+        assert render_bump_svg(ranks_for_bump()) == render_bump_svg(ranks_for_bump())
+
+    @settings(max_examples=200, deadline=None)
+    @given(shuffled_pair_ranks(), st.booleans())
+    def test_equals_the_long_form_renderer(self, drawn, with_record):
+        """The pair ranks check_slots returns give the stability record and
+        the chart that the by-fraction lookup and the long-form table gave."""
+        fractions, ranks = drawn
+        config = {"models": ["gbt"], "explainers": ["eli5"], "fractions": fractions}
+        metrics = {"gbt": {level_key(f): None for f in fractions}}
+        pair = check_slots(config, metrics, ranks)["eli5", "gbt"]
+        record = StabilityRecord("eli5", "gbt", {}, 0.0)
+        if len(pair) > 1:
+            baseline = next(r for r in ranks if r.perturbation_fraction == 0.0)
+            record = stability_sum(pair)
+            assert record == ref_stability_sum(
+                baseline, [r for r in ranks if r.perturbation_fraction > 0],
+                tuple(f for f in fractions if f > 0))
+            assert list(record.rho_by_fraction) == sorted(f for f in fractions if f > 0)
+        record = record if with_record else None
+        assert (render_bump_svg(pair, record, title="eli5 / gbt")
+                == ref_render_bump_svg(ref_bump_chart_data(ranks), record, title="eli5 / gbt"))
+
+
+class TestCheckSlots:
+    CONFIG = {"models": ["gbt", "cart"], "explainers": ["shap", "eli5"],
+              "fractions": [0.0, 0.1, 0.04]}
+    METRICS = {kind: {"0": None, "4": None, "10": None} for kind in ("gbt", "cart")}
+
+    def ranks(self, fractions, pairs=(("shap", "gbt"), ("shap", "cart"),
+                                      ("eli5", "gbt"), ("eli5", "cart"))):
+        return [RelevanceRank(("x", "y"), (2.0, 1.0), e, kind, f)
+                for f in fractions for e, kind in pairs]
+
+    def test_pairs_come_in_ascending_level_order(self):
+        pairs = check_slots(self.CONFIG, self.METRICS, self.ranks([0.1, 0.0, 0.04]))
+        assert list(pairs) == [("shap", "gbt"), ("shap", "cart"),
+                               ("eli5", "gbt"), ("eli5", "cart")]
+        for (e, kind), ranks in pairs.items():
+            assert [(r.explainer, r.model_kind) for r in ranks] == [(e, kind)] * 3
+            assert [r.perturbation_fraction for r in ranks] == [0.0, 0.04, 0.1]
+
+    def test_missing_fraction_rejected(self):
+        ranks = self.ranks([0.0, 0.1]) + self.ranks([0.04], pairs=[("shap", "gbt")])
+        with pytest.raises(ReportError, match="missing rank slot: shap:cart:4"):
+            check_slots(self.CONFIG, self.METRICS, ranks)
+
+    def test_duplicate_fraction_rejected(self):
+        ranks = self.ranks([0.0, 0.04, 0.1]) + self.ranks([0.04], pairs=[("eli5", "cart")])
+        with pytest.raises(ReportError, match="repeated rank slot: eli5:cart:4"):
+            check_slots(self.CONFIG, self.METRICS, ranks)
+
+    def test_unconfigured_slot_rejected(self):
+        for extra in (("lofo", "gbt"), ("eli5", "knn")):
+            ranks = self.ranks([0.0, 0.04, 0.1]) + self.ranks([0.1], pairs=[extra])
+            with pytest.raises(ReportError, match=f"unconfigured rank slot: {':'.join(extra)}:10"):
+                check_slots(self.CONFIG, self.METRICS, ranks)
+
+    def test_missing_metric_slot_rejected(self):
+        metrics = {"gbt": self.METRICS["gbt"], "cart": {"0": None, "10": None}}
+        with pytest.raises(ReportError, match="missing metric report slot: cart:4"):
+            check_slots(self.CONFIG, metrics, self.ranks([0.0, 0.04, 0.1]))
 
 
 class TestHeatmapSvg:

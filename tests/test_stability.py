@@ -7,7 +7,6 @@ from xaibench.explainers import RelevanceRank
 from xaibench.stability import (
     StabilityError,
     StabilityRecord,
-    bump_chart_data,
     spearman,
     stability_order,
     stability_sum,
@@ -74,41 +73,20 @@ class TestStabilitySum:
         perturbed = self.perturbed([["a", "b", "c"],
                                     ["a", "c", "b"],
                                     ["c", "b", "a"]])
-        rec = stability_sum(baseline, perturbed, self.FRACTIONS)
+        rec = stability_sum([baseline, *perturbed])
         assert rec.rho_by_fraction[0.04] == 1.0
         assert rec.rho_by_fraction[0.06] == 0.5
         assert rec.rho_by_fraction[0.10] == -1.0
+        assert list(rec.rho_by_fraction) == list(self.FRACTIONS)
         assert rec.sum == pytest.approx(0.5)
         assert rec.explainer == "eli5"
         assert rec.model_kind == "gbt"
-
-    def test_missing_fraction_rejected(self):
-        baseline = make_rank(["a", "b"])
-        with pytest.raises(StabilityError, match="missing"):
-            stability_sum(baseline, [make_rank(["a", "b"], fraction=0.04)],
-                          self.FRACTIONS)
-
-    def test_duplicate_fraction_rejected(self):
-        baseline = make_rank(["a", "b"])
-        dupes = [make_rank(["a", "b"], fraction=0.04),
-                 make_rank(["b", "a"], fraction=0.04)]
-        with pytest.raises(StabilityError, match="duplicate"):
-            stability_sum(baseline, dupes, (0.04,))
-
-
-class TestBumpChartData:
-    def test_long_form_rows_sorted_by_fraction(self):
-        ranks = [make_rank(["b", "a"], fraction=0.04),
-                 make_rank(["a", "b"], fraction=0.0)]
-        rows = bump_chart_data(ranks)
-        assert rows == [(0.0, "a", 1), (0.0, "b", 2),
-                        (0.04, "b", 1), (0.04, "a", 2)]
 
     def test_inconsistent_features_rejected(self):
         ranks = [make_rank(["a", "b"], fraction=0.0),
                  make_rank(["a", "c"], fraction=0.04)]
         with pytest.raises(StabilityError):
-            bump_chart_data(ranks)
+            stability_sum(ranks)
 
 
 class TestStabilityOrder:
