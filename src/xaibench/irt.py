@@ -9,10 +9,14 @@ Respondents are rows, items are columns.  All optimizer moves are
 accept-only-if-better, so the tracked objective never decreases across
 outer iterations.
 
-``fit_3pl`` evaluates up to SCAN_POINTS candidate vectors per objective call
-in one (SCAN_POINTS, R, N) work buffer allocated once per fit, with ``out=``
-and in-place ufuncs, so no call allocates a (K, R, N) temporary.  Each step
-gives the same bits as the textbook form
+``fit_3pl_many`` fits F same-shape matrices in lockstep: each objective
+call evaluates up to SCAN_POINTS candidate vectors of every fit still
+iterating in one (SCAN_POINTS, F, R, N) work buffer allocated once, with
+``out=`` and in-place ufuncs, so no call allocates a (K, F, R, N)
+temporary and one ufunc call serves every fit.  ``fit_3pl`` is the case
+F = 1.  Each fit's golden-section search stops on its own widths, and a fit
+that converges leaves the lockstep, so every fit is bit-identical to a fit
+of its matrix alone.  Each step gives the same bits as the textbook form
 ``log(where(u, p, 1 - p))`` with ``p = clip(c + (1 - c) / (1 + exp(-z)))``
 and ``z = theta*a - a*b`` (not a*(theta - b), which rounds differently):
 
@@ -34,7 +38,7 @@ and ``z = theta*a - a*b`` (not a*(theta - b), which rounds differently):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -159,30 +163,36 @@ def _log_lik(w, denom, c, s, t):
 def _scan_golden_max(f, current, lo, hi, scan_points=SCAN_POINTS, xtol=XTOL):
     """Elementwise 1-D maximization of f over [lo, hi].
 
-    f maps a stacked (K, n) block of candidate vectors to (K, n) objectives,
-    so the scan of all scan_points grid values, the pair of golden-section
-    probes, and the final candidate-vs-current test each cost one call.
-    The scan brackets the optimum at the first grid maximum (robust to
-    bimodality in the discrimination coordinate), golden-section refines
-    it, and each coordinate keeps its current value unless the candidate
-    improves it.
+    ``current`` is one fit's n-vector or an (F, n) block with one row per
+    fit.  f maps a stacked (K, *current.shape) block of candidates to
+    objectives of that shape, so the scan of all scan_points grid values,
+    the pair of golden-section probes, and the final candidate-vs-current
+    test each cost one call.  The scan brackets the optimum at the first
+    grid maximum (robust to bimodality in the discrimination coordinate),
+    golden-section refines it, and each coordinate keeps its current value
+    unless the candidate improves it.  Each fit's golden-section loop stops
+    on its own widths, so it takes the steps it would take alone.
     """
-    n = len(current)
+    current = np.asarray(current, dtype=float)
     grid = np.linspace(lo, hi, scan_points)
     step = grid[1] - grid[0]
-    best_x = grid[np.argmax(f(np.repeat(grid[:, None], n, axis=1)), axis=0)]
+    best_x = grid[np.argmax(f(np.repeat(grid, current.size).reshape(scan_points,
+                                                                    *current.shape)), axis=0)]
     left = np.maximum(best_x - step, lo)
     right = np.minimum(best_x + step, hi)
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    while np.max(right - left) > xtol:
+    searching = (right - left).max(axis=-1) > xtol  # per fit
+    while searching.any():
         x1 = right - invphi * (right - left)
         x2 = left + invphi * (right - left)
         f1, f2 = f(np.stack([x1, x2]))
         move_lo = f1 < f2
-        left = np.where(move_lo, x1, left)
-        right = np.where(move_lo, right, x2)
+        on = searching[..., None]
+        left = np.where(on & move_lo, x1, left)
+        right = np.where(on & ~move_lo, x2, right)
+        searching = (right - left).max(axis=-1) > xtol
     cand = 0.5 * (left + right)
-    f_cand, f_cur = f(np.stack([cand, np.asarray(current, dtype=float)]))
+    f_cand, f_cur = f(np.stack([cand, current]))
     return np.where(f_cand > f_cur, cand, current)
 
 
@@ -195,73 +205,98 @@ def _standardized_scores(u):
 
 
 def fit_3pl(responses: ResponseMatrix, max_outer: int = MAX_OUTER) -> IrtFit:
-    """Alternating penalized MLE of item parameters and abilities.
+    """Alternating penalized MLE of one matrix's item parameters and
+    abilities: :func:`fit_3pl_many` of that matrix alone."""
+    return fit_3pl_many([responses], max_outer)[0]
+
+
+def fit_3pl_many(matrices, max_outer: int = MAX_OUTER) -> list:
+    """Alternating penalized MLE of item parameters and abilities for every
+    response matrix of one shape, in lockstep; one IrtFit per matrix.
 
     Initialization: theta from standardized raw scores, a = 1, b from the
     inverse logistic of item easiness, c = ANCHOR_C.  Outer iterations
     alternate a full item-parameter pass with a respondent-ability pass
     until the objective gain drops below TOL or max_outer is reached.
+
+    Every objective call evaluates all fits still iterating in one
+    (SCAN_POINTS, F, R, N) work buffer.  Each fit's arithmetic, its
+    golden-section steps and its stopping rule are its own, and a fit that
+    meets TOL drops out of the lockstep, so each IrtFit is bit-identical to
+    a fit of its matrix alone.
     """
-    u = responses.entries.astype(float)
-    r, n = u.shape
-    theta = _standardized_scores(u)
-    a = np.ones(n)
-    easiness = np.clip(u.mean(axis=0), 1e-3, 1 - 1e-3)
+    if not matrices:
+        raise IrtError("need at least one response matrix")
+    shapes = sorted({m.entries.shape for m in matrices})
+    if len(shapes) > 1:
+        raise IrtError(f"response matrices must share one shape, got {shapes}")
+    if max_outer < 1:
+        raise IrtError("max_outer must be >= 1")
+    u = np.stack([m.entries for m in matrices]).astype(float)
+    n_fits, r, n = u.shape
+    theta = np.stack([_standardized_scores(x) for x in u])
+    a = np.ones((n_fits, n))
+    easiness = np.clip(u.mean(axis=1), 1e-3, 1 - 1e-3)
     b = np.clip(-np.log(easiness / (1.0 - easiness)), *B_BOUNDS)
-    c = np.full(n, ANCHOR_C)
+    c = np.full((n_fits, n), ANCHOR_C)
 
     s, t = 1.0 - u, 2.0 * u - 1.0  # s + t*p is p where u = 1, 1 - p where u = 0
-    work = np.empty((SCAN_POINTS, r, n))
+    work = np.empty(SCAN_POINTS * u.size)
+    live = np.arange(n_fits)  # input positions of the fits still iterating
+
+    def buffer(k):
+        # (k, live fits, R, N), with the layout of a fresh array
+        return work[:k * len(live) * r * n].reshape(k, len(live), r, n)
 
     def item_objective(w, denom, a, c):
         pen = PENALTY_WEIGHT * ((a - ANCHOR_A) ** 2 + (c - ANCHOR_C) ** 2)
         return _log_lik(w, denom, c, s, t).sum(axis=-2) - pen
 
     def a_objective(v):
-        w = work[:len(v)]
-        np.multiply(theta[:, None], v[:, None, :], out=w)
-        return item_objective(w, _denominators(w, (v * b)[:, None, :], w), v, c)
+        w = buffer(len(v))
+        np.multiply(theta[:, :, None], v[:, :, None, :], out=w)
+        return item_objective(w, _denominators(w, (v * b)[:, :, None, :], w), v, c)
 
     def b_objective(v):
-        w = work[:len(v)]
-        return item_objective(w, _denominators(w, (a * v)[:, None, :], theta_a), a, c)
+        w = buffer(len(v))
+        return item_objective(w, _denominators(w, (a * v)[:, :, None, :], theta_a), a, c)
 
     def c_objective(v):
-        return item_objective(work[:len(v)], denom, a, v)
+        return item_objective(buffer(len(v)), denom, a, v)
 
     def theta_objective(v):
-        w = work[:len(v)]
-        np.multiply(v[:, :, None], a, out=w)
-        return _log_lik(w, _denominators(w, a * b, w), c, s, t).sum(axis=-1)
+        w = buffer(len(v))
+        np.multiply(v[..., None], a[:, None, :], out=w)
+        return _log_lik(w, _denominators(w, (a * b)[:, None, :], w), c, s, t).sum(axis=-1)
 
     def total_objective():
-        return float(np.sum(a_objective(a[None])[0]))
+        return a_objective(a[None])[0].sum(axis=-1)
 
-    history = []
+    fits = [None] * n_fits
+    history = [[] for _ in range(n_fits)]
     prev = total_objective()
-    converged = False
-    iterations = 0
-    for _ in range(max_outer):
-        iterations += 1
+    for iteration in range(1, max_outer + 1):
         a = _scan_golden_max(a_objective, a, *A_BOUNDS)
-        theta_a = theta[:, None] * a  # b_objective's invariant
+        theta_a = theta[:, :, None] * a[:, None, :]  # b_objective's invariant
         b = _scan_golden_max(b_objective, b, *B_BOUNDS)
-        denom = _denominators(theta_a, a * b, theta_a)  # c_objective's invariant
+        denom = _denominators(theta_a, (a * b)[:, None, :], theta_a)  # c_objective's
         c = _scan_golden_max(c_objective, c, *C_BOUNDS)
         theta = _scan_golden_max(theta_objective, theta, *THETA_BOUNDS)
         cur = total_objective()
-        history.append(cur)
-        if cur - prev < TOL:
-            converged = True
+        converged = cur - prev < TOL
+        for j, i in enumerate(live):
+            history[i].append(float(cur[j]))
+            if converged[j] or iteration == max_outer:
+                fits[i] = IrtFit(a[j], b[j], c[j], theta[j], log_likelihood=history[i][-1],
+                                 history=tuple(history[i]), iterations=iteration,
+                                 converged=bool(converged[j]))
+        if converged.all():
             break
+        if converged.any():  # converged fits freeze; the rest go on
+            live, a, b, c, theta, s, t, cur = (x[~converged]
+                                               for x in (live, a, b, c, theta, s, t, cur))
         prev = cur
-    return IrtFit(
-        a, b, c, theta,
-        log_likelihood=history[-1],
-        history=tuple(history),
-        iterations=iterations,
-        converged=converged,
-    )
+    return fits
 
 
 def default_theta_grid() -> np.ndarray:
@@ -336,5 +371,10 @@ def fit_to_dict(fit: IrtFit) -> dict:
 
 
 def fit_from_dict(d: dict) -> IrtFit:
-    """The fit that :func:`fit_to_dict` wrote; its keys are the field names."""
+    """The fit that :func:`fit_to_dict` wrote; its keys are the field names,
+    and a record with a missing or unknown key is refused."""
+    names = {f.name for f in fields(IrtFit)}
+    missing, unknown = sorted(names - d.keys()), sorted(d.keys() - names)
+    if missing or unknown:
+        raise IrtError(f"fit record keys: missing {missing}, unknown {unknown}")
     return IrtFit(**dict(d, history=tuple(d["history"])))

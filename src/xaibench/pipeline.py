@@ -245,8 +245,9 @@ def _test_variants(cfg: RunConfig, meta: dict, test_raw) -> dict:
 
 def stage_explain(cfg: RunConfig) -> None:
     """Evaluate every (model, level) cell on its perturbed test variant and
-    produce every configured explainer's rank; eXirt fits are persisted for
-    the report stage."""
+    produce every configured explainer's rank.  eXirt's cells are fitted
+    together in one lockstep 3PL solve after the loop, each rank keeping its
+    slot in ranks.json; the fits are persisted for the report stage."""
     meta = _check_config(cfg, "explain")
     models = _load_models(cfg, "explain")
     test_raw = load_csv(_require(cfg, "explain", "prepared", "test_raw.csv"))
@@ -254,11 +255,12 @@ def stage_explain(cfg: RunConfig) -> None:
     train_std = load_csv(_require(cfg, "explain", "prepared", "train.csv"))
     # Looked up per call, not at import: bench/tracing.py rebinds these names.
     explain = {"dalex": explain_dalex_style, "eli5": explain_eli5_style,
-               "exirt": explain_exirt, "lofo": explain_lofo_style,
-               "shap": explain_kernel_shap, "skater": explain_skater_style}
+               "lofo": explain_lofo_style, "shap": explain_kernel_shap,
+               "skater": explain_skater_style}
 
     metrics = {}
     ranks = []
+    exirt_cells, exirt_slots = [], []  # fitted together once every cell is known
     os.makedirs(_path(cfg, "irt"), exist_ok=True)
     for kind in cfg.models:
         model = models[kind]
@@ -272,13 +274,19 @@ def stage_explain(cfg: RunConfig) -> None:
             proba = model.predict_proba(test.features)
             metrics[kind][level_key(f)] = classification_report(test.labels, proba).as_dict()
             for explainer in cfg.explainers:
-                rank = explain[explainer](model, train_std, test,
-                                          cfg.explainer_config(explainer, kind, f), f)
+                ecfg = cfg.explainer_config(explainer, kind, f)
                 if explainer == "exirt":
-                    rank, fit = rank
-                    _write_json(_path(cfg, "irt", f"fit_{kind}_{level_key(f)}.json"),
-                                fit_to_dict(fit))
-                ranks.append(rank.as_dict())
+                    exirt_slots.append(len(ranks))
+                    exirt_cells.append((model, test, ecfg, f))
+                    ranks.append(None)
+                else:
+                    ranks.append(explain[explainer](model, train_std, test, ecfg, f).as_dict())
+    if exirt_cells:
+        for slot, (model, _, _, f), (rank, fit) in zip(exirt_slots, exirt_cells,
+                                                        explain_exirt(exirt_cells)):
+            ranks[slot] = rank.as_dict()
+            _write_json(_path(cfg, "irt", f"fit_{model.kind}_{level_key(f)}.json"),
+                        fit_to_dict(fit))
     _write_json(_path(cfg, "metrics.json"), metrics)
     _write_json(_path(cfg, "ranks.json"), ranks)
 

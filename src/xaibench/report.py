@@ -221,9 +221,10 @@ def report_to_dict(r: RunReport) -> dict:
 
 def check_slots(config: dict, metrics: dict, ranks) -> dict:
     """Refuse a run whose metrics or ranks lack a configured (explainer,
-    model, level) slot, or whose ranks fill a slot twice or one the config
-    lacks, naming the first such slot.  Returns each configured (explainer,
-    model) pair's ranks in ascending level order."""
+    model, level) slot, whose ranks fill a slot twice or one the config
+    lacks, or whose ranks of one pair cover different feature sets, naming
+    the first such slot.  Returns each configured (explainer, model) pair's
+    ranks in ascending level order."""
     kinds = config.get("models", [])
     levels = [level_key(f) for f in sorted(config.get("fractions", []))]
     explainers = config.get("explainers", [])
@@ -243,7 +244,11 @@ def check_slots(config: dict, metrics: dict, ranks) -> dict:
             for lvl in levels:
                 if (e, kind, lvl) not in slots:
                     raise ReportError(f"missing rank slot: {e}:{kind}:{lvl}")
-            pairs[e, kind] = [slots.pop((e, kind, lvl)) for lvl in levels]
+            pair = pairs[e, kind] = [slots.pop((e, kind, lvl)) for lvl in levels]
+            for lvl, rk in zip(levels, pair):
+                if set(rk.ordered_features) != set(pair[0].ordered_features):
+                    raise ReportError(f"rank slot {e}:{kind}:{lvl} covers other features "
+                                      f"than {e}:{kind}:{levels[0]}")
     if slots:
         raise ReportError(f"unconfigured rank slot: {':'.join(next(iter(slots)))}")
     return pairs

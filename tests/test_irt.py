@@ -145,6 +145,16 @@ class TestFit3pl:
         assert back.history == fit.history
         assert back.converged == fit.converged
 
+    @pytest.mark.parametrize("edit, named", [
+        (lambda d: dict(d, extra=1), r"missing \[\], unknown \['extra'\]"),
+        (lambda d: {k: v for k, v in d.items() if k not in ("theta", "converged")},
+         r"missing \['converged', 'theta'\], unknown \[\]"),
+    ], ids=("unknown", "missing"))
+    def test_dict_with_missing_or_unknown_keys_refused(self, edit, named):
+        d = fit_to_dict(fit_3pl(simulated_matrix(seed=8)[0], max_outer=2))
+        with pytest.raises(IrtError, match=named):
+            fit_from_dict(edit(d))
+
     def test_saved_json_keeps_the_nested_layouts_text(self):
         """irt/fit_*.json is written with json.dump(sort_keys=True, indent=1);
         its text equals the one built from the field layout of the nested

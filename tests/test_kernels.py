@@ -40,9 +40,11 @@ from xaibench.irt import (
     B_BOUNDS,
     C_BOUNDS,
     THETA_BOUNDS,
+    IrtError,
     IrtFit,
     ResponseMatrix,
     fit_3pl,
+    fit_3pl_many,
     fit_to_dict,
 )
 from xaibench.models import knn
@@ -260,10 +262,9 @@ def ref_fit_3pl(responses, max_outer, scan=ref_scan_golden_max):
 
 
 @st.composite
-def response_matrices(draw):
+def response_matrices(draw, shape=None):
     """Random 0/1 matrices, with some rows and columns forced all-0 or all-1."""
-    r = draw(st.integers(2, 12))
-    n = draw(st.integers(2, 15))
+    r, n = shape or (draw(st.integers(2, 12)), draw(st.integers(2, 15)))
     u = draw(arrays(np.int64, (r, n), elements=st.integers(0, 1)))
     for i in draw(st.lists(st.integers(0, r - 1), max_size=3)):
         u[i, :] = draw(st.integers(0, 1))
@@ -355,6 +356,78 @@ def test_scan_golden_max_matches_reference_on_plateaus(targets, scan_points, ste
     got = irt._scan_golden_max(f, current, -4.0, 4.0, scan_points, 1e-3)
     want = ref_scan_golden_max(f, current, -4.0, 4.0, scan_points, 1e-3)
     assert got.tolist() == want.tolist()
+
+
+# --- lockstep 3PL: each fit of a group equals its fit alone ---------------
+
+@st.composite
+def response_groups(draw):
+    """1-5 random response matrices of one shape."""
+    shape = (draw(st.integers(2, 12)), draw(st.integers(2, 15)))
+    return draw(st.lists(response_matrices(shape), min_size=1, max_size=5))
+
+
+def assert_lockstep_matches_lone_fits(group, max_outer):
+    fits = fit_3pl_many(group, max_outer)
+    assert [fit_to_dict(f) for f in fits] == [fit_to_dict(fit_3pl(m, max_outer))
+                                              for m in group]
+    return fits
+
+
+@settings(max_examples=40, deadline=None)
+@given(response_groups(), st.integers(1, 50))
+def test_fit_3pl_many_equals_a_fit_per_matrix(group, max_outer):
+    assert_lockstep_matches_lone_fits(group, max_outer)
+
+
+def test_fit_3pl_many_freezes_each_fit_when_it_converges():
+    rng = np.random.default_rng(0)
+    group = [ResponseMatrix(rng.integers(0, 2, (5, 6))) for _ in range(3)]
+    fits = assert_lockstep_matches_lone_fits(group, 20)
+    # the fits stop at different outer iterations, two of them converged
+    assert [(f.iterations, f.converged) for f in fits] == [(20, False), (11, True),
+                                                          (15, True)]
+
+
+def scan_calls(responses, max_outer):
+    """Objective calls of each ``_scan_golden_max`` pass of a lone fit."""
+    calls = []
+
+    def counted(f, *args):
+        calls.append(0)
+
+        def objective(v):
+            calls[-1] += 1
+            return f(v)
+        return scan(objective, *args)
+
+    scan = irt._scan_golden_max
+    with mock.patch.object(irt, "_scan_golden_max", counted):
+        fit_3pl(responses, max_outer=max_outer)
+    return calls
+
+
+def test_fit_3pl_many_stops_each_golden_search_on_its_own_widths():
+    # every respondent answers each item of `flat` alike, so its first b
+    # pass brackets every item at a bound, half as wide as an inner bracket,
+    # and its golden search stops two objective calls sooner than `mixed`'s
+    flat = ResponseMatrix(np.array([[1, 0, 1]] * 3))
+    mixed = ResponseMatrix(np.array([[1, 0, 1], [1, 0, 0], [0, 1, 1]]))
+    assert scan_calls(flat, 1)[:4] == [17, 16, 11, 17]
+    assert scan_calls(mixed, 1)[:4] == [17, 18, 11, 17]
+    for max_outer in (1, 4):
+        assert_lockstep_matches_lone_fits([flat, mixed, flat], max_outer)
+        assert_lockstep_matches_lone_fits([mixed, flat], max_outer)
+
+
+def test_fit_3pl_many_refuses_what_it_cannot_fit_in_lockstep():
+    m = ResponseMatrix(np.eye(3, dtype=int))
+    with pytest.raises(IrtError, match="at least one"):
+        fit_3pl_many([])
+    with pytest.raises(IrtError, match=r"one shape, got \[\(3, 3\), \(3, 4\)\]"):
+        fit_3pl_many([m, ResponseMatrix(np.eye(3, 4, dtype=int))])
+    with pytest.raises(IrtError, match="max_outer"):
+        fit_3pl_many([m], max_outer=0)
 
 
 # --- reference kNN: full stable argsort of every distance row -------------

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -12,10 +13,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from xaibench import cli, pipeline
+from xaibench import cli, explainers, pipeline
 from xaibench.data import Dataset, level_key, load_csv, save_csv
 from xaibench.datasets import make_synthetic_diabetes
-from xaibench.irt import fit_from_dict, summarize
+from xaibench.irt import fit_3pl_many, fit_from_dict, summarize
 from xaibench.pipeline import (
     STAGES,
     PipelineError,
@@ -167,7 +168,11 @@ class TestRunAll:
         ("ranks.json", lambda ranks: ranks + [r for r in ranks if (
             r["explainer"] == "eli5" and r["perturbation_fraction"] == 0.0)],
          "repeated rank slot: eli5:cart:0"),
-    ], ids=("rank", "metric", "repeated-rank"))
+        ("ranks.json", lambda ranks: [dict(r, ordered_features=r["ordered_features"][:-1] + [
+            "renamed"]) if r["explainer"] == "eli5" and r["perturbation_fraction"] == 0.1
+            else r for r in ranks],
+         "rank slot eli5:cart:10 covers other features than eli5:cart:0"),
+    ], ids=("rank", "metric", "repeated-rank", "other-features"))
     def test_report_names_a_missing_slot_before_using_it(self, completed_run, tmp_path,
                                                          artifact, drop, slot):
         cfg, _, out_dir = completed_run
@@ -277,13 +282,35 @@ class TestExplainDispatch:
                 return _original(*args, **kwargs)
             monkeypatch.setattr(pipeline, name, counted)
         pipeline.stage_explain(dataclasses.replace(cfg, out_dir=copy))
-        # one model x four levels
-        assert calls == {"explain_eli5_style": 4, "explain_exirt": 4}
+        # one model x four levels; eXirt takes every cell in one call
+        assert calls == {"explain_eli5_style": 4, "explain_exirt": 1}
         with open(os.path.join(out_dir, "ranks.json"), "rb") as fh:
             original = fh.read()
         with open(os.path.join(copy, "ranks.json"), "rb") as fh:
             assert fh.read() == original
 
+    def test_exirt_fits_every_cell_in_one_lockstep_call(self, small_dataset_path, tmp_path,
+                                                        monkeypatch):
+        cfg = RunConfig(dataset=small_dataset_path, out_dir=str(tmp_path / "run"),
+                        models=("cart", "knn"), explainers=("exirt", "eli5"),
+                        fractions=(0.0, 0.1), cv_folds=2)
+        run_stage(cfg, "train")
+        groups = []
+
+        def counted(matrices, *args):
+            groups.append(len(matrices))
+            return fit_3pl_many(matrices, *args)
+        monkeypatch.setattr(explainers, "fit_3pl_many", counted)
+        run_stage(cfg, "explain")
+        assert groups == [2 * 2]  # one call, models x levels
+        with open(os.path.join(cfg.out_dir, "ranks.json"), encoding="utf-8") as fh:
+            slots = [(r["model_kind"], r["perturbation_fraction"], r["explainer"])
+                     for r in json.load(fh)]
+        # each eXirt rank keeps its place in the model, level, explainer order
+        assert slots == [(k, f, e) for k in cfg.models for f in cfg.fractions
+                         for e in cfg.explainers]
+        assert sorted(os.listdir(os.path.join(cfg.out_dir, "irt"))) == [
+            "fit_cart_0.json", "fit_cart_10.json", "fit_knn_0.json", "fit_knn_10.json"]
 
     def test_lofo_refits_once_per_kind_and_scores_every_level(self, small_dataset_path,
                                                               tmp_path, monkeypatch):
@@ -413,6 +440,26 @@ class TestCli:
         cli.main(["synth-data", "--out", c, "--seed", "2"])
         assert open(a).read() == open(b).read()
         assert open(a).read() != open(c).read()
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda d: dict(d, note="x"), r"unknown \['note'\]"),
+        (lambda d: {k: v for k, v in d.items() if k != "history"}, r"missing \['history'\]"),
+    ], ids=("unknown", "missing"))
+    def test_report_names_the_keys_of_a_bad_fit_file(self, small_dataset_path, completed_run,
+                                                     tmp_path, capsys, edit, named):
+        _, _, out_dir = completed_run
+        copy = str(tmp_path / "copy")
+        shutil.copytree(out_dir, copy)
+        path = os.path.join(copy, "irt", "fit_cart_10.json")
+        with open(path, encoding="utf-8") as fh:
+            loaded = json.load(fh)
+        _write_json(path, edit(loaded))
+        rc = cli.main(["report", "--dataset", small_dataset_path, "--out", copy,
+                       "--models", "cart", "--explainers", "eli5,exirt"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: fit record keys:")
+        assert re.search(named, err)
 
     def test_missing_dataset_is_an_error(self, tmp_path, capsys):
         assert cli.main(["run", "--out", str(tmp_path / "o")]) == 1

@@ -306,6 +306,15 @@ class TestCheckSlots:
             with pytest.raises(ReportError, match=f"unconfigured rank slot: {':'.join(extra)}:10"):
                 check_slots(self.CONFIG, self.METRICS, ranks)
 
+    def test_pair_covering_other_features_rejected(self):
+        ranks = self.ranks([0.0, 0.04, 0.1], pairs=[("shap", "gbt"), ("shap", "cart"),
+                                                     ("eli5", "gbt")])
+        ranks += self.ranks([0.0, 0.04], pairs=[("eli5", "cart")])
+        ranks.append(RelevanceRank(("x", "z"), (2.0, 1.0), "eli5", "cart", 0.1))
+        with pytest.raises(ReportError,
+                           match="rank slot eli5:cart:10 covers other features than eli5:cart:0"):
+            check_slots(self.CONFIG, self.METRICS, ranks)
+
     def test_missing_metric_slot_rejected(self):
         metrics = {"gbt": self.METRICS["gbt"], "cart": {"0": None, "10": None}}
         with pytest.raises(ReportError, match="missing metric report slot: cart:4"):
