@@ -1,5 +1,7 @@
 """Dataset I/O with atomic writes, z-score standardization, stratified splitting,
-level keys and the perturbation engine for the 0/4/6/10% test-set variants."""
+level keys, the perturbation engine for the 0/4/6/10% test-set variants, and
+the one codec of every persisted record: :func:`to_record` and
+:func:`from_record`, which refuses a record whose keys are not its fields."""
 
 from __future__ import annotations
 
@@ -7,7 +9,7 @@ import csv
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -18,6 +20,10 @@ PERTURBATION_KINDS = ("noise", "permutation")
 
 class DatasetError(ValueError):
     """Raised for malformed input data or invalid dataset operations."""
+
+
+class RecordError(ValueError):
+    """Raised for a persisted record whose keys are not its type's fields."""
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -131,6 +137,33 @@ def atomic_open(path, newline=None):
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+
+
+def to_record(obj) -> dict:
+    """A record dataclass's fields in declaration order, JSON-ready: arrays
+    and tuples become lists, and an optional field left at None is omitted."""
+    out = {}
+    for f in fields(obj):
+        v = getattr(obj, f.name)
+        if v is None and f.default is None:
+            continue
+        out[f.name] = (v.tolist() if isinstance(v, np.ndarray)
+                       else list(v) if isinstance(v, tuple) else v)
+    return out
+
+
+def from_record(cls, d):
+    """The ``cls`` record that :func:`to_record` wrote.  A record with a
+    missing key (other than an omitted optional one) or an unknown key is
+    refused with both lists; ``cls.__post_init__`` restores its own types."""
+    if not isinstance(d, dict):
+        raise RecordError(f"{cls.__name__} record must be an object, got {type(d).__name__}")
+    names = {f.name for f in fields(cls)}
+    missing = sorted(names - d.keys() - {f.name for f in fields(cls) if f.default is None})
+    unknown = sorted(d.keys() - names)
+    if missing or unknown:
+        raise RecordError(f"{cls.__name__} record keys: missing {missing}, unknown {unknown}")
+    return cls(**d)
 
 
 def load_csv(path) -> Dataset:

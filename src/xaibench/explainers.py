@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,6 +80,9 @@ class RelevanceRank:
     score_std: tuple | None = None  # lofo records fold dispersion
 
     def __post_init__(self):
+        for name in ("ordered_features", "scores", "score_std"):
+            if getattr(self, name) is not None:  # a record's lists become tuples
+                object.__setattr__(self, name, tuple(getattr(self, name)))
         if len(self.ordered_features) != len(self.scores):
             raise ExplainerError("scores must align with the feature order")
         if any(s1 < s2 - 1e-12 for s1, s2 in zip(self.scores, self.scores[1:])):
@@ -88,20 +91,6 @@ class RelevanceRank:
     def positions(self) -> dict:
         """feature -> 1-based rank position."""
         return {f: i + 1 for i, f in enumerate(self.ordered_features)}
-
-    def as_dict(self) -> dict:
-        """JSON-ready fields; ``score_std`` only when the explainer records it."""
-        d = asdict(self)
-        if self.score_std is None:
-            del d["score_std"]
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RelevanceRank":
-        std = d.get("score_std")
-        return cls(tuple(d["ordered_features"]), tuple(d["scores"]), d["explainer"],
-                   d["model_kind"], d["perturbation_fraction"],
-                   None if std is None else tuple(std))
 
 
 def rank_from_scores(feature_names, scores, explainer, model_kind,

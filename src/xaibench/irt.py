@@ -38,7 +38,7 @@ and ``z = theta*a - a*b`` (not a*(theta - b), which rounds differently):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,6 +56,8 @@ ANCHOR_A = 1.0
 ANCHOR_C = 0.1
 SCAN_POINTS = 17
 XTOL = 1e-3
+
+TIE_EPSILON = 0.05  # a dissenting margin below this never blocks a verdict
 
 X_MORE_RELIABLE = "x_more_reliable"
 Y_MORE_RELIABLE = "y_more_reliable"
@@ -126,6 +128,7 @@ class IrtFit:
                 raise IrtError(f"{name} must be a vector")
             if np.any(v < bounds[0] - 1e-9) or np.any(v > bounds[1] + 1e-9):
                 raise IrtError(f"{name} outside bounds {bounds}")
+        object.__setattr__(self, "history", tuple(self.history))
         if not (len(self.a) == len(self.b) == len(self.c)):
             raise IrtError("item parameter vectors must share a length")
 
@@ -324,12 +327,12 @@ def summarize(fit: IrtFit) -> ReliabilitySummary:
 
 
 def reliability_compare(x: ReliabilitySummary, y: ReliabilitySummary,
-                        tie_epsilon: float = 0.05, use_ability: bool = False) -> str:
+                        use_ability: bool = False) -> str:
     """Vote-based verdict: lower difficulty, higher discrimination and lower
     guessing each cast one vote (mean ability adds an optional fourth).
 
     A majority wins when unanimous, or when the dissenting margin is either
-    below tie_epsilon or smaller than the strongest supporting margin;
+    below TIE_EPSILON or smaller than the strongest supporting margin;
     anything else is ambiguous.  Antisymmetric by construction.
     """
     # signed margins: positive favours x
@@ -352,29 +355,6 @@ def reliability_compare(x: ReliabilitySummary, y: ReliabilitySummary,
     if not losers:
         return winner
     dissent = max(losers)
-    if dissent < tie_epsilon or dissent < max(supporters):
+    if dissent < TIE_EPSILON or dissent < max(supporters):
         return winner
     return AMBIGUOUS
-
-
-def fit_to_dict(fit: IrtFit) -> dict:
-    return {
-        "a": fit.a.tolist(),
-        "b": fit.b.tolist(),
-        "c": fit.c.tolist(),
-        "theta": fit.theta.tolist(),
-        "log_likelihood": fit.log_likelihood,
-        "history": list(fit.history),
-        "iterations": fit.iterations,
-        "converged": fit.converged,
-    }
-
-
-def fit_from_dict(d: dict) -> IrtFit:
-    """The fit that :func:`fit_to_dict` wrote; its keys are the field names,
-    and a record with a missing or unknown key is refused."""
-    names = {f.name for f in fields(IrtFit)}
-    missing, unknown = sorted(names - d.keys()), sorted(d.keys() - names)
-    if missing or unknown:
-        raise IrtError(f"fit record keys: missing {missing}, unknown {unknown}")
-    return IrtFit(**dict(d, history=tuple(d["history"])))

@@ -3,7 +3,7 @@ rank-based ROC AUC with the Mann-Whitney tie convention."""
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,9 +17,6 @@ class MetricReport:
     recall: float
     f1: float
     roc_auc: float
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def labels_from_proba(proba: np.ndarray) -> np.ndarray:

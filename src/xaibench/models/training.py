@@ -1,5 +1,6 @@
 """Hyperparameter tuning with stratified 4-fold cross-validation on AUC,
-plus the TrainedModel wrapper and its JSON serialization."""
+plus the TrainedModel wrapper and its JSON serialization: the record codec's
+fields, a ``format_version`` and the estimator's own ``to_dict``."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..data import Dataset, DatasetError, atomic_open
+from ..data import Dataset, DatasetError, RecordError, atomic_open, from_record, to_record
 from ..seeding import rng_for
 from ..metrics import roc_auc_score
 from .gbt import GradientBoostedTrees
@@ -71,6 +72,9 @@ class TrainedModel:
     seed: int
     hyperparams: dict
     cv_score: float
+
+    def __post_init__(self):
+        self.feature_names = tuple(self.feature_names)  # a record's list
 
     def _checked(self, features) -> np.ndarray:
         features = np.atleast_2d(np.asarray(features, dtype=float))
@@ -189,31 +193,21 @@ def train(kind: str, train_data: Dataset, folds: int, seed: int) -> TrainedModel
 
 
 def model_to_dict(model: TrainedModel) -> dict:
-    return {
-        "format_version": _MODEL_FORMAT_VERSION,
-        "kind": model.kind,
-        "n_features": model.n_features,
-        "feature_names": list(model.feature_names),
-        "seed": model.seed,
-        "hyperparams": model.hyperparams,
-        "cv_score": model.cv_score,
-        "estimator": model.estimator.to_dict(),
-    }
+    return dict(to_record(model), estimator=model.estimator.to_dict(),
+                format_version=_MODEL_FORMAT_VERSION)
 
 
 def model_from_dict(d: dict) -> TrainedModel:
-    if d.get("format_version") != _MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model format version {d.get('format_version')!r}")
-    est = _ESTIMATORS[d["kind"]].from_dict(d["estimator"])
-    return TrainedModel(
-        kind=d["kind"],
-        estimator=est,
-        n_features=d["n_features"],
-        feature_names=tuple(d["feature_names"]),
-        seed=d["seed"],
-        hyperparams=d["hyperparams"],
-        cv_score=d["cv_score"],
-    )
+    """The model that :func:`model_to_dict` wrote; its keys other than
+    ``format_version`` are the TrainedModel fields."""
+    version = d.get("format_version") if isinstance(d, dict) else None
+    if version != _MODEL_FORMAT_VERSION:
+        raise RecordError(f"unsupported model format version {version!r}")
+    model = from_record(TrainedModel, {k: v for k, v in d.items() if k != "format_version"})
+    if model.kind not in _ESTIMATORS:
+        raise RecordError(f"unknown model kind {model.kind!r}")
+    model.estimator = _ESTIMATORS[model.kind].from_dict(model.estimator)
+    return model
 
 
 def save_model(model: TrainedModel, path) -> None:

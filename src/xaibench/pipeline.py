@@ -8,21 +8,27 @@ those, so running the stage subcommands in order produces byte-identical
 final outputs to a single run_all with the same seed.  Stage seeds derive
 from the master seed and stage labels, so subsets reproduce the values
 they would have inside a full run.
+
+Records go through the ``data.to_record``/``from_record`` codec; a refused
+one names its file.  ``prepared/stats.json`` is train's commit marker: train
+removes it and every later stage's artifact first and writes it last, so no
+stage reads what another config's run or an interrupted train left.
 """
 
 from __future__ import annotations
 
 import functools
+import glob
 import json
 import numbers
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import data as datamod
-from .data import (PerturbationSpec, atomic_open, level_key, load_csv, save_csv, split,
-                   zscore_apply, zscore_fit)
+from .data import (PerturbationSpec, atomic_open, from_record, level_key, load_csv, save_csv,
+                   split, to_record, zscore_apply, zscore_fit)
 from .explainers import (
     EXPLAINERS,
     ExplainerConfig,
@@ -37,13 +43,7 @@ from .explainers import (
     lofo_refits,
     shap_exact,
 )
-from .irt import (
-    default_theta_grid,
-    fit_from_dict,
-    fit_to_dict,
-    icc,
-    summarize,
-)
+from .irt import IrtFit, default_theta_grid, icc, summarize
 from .metrics import MetricReport, classification_report
 from .models import MODEL_KINDS, load_model, save_model, train
 from .report import RunReport, check_slots, write_report
@@ -135,11 +135,7 @@ class RunConfig:
         )
 
     def echo(self) -> dict:
-        d = asdict(self)
-        d["fractions"] = list(self.fractions)
-        d["models"] = list(self.models)
-        d["explainers"] = list(self.explainers)
-        return d
+        return to_record(self)
 
 
 def _path(cfg: RunConfig, *parts) -> str:
@@ -164,6 +160,15 @@ def _write_json(path, obj) -> None:
 def _read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def _load(cfg: RunConfig, stage: str, read, *parts):
+    """``read(path)`` of an upstream artifact; a file it refuses is named."""
+    path = _require(cfg, stage, *parts)
+    try:
+        return read(path)
+    except ValueError as exc:
+        raise PipelineError(stage, f"{path}: {exc}")
 
 
 def _run_config(cfg: RunConfig) -> dict:
@@ -207,9 +212,19 @@ def stage_train(cfg: RunConfig) -> None:
                                      f"lower train_fraction={cfg.train_fraction}")
     stats = zscore_fit(train_raw)
     train_std = zscore_apply(train_raw, stats)
+    # stats.json, the commit marker, goes first and comes back last
+    for path in [_path(cfg, "prepared", "stats.json"), _path(cfg, "metrics.json"),
+                 _path(cfg, "ranks.json"),
+                 *glob.glob(os.path.join(glob.escape(_path(cfg, "irt")), "fit_*.json"))]:
+        if os.path.exists(path):
+            os.remove(path)
     os.makedirs(_path(cfg, "prepared"), exist_ok=True)
     save_csv(train_std, _path(cfg, "prepared", "train.csv"))
     save_csv(test_raw, _path(cfg, "prepared", "test_raw.csv"))
+    os.makedirs(_path(cfg, "models"), exist_ok=True)
+    for kind in cfg.models:
+        model = train(kind, train_std, cfg.cv_folds, derive_seed(cfg.master_seed, "train", kind))
+        save_model(model, _path(cfg, "models", f"{kind}.json"))
     _write_json(_path(cfg, "prepared", "stats.json"), {
         "config": _run_config(cfg),
         "mean": stats.mean.tolist(),
@@ -222,18 +237,11 @@ def stage_train(cfg: RunConfig) -> None:
             "feature_names": list(dataset.feature_names),
         },
     })
-    os.makedirs(_path(cfg, "models"), exist_ok=True)
-    for kind in cfg.models:
-        model = train(kind, train_std, cfg.cv_folds, derive_seed(cfg.master_seed, "train", kind))
-        save_model(model, _path(cfg, "models", f"{kind}.json"))
 
 
 def _load_models(cfg: RunConfig, stage: str) -> dict:
-    out = {}
-    for kind in cfg.models:
-        path = _require(cfg, stage, "models", f"{kind}.json")
-        out[kind] = load_model(path)
-    return out
+    return {kind: _load(cfg, stage, load_model, "models", f"{kind}.json")
+            for kind in cfg.models}
 
 
 def _test_variants(cfg: RunConfig, meta: dict, test_raw) -> dict:
@@ -261,7 +269,6 @@ def stage_explain(cfg: RunConfig) -> None:
     metrics = {}
     ranks = []
     exirt_cells, exirt_slots = [], []  # fitted together once every cell is known
-    os.makedirs(_path(cfg, "irt"), exist_ok=True)
     for kind in cfg.models:
         model = models[kind]
         if "lofo" in cfg.explainers:
@@ -272,7 +279,7 @@ def stage_explain(cfg: RunConfig) -> None:
         for f in cfg.fractions:
             test = variants[f]
             proba = model.predict_proba(test.features)
-            metrics[kind][level_key(f)] = classification_report(test.labels, proba).as_dict()
+            metrics[kind][level_key(f)] = to_record(classification_report(test.labels, proba))
             for explainer in cfg.explainers:
                 ecfg = cfg.explainer_config(explainer, kind, f)
                 if explainer == "exirt":
@@ -280,13 +287,13 @@ def stage_explain(cfg: RunConfig) -> None:
                     exirt_cells.append((model, test, ecfg, f))
                     ranks.append(None)
                 else:
-                    ranks.append(explain[explainer](model, train_std, test, ecfg, f).as_dict())
+                    ranks.append(to_record(explain[explainer](model, train_std, test, ecfg, f)))
     if exirt_cells:
         for slot, (model, _, _, f), (rank, fit) in zip(exirt_slots, exirt_cells,
                                                         explain_exirt(exirt_cells)):
-            ranks[slot] = rank.as_dict()
+            ranks[slot] = to_record(rank)
             _write_json(_path(cfg, "irt", f"fit_{model.kind}_{level_key(f)}.json"),
-                        fit_to_dict(fit))
+                        to_record(fit))
     _write_json(_path(cfg, "metrics.json"), metrics)
     _write_json(_path(cfg, "ranks.json"), ranks)
 
@@ -316,10 +323,11 @@ def stage_report(cfg: RunConfig) -> RunReport:
     meta = _check_config(cfg, "report")
     models_meta = {kind: {"hyperparams": m.hyperparams, "cv_score": m.cv_score, "seed": m.seed}
                    for kind, m in _load_models(cfg, "report").items()}
-    metrics = {k: {lvl: MetricReport(**m) for lvl, m in levels.items()}
-               for k, levels in _read_json(_require(cfg, "report", "metrics.json")).items()}
-    ranks = [RelevanceRank.from_dict(d)
-             for d in _read_json(_require(cfg, "report", "ranks.json"))]
+    metrics = _load(cfg, "report", lambda p: {
+        k: {lvl: from_record(MetricReport, m) for lvl, m in levels.items()}
+        for k, levels in _read_json(p).items()}, "metrics.json")
+    ranks = _load(cfg, "report", lambda p: [from_record(RelevanceRank, d) for d in _read_json(p)],
+                  "ranks.json")
     reliability, curves = {}, {}
     if "exirt" in cfg.explainers:
         grid = default_theta_grid()
@@ -327,8 +335,8 @@ def stage_report(cfg: RunConfig) -> RunReport:
             reliability[kind] = {}
             for f in cfg.fractions:
                 lvl = level_key(f)
-                fit = fit_from_dict(_read_json(
-                    _require(cfg, "report", "irt", f"fit_{kind}_{lvl}.json")))
+                fit = _load(cfg, "report", lambda p: from_record(IrtFit, _read_json(p)),
+                            "irt", f"fit_{kind}_{lvl}.json")
                 reliability[kind][lvl] = summarize(fit)
                 curves[kind, lvl] = (grid, icc(fit.a, fit.b, fit.c, grid), fit.a < 0)
     pair_ranks = check_slots(cfg.echo(), metrics, ranks)  # level 0 first in each pair

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import atomic_open, level_key
+from .data import atomic_open, level_key, to_record
 from .irt import ReliabilitySummary
 from .stats import PosthocMatrix
 
@@ -141,11 +141,11 @@ def render_bump_svg(ranks, record=None, title: str = "") -> str:
         full_title = (title + " " if title else "") + f"sum = {record.sum:.2f}"
     parts = _svg_open(full_title)
     for i, rank in enumerate(ranks):
-        f = rank.perturbation_fraction
+        f, lvl = rank.perturbation_fraction, level_key(rank.perturbation_fraction)
         parts.append(_text(px(i), HEIGHT - bottom + 24, f"{f * 100:g}%", 11, "middle"))
-        if record is not None and f in record.rho_by_fraction:
+        if record is not None and lvl in record.rho_by_fraction:
             parts.append(_text(px(i), HEIGHT - bottom + 42,
-                               f"rho={record.rho_by_fraction[f]:.2f}", 10, "middle"))
+                               f"rho={record.rho_by_fraction[lvl]:.2f}", 10, "middle"))
     for ci, feat in enumerate(sorted(positions[0])):
         color = _PALETTE[ci % len(_PALETTE)]
         pts = [(px(i), py(pos[feat])) for i, pos in enumerate(positions)]
@@ -208,14 +208,14 @@ def report_to_dict(r: RunReport) -> dict:
         "dataset": r.dataset_summary,
         "config": r.config,
         "models": r.models,
-        "metrics": {k: {lvl: m.as_dict() for lvl, m in levels.items()}
+        "metrics": {k: {lvl: to_record(m) for lvl, m in levels.items()}
                     for k, levels in r.metrics.items()},
-        "reliability": {k: {lvl: asdict(s) for lvl, s in levels.items()}
+        "reliability": {k: {lvl: to_record(s) for lvl, s in levels.items()}
                         for k, levels in r.reliability.items()},
-        "ranks": [rk.as_dict() for rk in r.ranks],
-        "stability": [rec.as_dict() for rec in r.stability],
+        "ranks": [to_record(rk) for rk in r.ranks],
+        "stability": [to_record(rec) for rec in r.stability],
         "friedman": r.friedman,
-        "nemenyi": None if r.nemenyi is None else r.nemenyi.as_dict(),
+        "nemenyi": None if r.nemenyi is None else to_record(r.nemenyi),
     }
 
 

@@ -3,7 +3,7 @@ baseline ranks, per-model correlation sums and explainer ordering."""
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .data import level_key
 from .explainers import RelevanceRank
@@ -17,13 +17,8 @@ class StabilityError(ValueError):
 class StabilityRecord:
     explainer: str
     model_kind: str
-    rho_by_fraction: dict  # perturbation fraction -> Spearman rho
+    rho_by_fraction: dict  # level_key of the perturbed level -> Spearman rho
     sum: float
-
-    def as_dict(self) -> dict:
-        """JSON-ready fields, with levels keyed by level_key."""
-        return dict(asdict(self), rho_by_fraction={
-            level_key(f): v for f, v in self.rho_by_fraction.items()})
 
 
 def spearman(rank_a: RelevanceRank, rank_b: RelevanceRank) -> float:
@@ -45,7 +40,7 @@ def stability_sum(ranks) -> StabilityRecord:
     order, as ``report.check_slots`` returns them.
     """
     baseline = ranks[0]
-    rho = {r.perturbation_fraction: spearman(baseline, r) for r in ranks[1:]}
+    rho = {level_key(r.perturbation_fraction): spearman(baseline, r) for r in ranks[1:]}
     return StabilityRecord(
         explainer=baseline.explainer,
         model_kind=baseline.model_kind,

@@ -54,9 +54,6 @@ class PosthocMatrix:
         if not np.allclose(np.diag(p), 1.0):
             raise StatsError("diagonal must be exactly 1")
 
-    def as_dict(self) -> dict:
-        return {"labels": list(self.labels), "p": self.p.tolist()}
-
 
 def _within_block_ranks(values: np.ndarray) -> np.ndarray:
     return np.vstack([average_ranks(row) for row in values])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xaibench.data import Dataset
+from xaibench.data import Dataset, to_record
 from xaibench.explainers import (
     DALEX_SUBSAMPLE,
     EXPLAINERS,
@@ -23,7 +23,7 @@ from xaibench.explainers import (
     shapley_values,
     _stratified_subsample,
 )
-from xaibench.irt import ResponseMatrix, fit_3pl, fit_to_dict
+from xaibench.irt import ResponseMatrix, fit_3pl
 from xaibench.metrics import accuracy_score, labels_from_proba, roc_auc_score
 from xaibench.models import MODEL_KINDS, stratified_kfold, train
 from xaibench.models.training import build_estimator
@@ -299,8 +299,8 @@ class TestRankers:
                     assert net == want_net  # the constant predictor
                 else:
                     assert net.to_dict() == want_net.to_dict()
-        assert (explain_lofo_style(model, train_data, test_data, cfg, refits=refits).as_dict()
-                == explain_lofo_style(model, train_data, test_data, cfg, refits=want).as_dict())
+        assert (to_record(explain_lofo_style(model, train_data, test_data, cfg, refits=refits))
+                == to_record(explain_lofo_style(model, train_data, test_data, cfg, refits=want)))
 
     def test_exirt_returns_fit_with_pool_sized_matrix(self, fitted):
         model, train_data, test_data = fitted
@@ -320,7 +320,7 @@ class TestRankers:
         [(rank, fit)] = explain_exirt([(model, test_data, cfg, 0.0)])
         want_rank, want_fit = ref_exirt(model, test_data, cfg)
         assert rank == want_rank
-        assert fit_to_dict(fit) == fit_to_dict(want_fit)
+        assert to_record(fit) == to_record(want_fit)
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_batched_explainers_equal_a_predict_call_per_variant(self, fitted, kind):
@@ -330,8 +330,8 @@ class TestRankers:
         cfg = ExplainerConfig(seed=13, repetitions=3)
         for explain, ref in ((explain_dalex_style, ref_dalex), (explain_eli5_style, ref_eli5),
                              (explain_skater_style, ref_skater)):
-            assert (explain(model, train_data, test_data, cfg).as_dict()
-                    == ref(model, test_data, cfg).as_dict()), explain.__name__
+            assert (to_record(explain(model, train_data, test_data, cfg))
+                    == to_record(ref(model, test_data, cfg))), explain.__name__
 
     def test_exirt_ignored_feature_scores_zero(self):
         rng = np.random.default_rng(6)

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from xaibench.data import RecordError, from_record, to_record
 from xaibench.irt import (
     AMBIGUOUS,
     X_MORE_RELIABLE,
@@ -17,8 +18,6 @@ from xaibench.irt import (
     ResponseMatrix,
     default_theta_grid,
     fit_3pl,
-    fit_from_dict,
-    fit_to_dict,
     icc,
     p_correct,
     reliability_compare,
@@ -139,7 +138,7 @@ class TestFit3pl:
     def test_dict_round_trip(self):
         matrix, _ = simulated_matrix(seed=8)
         fit = fit_3pl(matrix, max_outer=5)
-        back = fit_from_dict(fit_to_dict(fit))
+        back = from_record(IrtFit, to_record(fit))
         assert np.array_equal(back.a, fit.a)
         assert np.array_equal(back.theta, fit.theta)
         assert back.history == fit.history
@@ -151,9 +150,9 @@ class TestFit3pl:
          r"missing \['converged', 'theta'\], unknown \[\]"),
     ], ids=("unknown", "missing"))
     def test_dict_with_missing_or_unknown_keys_refused(self, edit, named):
-        d = fit_to_dict(fit_3pl(simulated_matrix(seed=8)[0], max_outer=2))
-        with pytest.raises(IrtError, match=named):
-            fit_from_dict(edit(d))
+        d = to_record(fit_3pl(simulated_matrix(seed=8)[0], max_outer=2))
+        with pytest.raises(RecordError, match=named):
+            from_record(IrtFit, edit(d))
 
     def test_saved_json_keeps_the_nested_layouts_text(self):
         """irt/fit_*.json is written with json.dump(sort_keys=True, indent=1);
@@ -165,10 +164,10 @@ class TestFit3pl:
                   "history": list(fit.history), "iterations": fit.iterations,
                   "converged": fit.converged}
         for kwargs in ({"sort_keys": True, "indent": 1}, {}):
-            assert json.dumps(fit_to_dict(fit), **kwargs) == json.dumps(nested, **kwargs)
+            assert json.dumps(to_record(fit), **kwargs) == json.dumps(nested, **kwargs)
         tiny = IrtFit([1.5, -0.25], [0.0, 2.0], [0.1, 0.0], [0.5], log_likelihood=-3.0,
                       history=(-4.0, -3.0), iterations=2, converged=True)
-        assert json.dumps(fit_to_dict(tiny)) == (
+        assert json.dumps(to_record(tiny)) == (
             '{"a": [1.5, -0.25], "b": [0.0, 2.0], "c": [0.1, 0.0], "theta": [0.5], '
             '"log_likelihood": -3.0, "history": [-4.0, -3.0], "iterations": 2, '
             '"converged": true}')
@@ -258,11 +257,11 @@ class TestReliabilityCompare:
 
     def test_two_to_one_with_small_dissent(self):
         x = _summary(-2.0, 1.0, 0.1)
-        y = _summary(-1.0, 1.02, 0.3)  # dissent 0.02 < tie_epsilon
+        y = _summary(-1.0, 1.02, 0.3)  # dissent 0.02 < TIE_EPSILON
         assert reliability_compare(x, y) == X_MORE_RELIABLE
 
     def test_two_to_one_with_dominated_dissent(self):
-        # dissent 0.21 exceeds tie_epsilon but is below the strongest
+        # dissent 0.21 exceeds TIE_EPSILON but is below the strongest
         # supporting margin (0.41), so the majority still wins
         x = _summary(-2.18, 1.54, 0.14)
         y = _summary(-1.77, 1.75, 0.18)

@@ -29,6 +29,7 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from xaibench import irt
+from xaibench.data import to_record
 from xaibench.explainers import (
     EXACT_SHAP_LIMIT,
     ExplainerConfig,
@@ -45,7 +46,6 @@ from xaibench.irt import (
     ResponseMatrix,
     fit_3pl,
     fit_3pl_many,
-    fit_to_dict,
 )
 from xaibench.models import knn
 from xaibench.models.knn import KNearestNeighbors
@@ -293,7 +293,7 @@ def assert_fit_3pl_matches_reference(responses, max_outer):
     with mock.patch.object(irt, "_scan_golden_max", recording(irt._scan_golden_max, got)):
         fit = fit_3pl(responses, max_outer=max_outer)
     ref = ref_fit_3pl(responses, max_outer, scan=recording(ref_scan_golden_max, want))
-    assert fit_to_dict(fit) == fit_to_dict(ref)
+    assert to_record(fit) == to_record(ref)
     assert got == want
     return fit
 
@@ -369,8 +369,8 @@ def response_groups(draw):
 
 def assert_lockstep_matches_lone_fits(group, max_outer):
     fits = fit_3pl_many(group, max_outer)
-    assert [fit_to_dict(f) for f in fits] == [fit_to_dict(fit_3pl(m, max_outer))
-                                              for m in group]
+    assert [to_record(f) for f in fits] == [to_record(fit_3pl(m, max_outer))
+                                            for m in group]
     return fits
 
 

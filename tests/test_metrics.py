@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.stats import rankdata
 
+from xaibench.data import to_record
 from xaibench.metrics import (
     accuracy_score,
     average_ranks,
@@ -112,7 +113,7 @@ def test_classification_report_values():
     assert rep.precision == 2 / 3
     assert rep.recall == 2 / 3
     assert abs(rep.f1 - 2 / 3) <= 1e-12
-    d = rep.as_dict()
+    d = to_record(rep)
     assert set(d) == {"accuracy", "precision", "recall", "f1", "roc_auc"}
 
 

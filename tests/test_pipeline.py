@@ -16,7 +16,8 @@ import pytest
 from xaibench import cli, explainers, pipeline
 from xaibench.data import Dataset, level_key, load_csv, save_csv
 from xaibench.datasets import make_synthetic_diabetes
-from xaibench.irt import fit_3pl_many, fit_from_dict, summarize
+from xaibench.data import from_record
+from xaibench.irt import IrtFit, fit_3pl_many, summarize
 from xaibench.pipeline import (
     STAGES,
     PipelineError,
@@ -147,7 +148,7 @@ class TestRunAll:
             for lvl, cell in levels.items():
                 path = os.path.join(out_dir, "irt", f"fit_{kind}_{lvl}.json")
                 with open(path, encoding="utf-8") as fh:
-                    fit = fit_from_dict(json.load(fh))
+                    fit = from_record(IrtFit, json.load(fh))
                 assert cell == dataclasses.asdict(summarize(fit))
 
     def test_report_needs_every_saved_fit(self, completed_run, tmp_path):
@@ -254,6 +255,50 @@ class TestRunAll:
                                                 r"of class 1"):
             run_stage(cfg, "train")
         assert not (tmp_path / "out").exists()
+
+    def test_train_drops_what_a_run_under_another_config_left(self, small_dataset_path,
+                                                              tmp_path):
+        """train and explain at 5 repetitions, then train at 2: the report
+        stage finds no metrics, ranks or fits of the 5-repetition run."""
+        cfg = RunConfig(dataset=small_dataset_path, out_dir=str(tmp_path / "run"),
+                        models=("cart", "knn"), explainers=("eli5", "exirt"),
+                        fractions=(0.0, 0.1), cv_folds=2, repetitions=5)
+        run_stage(cfg, "train")
+        run_stage(cfg, "explain")
+        two = dataclasses.replace(cfg, repetitions=2)
+        run_stage(two, "train")
+        assert not (tmp_path / "run" / "metrics.json").exists()
+        assert not (tmp_path / "run" / "ranks.json").exists()
+        assert list((tmp_path / "run" / "irt").glob("fit_*.json")) == []
+        with pytest.raises(PipelineError, match=r"\[report\] missing input artifact: "
+                                                r".*metrics\.json"):
+            run_stage(two, "report")
+
+    def test_a_train_that_stops_early_leaves_no_commit_marker(self, small_dataset_path,
+                                                              tmp_path, monkeypatch):
+        """A train under another config that fails on its second model kind
+        leaves the first config's second model behind, but no stats.json,
+        so explain refuses to start."""
+        cfg = RunConfig(dataset=small_dataset_path, out_dir=str(tmp_path / "run"),
+                        models=("cart", "knn"), explainers=("eli5",), fractions=(0.0, 0.1),
+                        cv_folds=2)
+        run_stage(cfg, "train")
+        trained, original = [], pipeline.train
+
+        def stops_at_the_second_kind(kind, *args):
+            trained.append(kind)
+            if len(trained) == 2:
+                raise RuntimeError("stopped")
+            return original(kind, *args)
+
+        monkeypatch.setattr(pipeline, "train", stops_at_the_second_kind)
+        other = dataclasses.replace(cfg, master_seed=cfg.master_seed + 1)
+        with pytest.raises(RuntimeError, match="stopped"):
+            run_stage(other, "train")
+        assert trained == ["cart", "knn"]
+        with pytest.raises(PipelineError, match=r"\[explain\] missing input artifact: "
+                                                r".*stats\.json"):
+            run_stage(other, "explain")
 
     def test_mixed_configs_are_refused(self, completed_run):
         cfg, _, _ = completed_run
@@ -441,16 +486,28 @@ class TestCli:
         assert open(a).read() == open(b).read()
         assert open(a).read() != open(c).read()
 
-    @pytest.mark.parametrize("edit, named", [
-        (lambda d: dict(d, note="x"), r"unknown \['note'\]"),
-        (lambda d: {k: v for k, v in d.items() if k != "history"}, r"missing \['history'\]"),
-    ], ids=("unknown", "missing"))
+    @pytest.mark.parametrize("parts, edit, named", [
+        (("irt", "fit_cart_10.json"), lambda d: dict(d, note="x"),
+         r"IrtFit record keys: missing \[\], unknown \['note'\]"),
+        (("irt", "fit_cart_10.json"), lambda d: {k: v for k, v in d.items() if k != "history"},
+         r"IrtFit record keys: missing \['history'\], unknown \[\]"),
+        (("metrics.json",), lambda d: {"cart": dict(d["cart"], **{"10": dict(d["cart"]["10"],
+                                                                             extra=1)})},
+         r"MetricReport record keys: missing \[\], unknown \['extra'\]"),
+        (("ranks.json",), lambda d: [{k: v for k, v in d[0].items() if k != "scores"}] + d[1:],
+         r"RelevanceRank record keys: missing \['scores'\], unknown \[\]"),
+        (("models", "cart.json"), lambda d: dict(d, note="x"),
+         r"TrainedModel record keys: missing \[\], unknown \['note'\]"),
+        (("models", "cart.json"), lambda d: dict(d, kind="svm"), r"unknown model kind 'svm'"),
+    ], ids=("unknown", "missing", "metrics", "rank", "model", "model-kind"))
     def test_report_names_the_keys_of_a_bad_fit_file(self, small_dataset_path, completed_run,
-                                                     tmp_path, capsys, edit, named):
+                                                     tmp_path, capsys, parts, edit, named):
+        """A malformed record file fails the report stage with its path and
+        the offending keys, not with a traceback."""
         _, _, out_dir = completed_run
         copy = str(tmp_path / "copy")
         shutil.copytree(out_dir, copy)
-        path = os.path.join(copy, "irt", "fit_cart_10.json")
+        path = os.path.join(copy, *parts)
         with open(path, encoding="utf-8") as fh:
             loaded = json.load(fh)
         _write_json(path, edit(loaded))
@@ -458,8 +515,9 @@ class TestCli:
                        "--models", "cart", "--explainers", "eli5,exirt"])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: fit record keys:")
+        assert err.startswith(f"error: [report] {path}: ")
         assert re.search(named, err)
+        assert "Traceback" not in err
 
     def test_missing_dataset_is_an_error(self, tmp_path, capsys):
         assert cli.main(["run", "--out", str(tmp_path / "o")]) == 1

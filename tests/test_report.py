@@ -1,17 +1,23 @@
 """Deterministic SVG rendering and report serialization."""
 
+import functools
 import json
-from dataclasses import asdict
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from xaibench import report
+from xaibench.data import RecordError, from_record, to_record
 from xaibench.data import level_key as data_level_key
 from xaibench.explainers import RelevanceRank
-from xaibench.irt import ReliabilitySummary, default_theta_grid, icc
+from xaibench.irt import (A_BOUNDS, B_BOUNDS, C_BOUNDS, THETA_BOUNDS, IrtFit,
+                          ReliabilitySummary, default_theta_grid, icc)
 from xaibench.metrics import MetricReport
+from xaibench.models.knn import KNearestNeighbors
+from xaibench.models.training import TrainedModel, model_from_dict, model_to_dict
 from xaibench.report import (
     GREEN,
     RED,
@@ -180,9 +186,9 @@ def ref_render_bump_svg(table, record=None, title=""):
     parts = report._svg_open(full_title)
     for i, f in enumerate(fractions):
         parts.append(text(px(i), h - bottom + 24, f"{f * 100:g}%", 11, "middle"))
-        if record is not None and f in record.rho_by_fraction:
+        if record is not None and level_key(f) in record.rho_by_fraction:
             parts.append(text(px(i), h - bottom + 42,
-                              f"rho={record.rho_by_fraction[f]:.2f}", 10, "middle"))
+                              f"rho={record.rho_by_fraction[level_key(f)]:.2f}", 10, "middle"))
     for ci, feat in enumerate(features):
         color = report._PALETTE[ci % len(report._PALETTE)]
         pts = [(px(i), py(pos[(f, feat)])) for i, f in enumerate(fractions)
@@ -209,7 +215,7 @@ def ref_stability_sum(baseline, perturbed, fractions):
     missing = [f for f in fractions if f not in by_fraction]
     if missing:
         raise StabilityError(f"missing perturbation fractions: {missing}")
-    rho = {f: spearman(baseline, by_fraction[f]) for f in sorted(fractions)}
+    rho = {level_key(f): spearman(baseline, by_fraction[f]) for f in sorted(fractions)}
     return StabilityRecord(baseline.explainer, baseline.model_kind, rho,
                            float(sum(rho.values())))
 
@@ -232,7 +238,7 @@ def shuffled_pair_ranks(draw):
 
 class TestBumpSvg:
     def test_levels_features_and_rho_annotations(self):
-        record = StabilityRecord("eli5", "gbt", {0.04: 0.5}, 0.5)
+        record = StabilityRecord("eli5", "gbt", {"4": 0.5}, 0.5)
         svg = render_bump_svg(ranks_for_bump(), record, title="eli5 / gbt")
         assert "0%" in svg and "4%" in svg
         assert ">x</text>" in svg and ">y</text>" in svg
@@ -266,7 +272,8 @@ class TestBumpSvg:
             assert record == ref_stability_sum(
                 baseline, [r for r in ranks if r.perturbation_fraction > 0],
                 tuple(f for f in fractions if f > 0))
-            assert list(record.rho_by_fraction) == sorted(f for f in fractions if f > 0)
+            assert list(record.rho_by_fraction) == [level_key(f) for f in sorted(fractions)
+                                                    if f > 0]
         record = record if with_record else None
         assert (render_bump_svg(pair, record, title="eli5 / gbt")
                 == ref_render_bump_svg(ref_bump_chart_data(ranks), record, title="eli5 / gbt"))
@@ -345,51 +352,93 @@ class TestHeatmapSvg:
         assert render_heatmap_svg(self.matrix()) == render_heatmap_svg(self.matrix())
 
 
-def through_json(d):
-    return json.loads(json.dumps(d, sort_keys=True))
-
-
 finite = st.floats(allow_nan=False, allow_infinity=False)
 names = st.text(min_size=1, max_size=8)
 
 
-class TestRecordRoundTrips:
-    """Each record type has one serializer, and what it writes survives the
-    JSON text of report.json; RelevanceRank and MetricReport, which the
-    report stage reads back from ranks.json and metrics.json, also
-    round-trip."""
+@st.composite
+def relevance_ranks(draw):
+    features = draw(st.lists(names, min_size=1, max_size=6, unique=True))
+    n = len(features)
+    scores = sorted(draw(st.lists(finite, min_size=n, max_size=n)), reverse=True)
+    std = draw(st.none() | st.lists(finite, min_size=n, max_size=n))
+    return RelevanceRank(features, scores, draw(names), draw(names), draw(st.floats(0.0, 1.0)),
+                         std)
 
-    @given(finite, finite, finite, finite, finite)
-    def test_metric_report(self, accuracy, precision, recall, f1, roc_auc):
-        m = MetricReport(accuracy, precision, recall, f1, roc_auc)
-        d = m.as_dict()
-        assert list(d) == ["accuracy", "precision", "recall", "f1", "roc_auc"]
-        assert MetricReport(**through_json(d)) == m
 
-    @given(st.lists(names, min_size=1, max_size=6, unique=True), st.data(),
-           names, names, st.floats(0.0, 1.0), st.booleans())
-    def test_relevance_rank(self, features, data, explainer, kind, fraction, with_std):
-        n = len(features)
-        scores = sorted(data.draw(st.lists(finite, min_size=n, max_size=n)), reverse=True)
-        std = data.draw(st.lists(finite, min_size=n, max_size=n)) if with_std else None
-        rank = RelevanceRank(tuple(features), tuple(scores), explainer, kind, fraction,
-                             None if std is None else tuple(std))
-        d = rank.as_dict()
-        assert ("score_std" in d) == with_std
-        assert RelevanceRank.from_dict(through_json(d)) == rank
+@st.composite
+def posthoc_matrices(draw):
+    labels = draw(st.lists(names, min_size=1, max_size=5, unique=True))
+    p = np.eye(len(labels))
+    for i, j in zip(*np.triu_indices(len(labels), 1)):
+        p[i, j] = p[j, i] = draw(st.floats(0.0, 1.0))
+    return PosthocMatrix(labels, p)
 
-    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5, unique_by=data_level_key),
-           st.data(), names, names)
-    def test_stability_record(self, fractions, data, explainer, kind):
-        rhos = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=len(fractions),
-                                  max_size=len(fractions)))
-        rec = StabilityRecord(explainer, kind, dict(zip(fractions, rhos)), float(sum(rhos)))
-        d = through_json(rec.as_dict())
-        assert sorted(d["rho_by_fraction"]) == sorted(data_level_key(f) for f in fractions)
-        assert d == {"explainer": explainer, "model_kind": kind, "sum": rec.sum,
-                     "rho_by_fraction": {data_level_key(f): r for f, r in zip(fractions, rhos)}}
 
-    @given(finite, finite, finite, finite, st.integers(0, 10_000))
-    def test_reliability_summary(self, difficulty, discrimination, guessing, ability, neg):
-        s = ReliabilitySummary(difficulty, discrimination, guessing, ability, neg)
-        assert ReliabilitySummary(**through_json(asdict(s))) == s
+@st.composite
+def irt_fits(draw):
+    n, r = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    a, b, c, theta = (draw(st.lists(st.floats(*bounds), min_size=k, max_size=k))
+                      for bounds, k in ((A_BOUNDS, n), (B_BOUNDS, n), (C_BOUNDS, n),
+                                        (THETA_BOUNDS, r)))
+    return IrtFit(a, b, c, theta, draw(finite), draw(st.lists(finite, max_size=4)),
+                  draw(st.integers(0, 50)), draw(st.booleans()))
+
+
+@st.composite
+def trained_models(draw):
+    features = draw(st.lists(names, min_size=1, max_size=3, unique=True))
+    rows = draw(st.integers(1, 4))
+    x = draw(st.lists(st.lists(finite, min_size=len(features), max_size=len(features)),
+                      min_size=rows, max_size=rows))
+    y = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=rows, max_size=rows))
+    k = draw(st.integers(1, rows))
+    estimator = KNearestNeighbors.from_dict({"k": k, "x": x, "y": y})
+    return TrainedModel("knn", estimator, len(features), features, draw(st.integers(0, 99)),
+                        {"k": k}, draw(finite))
+
+
+# record type -> (strategy, encoder, decoder); the pipeline writes each of
+# these records through its encoder and reads it back through its decoder
+RECORDS = {
+    MetricReport: (st.builds(MetricReport, finite, finite, finite, finite, finite),
+                   to_record, functools.partial(from_record, MetricReport)),
+    RelevanceRank: (relevance_ranks(), to_record, functools.partial(from_record, RelevanceRank)),
+    StabilityRecord: (st.builds(StabilityRecord, names, names,
+                                st.dictionaries(st.integers(1, 100).map(str),
+                                                st.floats(-1.0, 1.0)), finite),
+                      to_record, functools.partial(from_record, StabilityRecord)),
+    ReliabilitySummary: (st.builds(ReliabilitySummary, finite, finite, finite, finite,
+                                   st.integers(0, 10_000)),
+                         to_record, functools.partial(from_record, ReliabilitySummary)),
+    PosthocMatrix: (posthoc_matrices(), to_record, functools.partial(from_record, PosthocMatrix)),
+    IrtFit: (irt_fits(), to_record, functools.partial(from_record, IrtFit)),
+    TrainedModel: (trained_models(), model_to_dict, model_from_dict),
+}
+
+
+class TestRecordCodec:
+    """Every persisted record type goes through the one codec: what it
+    writes survives the JSON text of its file, its keys come in field order,
+    and a record with a missing or an unknown key is refused by name."""
+
+    @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_round_trip_field_order_and_key_refusals(self, cls, data):
+        strategy, encode, decode = RECORDS[cls]
+        record = data.draw(strategy)
+        d = encode(record)
+        text = json.dumps(d)
+        assert json.dumps(encode(decode(json.loads(text)))) == text
+        field_names = [f.name for f in fields(cls)]
+        assert [k for k in d if k != "format_version"] == [n for n in field_names if n in d]
+        assert [n for n in field_names if n not in d] == [n for n in field_names
+                                                          if getattr(record, n) is None]
+        key = data.draw(st.sampled_from([f.name for f in fields(cls) if f.default is not None]))
+        with pytest.raises(RecordError, match=re.escape(
+                f"{cls.__name__} record keys: missing ['{key}'], unknown []")):
+            decode({k: v for k, v in d.items() if k != key})
+        with pytest.raises(RecordError, match=re.escape(
+                f"{cls.__name__} record keys: missing [], unknown ['extra']")):
+            decode(dict(d, extra=1))

@@ -74,10 +74,10 @@ class TestStabilitySum:
                                     ["a", "c", "b"],
                                     ["c", "b", "a"]])
         rec = stability_sum([baseline, *perturbed])
-        assert rec.rho_by_fraction[0.04] == 1.0
-        assert rec.rho_by_fraction[0.06] == 0.5
-        assert rec.rho_by_fraction[0.10] == -1.0
-        assert list(rec.rho_by_fraction) == list(self.FRACTIONS)
+        assert rec.rho_by_fraction["4"] == 1.0
+        assert rec.rho_by_fraction["6"] == 0.5
+        assert rec.rho_by_fraction["10"] == -1.0
+        assert list(rec.rho_by_fraction) == ["4", "6", "10"]
         assert rec.sum == pytest.approx(0.5)
         assert rec.explainer == "eli5"
         assert rec.model_kind == "gbt"
