@@ -155,7 +155,8 @@ def to_record(obj) -> dict:
 def from_record(cls, d):
     """The ``cls`` record that :func:`to_record` wrote.  A record with a
     missing key (other than an omitted optional one) or an unknown key is
-    refused with both lists; ``cls.__post_init__`` restores its own types."""
+    refused with both lists; ``cls.__post_init__`` restores its own types,
+    and a value it cannot take (a ``TypeError``) is refused too."""
     if not isinstance(d, dict):
         raise RecordError(f"{cls.__name__} record must be an object, got {type(d).__name__}")
     names = {f.name for f in fields(cls)}
@@ -163,7 +164,10 @@ def from_record(cls, d):
     unknown = sorted(d.keys() - names)
     if missing or unknown:
         raise RecordError(f"{cls.__name__} record keys: missing {missing}, unknown {unknown}")
-    return cls(**d)
+    try:
+        return cls(**d)
+    except TypeError as exc:
+        raise RecordError(f"{cls.__name__} record: {exc}") from exc
 
 
 def load_csv(path) -> Dataset:

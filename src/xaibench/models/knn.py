@@ -26,6 +26,8 @@ faster than any explicit order.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
 _CHUNK = 256  # bound the (chunk, n_train, m) difference cube
@@ -77,20 +79,22 @@ def _coalition_plan(z: np.ndarray):
     return steps, root, ids
 
 
+@dataclass(eq=False)
 class KNearestNeighbors:
-    def __init__(self, k: int = 5):
-        self.k = k
-        self.x_ = None
-        self.y_ = None
+    k: int = 5
+    x: np.ndarray = field(default_factory=list)  # the fitted training rows and labels
+    y: np.ndarray = field(default_factory=list)
+
+    def __post_init__(self):
+        self.x, self.y = np.asarray(self.x, dtype=float), np.asarray(self.y, dtype=float)
 
     def fit(self, x, y, rng=None):
-        self.x_ = np.asarray(x, dtype=float)
-        self.y_ = np.asarray(y, dtype=float)
+        self.x, self.y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         return self
 
     def _vote(self, d2: np.ndarray) -> np.ndarray:
         """Positive fraction among each row's k nearest, d2 (rows, n_train)."""
-        k = min(self.k, len(self.y_))
+        k = min(self.k, len(self.y))
         # every row nearer than the k-th distance, then the earliest
         # training rows tied with it until k are taken
         kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
@@ -99,14 +103,14 @@ class KNearestNeighbors:
         slots = k - nearer.sum(axis=1, keepdims=True)
         nearest = nearer | (tied & (np.cumsum(tied, axis=1) <= slots))
         # 0/1 labels: the sum is exact, so sum / k equals the mean
-        return (nearest * self.y_).sum(axis=1) / k
+        return (nearest * self.y).sum(axis=1) / k
 
     def predict_proba(self, x) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         out = np.empty(x.shape[0], dtype=float)
         for start in range(0, x.shape[0], _CHUNK):
             chunk = x[start:start + _CHUNK]
-            d2 = ((chunk[:, None, :] - self.x_[None, :, :]) ** 2).sum(axis=2)
+            d2 = ((chunk[:, None, :] - self.x[None, :, :]) ** 2).sum(axis=2)
             out[start:start + _CHUNK] = self._vote(d2)
         return out
 
@@ -125,7 +129,7 @@ class KNearestNeighbors:
         """Yield (start, d2) per block of _BLOCK rows of x: d2 (K, rows,
         n_train) holds each blend's squared distance to each training row."""
         steps, root, ids = _coalition_plan(z)
-        t = self.x_.T  # (M, n_train)
+        t = self.x.T  # (M, n_train)
         away = (np.asarray(background, dtype=float)[:, None] - t) ** 2
         for start in range(0, x.shape[0], _BLOCK):
             block = x[start:start + _BLOCK].T  # (M, rows)
@@ -138,13 +142,3 @@ class KNearestNeighbors:
                 slots.append(slots[left][lid] + slots[right][rid])
                 slots[left] = slots[right] = None  # each node feeds one parent
             yield start, slots[root][ids]
-
-    def to_dict(self) -> dict:
-        return {"k": self.k, "x": self.x_.tolist(), "y": self.y_.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "KNearestNeighbors":
-        obj = cls(d["k"])
-        obj.x_ = np.array(d["x"], dtype=float)
-        obj.y_ = np.array(d["y"], dtype=float)
-        return obj

@@ -15,6 +15,8 @@ K = 1.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field, replace
+
 import numpy as np
 
 
@@ -23,21 +25,24 @@ def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(z, -500), 500)))
 
 
+@dataclass(eq=False)
 class MultilayerPerceptron:
-    def __init__(self, hidden_units: int = 16, learning_rate: float = 0.1,
-                 epochs: int = 150, batch_size: int = 32):
-        self.hidden_units = hidden_units
-        self.learning_rate = learning_rate
-        self.epochs = epochs
-        self.batch_size = batch_size
-        self.w1_ = None
-        self.b1_ = None
-        self.w2_ = None
-        self.b2_ = 0.0
+    hidden_units: int = 16
+    learning_rate: float = 0.1
+    epochs: int = 150
+    batch_size: int = 32
+    w1: np.ndarray = field(default_factory=list)  # the fitted weights
+    b1: np.ndarray = field(default_factory=list)
+    w2: np.ndarray = field(default_factory=list)
+    b2: float = 0.0
+
+    def __post_init__(self):
+        self.w1, self.b1, self.w2 = (np.asarray(w, float) for w in (self.w1, self.b1, self.w2))
+        self.b2 = float(self.b2)
 
     def fit(self, x, y, rng):
         (net,) = self.fit_many([x], y, [rng])
-        self.w1_, self.b1_, self.w2_, self.b2_ = net.w1_, net.b1_, net.w2_, net.b2_
+        self.w1, self.b1, self.w2, self.b2 = net.w1, net.b1, net.w2, net.b2
         return self
 
     def fit_many(self, xs, y, rngs) -> list:
@@ -73,37 +78,10 @@ class MultilayerPerceptron:
                 b2 -= lr * gb2
                 w1 -= lr * gw1
                 b1 -= lr * gb1
-        return [self._fitted(w1[i], b1[i, 0], w2[i, :, 0], float(b2[i, 0, 0]))
+        return [replace(self, w1=w1[i], b1=b1[i, 0], w2=w2[i, :, 0], b2=b2[i, 0, 0])
                 for i in range(k)]
-
-    def _fitted(self, w1, b1, w2, b2) -> "MultilayerPerceptron":
-        net = MultilayerPerceptron(self.hidden_units, self.learning_rate,
-                                   self.epochs, self.batch_size)
-        net.w1_, net.b1_, net.w2_, net.b2_ = w1, b1, w2, b2
-        return net
 
     def predict_proba(self, x) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        a = np.tanh(x @ self.w1_ + self.b1_)
-        return _sigmoid(a @ self.w2_ + self.b2_)
-
-    def to_dict(self) -> dict:
-        return {
-            "hidden_units": self.hidden_units,
-            "learning_rate": self.learning_rate,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "w1": self.w1_.tolist(),
-            "b1": self.b1_.tolist(),
-            "w2": self.w2_.tolist(),
-            "b2": self.b2_,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MultilayerPerceptron":
-        obj = cls(d["hidden_units"], d["learning_rate"], d["epochs"], d["batch_size"])
-        obj.w1_ = np.array(d["w1"], dtype=float)
-        obj.b1_ = np.array(d["b1"], dtype=float)
-        obj.w2_ = np.array(d["w2"], dtype=float)
-        obj.b2_ = float(d["b2"])
-        return obj
+        a = np.tanh(x @ self.w1 + self.b1)
+        return _sigmoid(a @ self.w2 + self.b2)

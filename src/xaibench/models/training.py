@@ -1,11 +1,11 @@
 """Hyperparameter tuning with stratified 4-fold cross-validation on AUC,
 plus the TrainedModel wrapper and its JSON serialization: the record codec's
-fields, a ``format_version`` and the estimator's own ``to_dict``."""
+fields, with the estimator a record of its own, and a ``format_version``."""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -143,9 +143,9 @@ def _boosting_prefix(kind: str, params: dict, fitted: list):
         return None
     n = params["n_rounds"]
     for est in fitted:
-        prefix = dict(est.to_dict(), n_rounds=n)
-        if est.n_rounds >= n and all(prefix[k] == v for k, v in params.items()):
-            return GradientBoostedTrees.from_dict(dict(prefix, trees=est.trees_[:n]))
+        prefix = replace(est, n_rounds=n, trees=est.trees[:n])
+        if est.n_rounds >= n and all(getattr(prefix, k) == v for k, v in params.items()):
+            return prefix
     return None
 
 
@@ -193,20 +193,21 @@ def train(kind: str, train_data: Dataset, folds: int, seed: int) -> TrainedModel
 
 
 def model_to_dict(model: TrainedModel) -> dict:
-    return dict(to_record(model), estimator=model.estimator.to_dict(),
+    return dict(to_record(model), estimator=to_record(model.estimator),
                 format_version=_MODEL_FORMAT_VERSION)
 
 
 def model_from_dict(d: dict) -> TrainedModel:
     """The model that :func:`model_to_dict` wrote; its keys other than
-    ``format_version`` are the TrainedModel fields."""
+    ``format_version`` are the TrainedModel fields, and its ``estimator``'s
+    are the fields of its kind's estimator class."""
     version = d.get("format_version") if isinstance(d, dict) else None
     if version != _MODEL_FORMAT_VERSION:
         raise RecordError(f"unsupported model format version {version!r}")
     model = from_record(TrainedModel, {k: v for k, v in d.items() if k != "format_version"})
     if model.kind not in _ESTIMATORS:
         raise RecordError(f"unknown model kind {model.kind!r}")
-    model.estimator = _ESTIMATORS[model.kind].from_dict(model.estimator)
+    model.estimator = from_record(_ESTIMATORS[model.kind], model.estimator)
     return model
 
 

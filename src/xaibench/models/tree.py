@@ -9,6 +9,8 @@ order and a later one wins only by more than _GAIN_TOL.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
 _GAIN_TOL = 1e-12
@@ -97,18 +99,18 @@ def tree_features_used(node: dict, acc=None) -> set:
     return acc
 
 
+@dataclass(eq=False)
 class DecisionTreeClassifier:
     """Binary CART with Gini impurity; leaves hold the class-1 fraction."""
 
-    def __init__(self, max_depth=None, min_samples_leaf: int = 1):
-        self.max_depth = max_depth
-        self.min_samples_leaf = min_samples_leaf
-        self.root_ = None
+    max_depth: int | None  # None: unbounded
+    min_samples_leaf: int = 1
+    root: dict = field(default_factory=dict)  # the fitted tree
 
     def fit(self, x, y, rng=None):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        self.root_ = self._build(x, y, depth=0)
+        self.root = self._build(x, y, depth=0)
         return self
 
     def _build(self, x, y, depth):
@@ -130,20 +132,10 @@ class DecisionTreeClassifier:
         }
 
     def predict_proba(self, x) -> np.ndarray:
-        return tree_predict(self.root_, x)
+        return tree_predict(self.root, x)
 
     def features_used(self) -> set:
-        return tree_features_used(self.root_)
-
-    def to_dict(self) -> dict:
-        return {"max_depth": self.max_depth, "min_samples_leaf": self.min_samples_leaf,
-                "root": self.root_}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DecisionTreeClassifier":
-        obj = cls(d["max_depth"], d["min_samples_leaf"])
-        obj.root_ = d["root"]
-        return obj
+        return tree_features_used(self.root)
 
 
 def regression_tree(x: np.ndarray, grad: np.ndarray, hess: np.ndarray, max_depth: int,

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import data as datamod
-from .data import (PerturbationSpec, atomic_open, from_record, level_key, load_csv, save_csv,
-                   split, to_record, zscore_apply, zscore_fit)
+from .data import (PerturbationSpec, RecordError, atomic_open, from_record, level_key, load_csv,
+                   save_csv, split, to_record, zscore_apply, zscore_fit)
 from .explainers import (
     EXPLAINERS,
     ExplainerConfig,
@@ -138,6 +138,22 @@ class RunConfig:
         return to_record(self)
 
 
+@dataclass(frozen=True)
+class PreparedStats:
+    """``prepared/stats.json``: the trained run's config (its echo minus
+    ``out_dir``), a dataset summary and the training split's standardization."""
+
+    config: dict
+    dataset: dict
+    mean: list
+    stddev: list
+
+    def __post_init__(self):
+        if not (isinstance(self.config, dict) and isinstance(self.dataset, dict)):
+            raise RecordError("config and dataset must be objects")
+        datamod.StandardizationStats(self.mean, self.stddev)  # refuses bad vectors
+
+
 def _path(cfg: RunConfig, *parts) -> str:
     return os.path.join(cfg.out_dir, *parts)
 
@@ -157,9 +173,13 @@ def _write_json(path, obj) -> None:
         fh.write("\n")
 
 
-def _read_json(path):
+def _read_json(path, top=object):
+    """The JSON document at ``path``, refused unless its top level is a ``top``."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        doc = json.load(fh)
+    if not isinstance(doc, top):
+        raise RecordError(f"top level must be a {top.__name__}, got {type(doc).__name__}")
+    return doc
 
 
 def _load(cfg: RunConfig, stage: str, read, *parts):
@@ -176,11 +196,12 @@ def _run_config(cfg: RunConfig) -> dict:
     return {k: v for k, v in cfg.echo().items() if k != "out_dir"}
 
 
-def _check_config(cfg: RunConfig, stage: str) -> dict:
+def _check_config(cfg: RunConfig, stage: str) -> PreparedStats:
     """Refuse to consume artifacts that the train stage wrote under another
     config; returns the prepared/stats.json record."""
-    meta = _read_json(_require(cfg, stage, "prepared", "stats.json"))
-    recorded, current = meta.get("config", {}), _run_config(cfg)
+    meta = _load(cfg, stage, lambda p: from_record(PreparedStats, _read_json(p)),
+                 "prepared", "stats.json")
+    recorded, current = meta.config, _run_config(cfg)
     differ = sorted(k for k in recorded.keys() | current.keys()
                     if recorded.get(k) != current.get(k))
     if differ:
@@ -225,18 +246,12 @@ def stage_train(cfg: RunConfig) -> None:
     for kind in cfg.models:
         model = train(kind, train_std, cfg.cv_folds, derive_seed(cfg.master_seed, "train", kind))
         save_model(model, _path(cfg, "models", f"{kind}.json"))
-    _write_json(_path(cfg, "prepared", "stats.json"), {
-        "config": _run_config(cfg),
-        "mean": stats.mean.tolist(),
-        "stddev": stats.stddev.tolist(),
-        "dataset": {
-            "path": cfg.dataset,
-            "n_rows": dataset.n_rows,
-            "n_features": dataset.n_features,
-            "class_counts": {str(k): v for k, v in dataset.class_counts().items()},
-            "feature_names": list(dataset.feature_names),
-        },
-    })
+    _write_json(_path(cfg, "prepared", "stats.json"), to_record(PreparedStats(
+        config=_run_config(cfg),
+        dataset={"path": cfg.dataset, "n_rows": dataset.n_rows, "n_features": dataset.n_features,
+                 "class_counts": {str(k): v for k, v in dataset.class_counts().items()},
+                 "feature_names": list(dataset.feature_names)},
+        mean=stats.mean.tolist(), stddev=stats.stddev.tolist())))
 
 
 def _load_models(cfg: RunConfig, stage: str) -> dict:
@@ -244,9 +259,9 @@ def _load_models(cfg: RunConfig, stage: str) -> dict:
             for kind in cfg.models}
 
 
-def _test_variants(cfg: RunConfig, meta: dict, test_raw) -> dict:
+def _test_variants(cfg: RunConfig, meta: PreparedStats, test_raw) -> dict:
     """The standardized test variant of every fraction, rebuilt in memory."""
-    stats = datamod.StandardizationStats(np.array(meta["mean"]), np.array(meta["stddev"]))
+    stats = datamod.StandardizationStats(meta.mean, meta.stddev)
     return {f: zscore_apply(datamod.perturb(test_raw, cfg.perturbation_spec(f)), stats)
             for f in cfg.fractions}
 
@@ -325,9 +340,9 @@ def stage_report(cfg: RunConfig) -> RunReport:
                    for kind, m in _load_models(cfg, "report").items()}
     metrics = _load(cfg, "report", lambda p: {
         k: {lvl: from_record(MetricReport, m) for lvl, m in levels.items()}
-        for k, levels in _read_json(p).items()}, "metrics.json")
-    ranks = _load(cfg, "report", lambda p: [from_record(RelevanceRank, d) for d in _read_json(p)],
-                  "ranks.json")
+        for k, levels in _read_json(p, dict).items()}, "metrics.json")
+    ranks = _load(cfg, "report", lambda p: [from_record(RelevanceRank, d)
+                                            for d in _read_json(p, list)], "ranks.json")
     reliability, curves = {}, {}
     if "exirt" in cfg.explainers:
         grid = default_theta_grid()
@@ -342,7 +357,7 @@ def stage_report(cfg: RunConfig) -> RunReport:
     pair_ranks = check_slots(cfg.echo(), metrics, ranks)  # level 0 first in each pair
     friedman_result, nem = _posthoc(cfg, metrics)
     report = RunReport(
-        dataset_summary=meta["dataset"],
+        dataset_summary=meta.dataset,
         config=cfg.echo(),
         models=models_meta,
         metrics=metrics,

@@ -298,7 +298,7 @@ class TestRankers:
                 if isinstance(want_net, float):
                     assert net == want_net  # the constant predictor
                 else:
-                    assert net.to_dict() == want_net.to_dict()
+                    assert to_record(net) == to_record(want_net)
         assert (to_record(explain_lofo_style(model, train_data, test_data, cfg, refits=refits))
                 == to_record(explain_lofo_style(model, train_data, test_data, cfg, refits=want)))
 

@@ -1,11 +1,11 @@
-"""Source hygiene: no module imports a name that it never uses, and the
+"""Source hygiene: no module imports a name that it never uses, the
 library defines no function, class, method or property that only tests
-call.
+call, and no class writes or reads itself by hand.
 
 No linter ships with the project, so these walk the syntax tree of each
 module.  The import check covers src/, tests/ and bench/; an import whose
 first line carries ``# noqa: F401`` is a deliberate re-export and is
-skipped.  The definition check covers src/xaibench.
+skipped.  The definition and serializer checks cover src/xaibench.
 """
 
 import ast
@@ -21,8 +21,8 @@ UNREAD_ALLOWED = {
                                             "never splits on the noise feature",
     "fit_3pl": "the one-matrix fit; xaibench.explainers imports it for bench/tracing.py "
                "to rebind, and the pipeline fits through fit_3pl_many",
-    "reliability_compare": "the paper's model verdict; ROADMAP item 5 reports it",
-    "stability_order": "the paper's explainer order; ROADMAP item 5 reports it",
+    "reliability_compare": "the paper's model verdict; ROADMAP item 4 reports it",
+    "stability_order": "the paper's explainer order; ROADMAP item 4 reports it",
 }
 
 
@@ -112,3 +112,16 @@ def test_no_definition_only_tests_call():
     sources = {str(path.relative_to(package)): path.read_text(encoding="utf-8")
                for path in sorted(package.rglob("*.py"))}
     assert sorted(name for _, name in unread_definitions(sources)) == sorted(UNREAD_ALLOWED)
+
+
+def test_no_hand_written_serializer():
+    """Every persisted record goes through ``data.to_record`` and
+    ``from_record``: no class defines its own ``to_dict`` or ``from_dict``."""
+    found = []
+    for path in sorted((ROOT / "src" / "xaibench").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                found += [f"{path.relative_to(ROOT)}: {node.name}.{item.name}"
+                          for item in node.body if isinstance(item, ast.FunctionDef)
+                          and item.name in ("to_dict", "from_dict")]
+    assert found == []

@@ -488,8 +488,8 @@ def assert_coalitions_match_blends(model, x, background, z):
     assert got.shape == (n, k)
     assert got.tobytes() == model.predict_proba(blends).reshape(n, k).tobytes()
     # the distances too: a last-bit change shows even where no neighbour flips
-    want = ((blends[:, None, :] - model.x_[None, :, :]) ** 2).sum(axis=2)
-    want = want.reshape(n, k, len(model.x_)).transpose(1, 0, 2)
+    want = ((blends[:, None, :] - model.x[None, :, :]) ** 2).sum(axis=2)
+    want = want.reshape(n, k, len(model.x)).transpose(1, 0, 2)
     for start, d2 in model._coalition_distances(x, background, z):
         assert d2.tobytes() == want[:, start:start + d2.shape[1]].tobytes()
 
@@ -587,10 +587,10 @@ def test_mlp_fit_matches_reference(n, m, h, batch_size, epochs, seed):
     net.fit(x, y, rng=np.random.default_rng(seed))
     w1, b1, w2, b2 = ref_mlp_fit(x, y, h, 0.5, epochs, batch_size,
                                  np.random.default_rng(seed))
-    assert net.w1_.tolist() == w1.tolist()
-    assert net.b1_.tolist() == b1.tolist()
-    assert net.w2_.tolist() == w2.tolist()
-    assert net.b2_ == b2
+    assert net.w1.tolist() == w1.tolist()
+    assert net.b1.tolist() == b1.tolist()
+    assert net.w2.tolist() == w2.tolist()
+    assert net.b2 == b2
 
 
 @settings(max_examples=60, deadline=None)
@@ -607,10 +607,10 @@ def test_mlp_fit_many_matches_reference_per_net(k, m, h, batch_size, n, epochs, 
     assert len(nets) == k
     for i, (x, net) in enumerate(zip(xs, nets)):
         w1, b1, w2, b2 = ref_mlp_fit(x, y, h, 0.5, epochs, batch_size, rng_for(seed, "net", i))
-        assert net.w1_.tolist() == w1.tolist()
-        assert net.b1_.tolist() == b1.tolist()
-        assert net.w2_.tolist() == w2.tolist()
-        assert net.b2_ == b2
+        assert net.w1.tolist() == w1.tolist()
+        assert net.b1.tolist() == b1.tolist()
+        assert net.w2.tolist() == w2.tolist()
+        assert net.b2 == b2
 
 
 # --- reference kernel SHAP: loop-built coalitions, diagonal weights -------

@@ -1,10 +1,12 @@
 """Classifier families, cross-validated tuning and model serialization."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xaibench.data import Dataset, DatasetError
+from xaibench.data import Dataset, DatasetError, from_record, to_record
 from xaibench.metrics import roc_auc_score
 from xaibench.models import (
     MODEL_KINDS,
@@ -112,7 +114,7 @@ class TestDecisionTree:
         x, y = separable(seed=3)
         tree = DecisionTreeClassifier(max_depth=3)
         tree.fit(x, y)
-        clone = DecisionTreeClassifier.from_dict(tree.to_dict())
+        clone = from_record(DecisionTreeClassifier, to_record(tree))
         assert np.array_equal(clone.predict_proba(x), tree.predict_proba(x))
 
 
@@ -124,8 +126,7 @@ class TestGradientBoostedTrees:
         # the loss after round k is that of the model made of the first k trees
         losses = []
         for k in range(1, 41):
-            p = GradientBoostedTrees.from_dict(
-                dict(gbt.to_dict(), trees=gbt.trees_[:k])).predict_proba(x)
+            p = replace(gbt, trees=gbt.trees[:k]).predict_proba(x)
             p = np.clip(p, 1e-12, 1 - 1e-12)
             losses.append(float(-np.mean(y * np.log(p) + (1 - y) * np.log(1 - p))))
         assert len(losses) == 40
@@ -149,7 +150,7 @@ class TestGradientBoostedTrees:
         x, y = separable(seed=6)
         gbt = GradientBoostedTrees(n_rounds=10)
         gbt.fit(x, y)
-        clone = GradientBoostedTrees.from_dict(gbt.to_dict())
+        clone = from_record(GradientBoostedTrees, to_record(gbt))
         assert np.allclose(clone.predict_proba(x), gbt.predict_proba(x))
 
 
@@ -267,7 +268,7 @@ class TestTrain:
         got, want = train("gbt", data, 3, seed), ref_train("gbt", data, 3, seed)
         assert got.hyperparams == dict(winner, learning_rate=0.1) == want.hyperparams
         assert got.cv_score.hex() == want.cv_score.hex()
-        assert got.estimator.to_dict() == want.estimator.to_dict()
+        assert to_record(got.estimator) == to_record(want.estimator)
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(MODEL_KINDS),

@@ -499,18 +499,41 @@ class TestCli:
         (("models", "cart.json"), lambda d: dict(d, note="x"),
          r"TrainedModel record keys: missing \[\], unknown \['note'\]"),
         (("models", "cart.json"), lambda d: dict(d, kind="svm"), r"unknown model kind 'svm'"),
-    ], ids=("unknown", "missing", "metrics", "rank", "model", "model-kind"))
+        (("models", "cart.json"),
+         lambda d: dict(d, estimator={k: v for k, v in d["estimator"].items() if k != "root"}),
+         r"DecisionTreeClassifier record keys: missing \['root'\], unknown \[\]"),
+        (("models", "cart.json"), lambda d: dict(d, estimator=dict(d["estimator"], extra=1)),
+         r"DecisionTreeClassifier record keys: missing \[\], unknown \['extra'\]"),
+        (("prepared", "stats.json"), lambda d: {k: v for k, v in d.items() if k != "mean"},
+         r"PreparedStats record keys: missing \['mean'\], unknown \[\]"),
+        (("prepared", "stats.json"), lambda d: dict(d, extra=1),
+         r"PreparedStats record keys: missing \[\], unknown \['extra'\]"),
+        (("prepared", "stats.json"), lambda d: "{", r"Expecting property name"),
+        (("ranks.json",), lambda d: [dict(d[0], scores=None)] + d[1:],
+         r"RelevanceRank record: object of type 'NoneType' has no len\(\)"),
+        (("metrics.json",), lambda d: [], r"top level must be a dict, got list"),
+        (("models", "cart.json"), lambda d: dict(d, feature_names=None),
+         r"TrainedModel record: 'NoneType' object is not iterable"),
+    ], ids=("unknown", "missing", "metrics", "rank", "model", "model-kind", "estimator-missing",
+            "estimator-unknown", "stats-missing", "stats-unknown", "stats-not-json",
+            "rank-scores-null", "metrics-not-object", "model-names-null"))
     def test_report_names_the_keys_of_a_bad_fit_file(self, small_dataset_path, completed_run,
                                                      tmp_path, capsys, parts, edit, named):
         """A malformed record file fails the report stage with its path and
-        the offending keys, not with a traceback."""
+        what is wrong with it (the offending keys, a mistyped value or a top
+        level of the wrong type), not with a traceback."""
         _, _, out_dir = completed_run
         copy = str(tmp_path / "copy")
         shutil.copytree(out_dir, copy)
         path = os.path.join(copy, *parts)
         with open(path, encoding="utf-8") as fh:
             loaded = json.load(fh)
-        _write_json(path, edit(loaded))
+        edited = edit(loaded)
+        if isinstance(edited, str):  # text that is not JSON
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(edited)
+        else:
+            _write_json(path, edited)
         rc = cli.main(["report", "--dataset", small_dataset_path, "--out", copy,
                        "--models", "cart", "--explainers", "eli5,exirt"])
         assert rc == 1

@@ -16,8 +16,10 @@ from xaibench.explainers import RelevanceRank
 from xaibench.irt import (A_BOUNDS, B_BOUNDS, C_BOUNDS, THETA_BOUNDS, IrtFit,
                           ReliabilitySummary, default_theta_grid, icc)
 from xaibench.metrics import MetricReport
-from xaibench.models.knn import KNearestNeighbors
+from xaibench.models import (DecisionTreeClassifier, GradientBoostedTrees, KNearestNeighbors,
+                             MultilayerPerceptron)
 from xaibench.models.training import TrainedModel, model_from_dict, model_to_dict
+from xaibench.pipeline import PreparedStats
 from xaibench.report import (
     GREEN,
     RED,
@@ -385,17 +387,48 @@ def irt_fits(draw):
                   draw(st.integers(0, 50)), draw(st.booleans()))
 
 
+def vectors(n, elements=finite):
+    return st.lists(elements, min_size=n, max_size=n)
+
+
+# a tree as DecisionTreeClassifier and GradientBoostedTrees store it
+tree_nodes = st.recursive(
+    st.builds(lambda v: {"value": v}, finite),
+    lambda nodes: st.builds(lambda j, t, left, right: {"feature": j, "threshold": t,
+                                                        "left": left, "right": right},
+                            st.integers(0, 5), finite, nodes, nodes),
+    max_leaves=6)
+
+
+@st.composite
+def perceptrons(draw):
+    m, h = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    return MultilayerPerceptron(h, draw(finite), draw(st.integers(1, 200)),
+                                draw(st.integers(1, 64)), draw(vectors(m, vectors(h))),
+                                draw(vectors(h)), draw(vectors(h)), draw(finite))
+
+
+@st.composite
+def neighbour_sets(draw, m=None):
+    m, rows = m or draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    return KNearestNeighbors(draw(st.integers(1, rows)), draw(vectors(rows, vectors(m))),
+                             draw(vectors(rows, st.sampled_from([0.0, 1.0]))))
+
+
 @st.composite
 def trained_models(draw):
     features = draw(st.lists(names, min_size=1, max_size=3, unique=True))
-    rows = draw(st.integers(1, 4))
-    x = draw(st.lists(st.lists(finite, min_size=len(features), max_size=len(features)),
-                      min_size=rows, max_size=rows))
-    y = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=rows, max_size=rows))
-    k = draw(st.integers(1, rows))
-    estimator = KNearestNeighbors.from_dict({"k": k, "x": x, "y": y})
+    estimator = draw(neighbour_sets(len(features)))
     return TrainedModel("knn", estimator, len(features), features, draw(st.integers(0, 99)),
-                        {"k": k}, draw(finite))
+                        {"k": estimator.k}, draw(finite))
+
+
+@st.composite
+def prepared_stats(draw):
+    m = draw(st.integers(1, 4))
+    entries = st.dictionaries(names, finite | st.integers() | names, max_size=4)
+    return PreparedStats(draw(entries), draw(entries), draw(vectors(m)),
+                         draw(vectors(m, st.floats(1e-12, 1e6))))
 
 
 # record type -> (strategy, encoder, decoder); the pipeline writes each of
@@ -414,7 +447,23 @@ RECORDS = {
     PosthocMatrix: (posthoc_matrices(), to_record, functools.partial(from_record, PosthocMatrix)),
     IrtFit: (irt_fits(), to_record, functools.partial(from_record, IrtFit)),
     TrainedModel: (trained_models(), model_to_dict, model_from_dict),
+    GradientBoostedTrees: (st.builds(GradientBoostedTrees, st.integers(1, 200), finite,
+                                     st.integers(1, 5), st.integers(1, 9), finite,
+                                     st.lists(tree_nodes, max_size=3)),
+                           to_record, functools.partial(from_record, GradientBoostedTrees)),
+    MultilayerPerceptron: (perceptrons(), to_record,
+                           functools.partial(from_record, MultilayerPerceptron)),
+    DecisionTreeClassifier: (st.builds(DecisionTreeClassifier, st.none() | st.integers(1, 9),
+                                       st.integers(1, 9), tree_nodes),
+                             to_record, functools.partial(from_record, DecisionTreeClassifier)),
+    KNearestNeighbors: (neighbour_sets(), to_record,
+                        functools.partial(from_record, KNearestNeighbors)),
+    PreparedStats: (prepared_stats(), to_record, functools.partial(from_record, PreparedStats)),
 }
+
+# the fields a record may omit, when None; every other field is required,
+# a fitted estimator's state and a None tree depth included
+OPTIONAL = {RelevanceRank: ["score_std"]}
 
 
 class TestRecordCodec:
@@ -433,9 +482,11 @@ class TestRecordCodec:
         assert json.dumps(encode(decode(json.loads(text)))) == text
         field_names = [f.name for f in fields(cls)]
         assert [k for k in d if k != "format_version"] == [n for n in field_names if n in d]
-        assert [n for n in field_names if n not in d] == [n for n in field_names
+        optional = OPTIONAL.get(cls, [])
+        assert [f.name for f in fields(cls) if f.default is None] == optional
+        assert [n for n in field_names if n not in d] == [n for n in optional
                                                           if getattr(record, n) is None]
-        key = data.draw(st.sampled_from([f.name for f in fields(cls) if f.default is not None]))
+        key = data.draw(st.sampled_from([n for n in field_names if n not in optional]))
         with pytest.raises(RecordError, match=re.escape(
                 f"{cls.__name__} record keys: missing ['{key}'], unknown []")):
             decode({k: v for k, v in d.items() if k != key})
