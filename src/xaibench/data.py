@@ -139,6 +139,13 @@ def atomic_open(path, newline=None):
             os.remove(tmp)
 
 
+def require_type(value, top, what: str):
+    """``value``, refused with a RecordError naming ``what`` unless it is a ``top``."""
+    if not isinstance(value, top):
+        raise RecordError(f"{what} must be a {top.__name__}, got {type(value).__name__}")
+    return value
+
+
 def to_record(obj) -> dict:
     """A record dataclass's fields in declaration order, JSON-ready: arrays
     and tuples become lists, and an optional field left at None is omitted."""
@@ -157,8 +164,7 @@ def from_record(cls, d):
     missing key (other than an omitted optional one) or an unknown key is
     refused with both lists; ``cls.__post_init__`` restores its own types,
     and a value it cannot take (a ``TypeError``) is refused too."""
-    if not isinstance(d, dict):
-        raise RecordError(f"{cls.__name__} record must be an object, got {type(d).__name__}")
+    require_type(d, dict, f"{cls.__name__} record")
     names = {f.name for f in fields(cls)}
     missing = sorted(names - d.keys() - {f.name for f in fields(cls) if f.default is None})
     unknown = sorted(d.keys() - names)

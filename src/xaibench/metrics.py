@@ -31,8 +31,8 @@ def accuracy_score(y_true, y_pred) -> float:
 
 def average_ranks(values) -> np.ndarray:
     """1-based ranks of a 1-D array, a tie group sharing its average rank:
-    half-integers, exact in float64, so equal to scipy's rankdata bit for
-    bit."""
+    half-integers, exact in float64, so equal bit for bit to any exact
+    fractional ranking."""
     _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
     ends = np.cumsum(counts)
     return (ends - 0.5 * (counts - 1))[inverse]

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import data as datamod
-from .data import (PerturbationSpec, RecordError, atomic_open, from_record, level_key, load_csv,
-                   save_csv, split, to_record, zscore_apply, zscore_fit)
+from .data import (PerturbationSpec, atomic_open, from_record, level_key, load_csv,
+                   require_type, save_csv, split, to_record, zscore_apply, zscore_fit)
 from .explainers import (
     EXPLAINERS,
     ExplainerConfig,
@@ -135,13 +135,14 @@ class RunConfig:
         )
 
     def echo(self) -> dict:
-        return to_record(self)
+        """The config a run's outputs depend on: every field but ``out_dir``."""
+        return {k: v for k, v in to_record(self).items() if k != "out_dir"}
 
 
 @dataclass(frozen=True)
 class PreparedStats:
-    """``prepared/stats.json``: the trained run's config (its echo minus
-    ``out_dir``), a dataset summary and the training split's standardization."""
+    """``prepared/stats.json``: the trained run's config (its echo), a dataset
+    summary and the training split's standardization."""
 
     config: dict
     dataset: dict
@@ -149,8 +150,8 @@ class PreparedStats:
     stddev: list
 
     def __post_init__(self):
-        if not (isinstance(self.config, dict) and isinstance(self.dataset, dict)):
-            raise RecordError("config and dataset must be objects")
+        require_type(self.config, dict, "config")
+        require_type(self.dataset, dict, "dataset")
         datamod.StandardizationStats(self.mean, self.stddev)  # refuses bad vectors
 
 
@@ -176,10 +177,7 @@ def _write_json(path, obj) -> None:
 def _read_json(path, top=object):
     """The JSON document at ``path``, refused unless its top level is a ``top``."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, top):
-        raise RecordError(f"top level must be a {top.__name__}, got {type(doc).__name__}")
-    return doc
+        return require_type(json.load(fh), top, "top level")
 
 
 def _load(cfg: RunConfig, stage: str, read, *parts):
@@ -191,17 +189,12 @@ def _load(cfg: RunConfig, stage: str, read, *parts):
         raise PipelineError(stage, f"{path}: {exc}")
 
 
-def _run_config(cfg: RunConfig) -> dict:
-    """The config a run's artifacts depend on: the echo minus ``out_dir``."""
-    return {k: v for k, v in cfg.echo().items() if k != "out_dir"}
-
-
 def _check_config(cfg: RunConfig, stage: str) -> PreparedStats:
     """Refuse to consume artifacts that the train stage wrote under another
     config; returns the prepared/stats.json record."""
     meta = _load(cfg, stage, lambda p: from_record(PreparedStats, _read_json(p)),
                  "prepared", "stats.json")
-    recorded, current = meta.config, _run_config(cfg)
+    recorded, current = meta.config, cfg.echo()
     differ = sorted(k for k in recorded.keys() | current.keys()
                     if recorded.get(k) != current.get(k))
     if differ:
@@ -247,7 +240,7 @@ def stage_train(cfg: RunConfig) -> None:
         model = train(kind, train_std, cfg.cv_folds, derive_seed(cfg.master_seed, "train", kind))
         save_model(model, _path(cfg, "models", f"{kind}.json"))
     _write_json(_path(cfg, "prepared", "stats.json"), to_record(PreparedStats(
-        config=_run_config(cfg),
+        config=cfg.echo(),
         dataset={"path": cfg.dataset, "n_rows": dataset.n_rows, "n_features": dataset.n_features,
                  "class_counts": {str(k): v for k, v in dataset.class_counts().items()},
                  "feature_names": list(dataset.feature_names)},
@@ -339,7 +332,8 @@ def stage_report(cfg: RunConfig) -> RunReport:
     models_meta = {kind: {"hyperparams": m.hyperparams, "cv_score": m.cv_score, "seed": m.seed}
                    for kind, m in _load_models(cfg, "report").items()}
     metrics = _load(cfg, "report", lambda p: {
-        k: {lvl: from_record(MetricReport, m) for lvl, m in levels.items()}
+        k: {lvl: from_record(MetricReport, m)
+            for lvl, m in require_type(levels, dict, f"metrics of kind {k!r}").items()}
         for k, levels in _read_json(p, dict).items()}, "metrics.json")
     ranks = _load(cfg, "report", lambda p: [from_record(RelevanceRank, d)
                                             for d in _read_json(p, list)], "ranks.json")

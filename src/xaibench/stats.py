@@ -1,14 +1,21 @@
 """Friedman test over within-block ranks and the Nemenyi post-hoc pairwise
-p-value matrix (studentized-range tail, infinite degrees of freedom)."""
+p-value matrix, from numpy and ``math`` alone.  Friedman: chi-square tail at
+integer nu, h = x/2 (Abramowitz & Stegun 26.4.4-5), sum_{i<nu/2} e^-h h^i/i!
+for even nu, erfc(sqrt h) + sum_{i<(nu-1)/2} e^-h h^(i+1/2)/Gamma(i+3/2) for
+odd nu.  Nemenyi: studentized-range tail at infinite df (Lund & Lund 1983),
+1 - k int phi(z) [Phi(z) - Phi(z - q)]^(k-1) dz on 256 Gauss-Legendre nodes."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2, studentized_range
 
 from .metrics import average_ranks
+
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(256)
+_normal_cdf = np.vectorize(lambda z: 0.5 * math.erfc(-z / math.sqrt(2.0)), otypes=[float])
 
 
 class StatsError(ValueError):
@@ -59,6 +66,25 @@ def _within_block_ranks(values: np.ndarray) -> np.ndarray:
     return np.vstack([average_ranks(row) for row in values])
 
 
+def _chi2_sf(x: float, nu: int) -> float:
+    """P(X > x) for X chi-square with integer ``nu`` >= 1 degrees of freedom."""
+    h, odd = x / 2.0, nu % 2
+    total = math.erfc(math.sqrt(h)) if odd else 0.0
+    term = math.exp(-h) * (2.0 * math.sqrt(h / math.pi) if odd else 1.0)
+    for i in range(nu // 2):  # every term is positive, so nothing cancels
+        total, term = total + term, term * (h / (i + 1 + 0.5 * odd))
+    return min(total, 1.0)
+
+
+def _studentized_range_sf(q: np.ndarray, k: int) -> np.ndarray:
+    """P(Q > q) for the range Q of k standard normals, per entry of ``q``."""
+    half = (18.0 + q[:, None]) / 2.0  # over [-9, 9 + q]; phi(z) < 1e-18 outside
+    z = -9.0 + half * (_NODES + 1.0)
+    density = half * _WEIGHTS * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    cdf = k * np.sum(density * (_normal_cdf(z) - _normal_cdf(z - q[:, None])) ** (k - 1), axis=1)
+    return np.clip(1.0 - cdf, 0.0, 1.0)
+
+
 def friedman(table: MeasurementTable):
     """Friedman chi-square statistic and p-value (k - 1 degrees of freedom).
 
@@ -70,8 +96,7 @@ def friedman(table: MeasurementTable):
     rank_sums = ranks.sum(axis=0)
     stat = 12.0 / (n * k * (k + 1)) * float(np.sum(rank_sums ** 2)) - 3.0 * n * (k + 1)
     stat = max(stat, 0.0)
-    p = float(chi2.sf(stat, k - 1)) if stat > 0 else 1.0
-    return float(stat), p
+    return float(stat), _chi2_sf(stat, k - 1)  # exactly 1.0 at stat 0
 
 
 def nemenyi(table: MeasurementTable) -> PosthocMatrix:
@@ -81,10 +106,8 @@ def nemenyi(table: MeasurementTable) -> PosthocMatrix:
     n, k = ranks.shape
     mean_ranks = ranks.mean(axis=0)
     denom = np.sqrt(k * (k + 1) / (6.0 * n))
+    i, j = np.triu_indices(k, 1)
     p = np.ones((k, k))
-    for i in range(k):
-        for j in range(i + 1, k):
-            q = abs(mean_ranks[i] - mean_ranks[j]) / denom * np.sqrt(2.0)
-            pij = float(np.clip(studentized_range.sf(q, k, np.inf), 0.0, 1.0))
-            p[i, j] = p[j, i] = pij
+    p[i, j] = p[j, i] = _studentized_range_sf(np.abs(mean_ranks[i] - mean_ranks[j])
+                                              / denom * np.sqrt(2.0), k)
     return PosthocMatrix(table.treatments, p)

@@ -1,6 +1,7 @@
 """Source hygiene: no module imports a name that it never uses, the
 library defines no function, class, method or property that only tests
-call, and no class writes or reads itself by hand.
+call, no class writes or reads itself by hand, and importing the library
+loads no scipy module (scipy is a test-only dependency).
 
 No linter ships with the project, so these walk the syntax tree of each
 module.  The import check covers src/, tests/ and bench/; an import whose
@@ -10,6 +11,8 @@ skipped.  The definition and serializer checks cover src/xaibench.
 
 import ast
 import pathlib
+import subprocess
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -125,3 +128,15 @@ def test_no_hand_written_serializer():
                           for item in node.body if isinstance(item, ast.FunctionDef)
                           and item.name in ("to_dict", "from_dict")]
     assert found == []
+
+
+def test_cli_imports_no_scipy():
+    """``import xaibench.cli`` imports every module a run uses, and none of
+    them may pull in scipy; a fresh interpreter keeps the test's own scipy
+    imports out of the count."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import xaibench.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code, str(ROOT / "src")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

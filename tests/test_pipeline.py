@@ -99,6 +99,7 @@ class TestRunConfig:
         cfg = RunConfig(dataset=small_dataset_path, out_dir="x")
         echoed = cfg.echo()
         assert "grids" not in echoed
+        assert "out_dir" not in echoed  # two runs differing only in out_dir echo the same
         assert echoed["master_seed"] == 7
 
     def test_only_lofo_seeds_ignore_the_level(self, small_dataset_path):
@@ -452,17 +453,8 @@ class TestStageComposition:
                 "--models", "cart", "--explainers", "eli5,exirt"]
         for stage in STAGES:
             assert cli.main([stage] + args) == 0
-        with open(os.path.join(all_dir, "report.json"), encoding="utf-8") as fh:
-            full = json.load(fh)
-        with open(os.path.join(staged_dir, "report.json"), encoding="utf-8") as fh:
-            staged = json.load(fh)
-        # the config echo embeds out_dir, which legitimately differs
-        full.pop("config")
-        staged.pop("config")
-        assert staged == full
-        for name in sorted(os.listdir(all_dir)):
-            if not name.endswith(".svg"):
-                continue
+        # the same config in another out_dir writes the same bytes
+        for name in ["report.json"] + sorted(n for n in os.listdir(all_dir) if n.endswith(".svg")):
             with open(os.path.join(all_dir, name), "rb") as fh:
                 a = fh.read()
             with open(os.path.join(staged_dir, name), "rb") as fh:
@@ -512,11 +504,14 @@ class TestCli:
         (("ranks.json",), lambda d: [dict(d[0], scores=None)] + d[1:],
          r"RelevanceRank record: object of type 'NoneType' has no len\(\)"),
         (("metrics.json",), lambda d: [], r"top level must be a dict, got list"),
+        (("metrics.json",), lambda d: dict(d, cart=[]),
+         r"metrics of kind 'cart' must be a dict, got list"),
         (("models", "cart.json"), lambda d: dict(d, feature_names=None),
          r"TrainedModel record: 'NoneType' object is not iterable"),
     ], ids=("unknown", "missing", "metrics", "rank", "model", "model-kind", "estimator-missing",
             "estimator-unknown", "stats-missing", "stats-unknown", "stats-not-json",
-            "rank-scores-null", "metrics-not-object", "model-names-null"))
+            "rank-scores-null", "metrics-not-object", "metrics-kind-not-object",
+            "model-names-null"))
     def test_report_names_the_keys_of_a_bad_fit_file(self, small_dataset_path, completed_run,
                                                      tmp_path, capsys, parts, edit, named):
         """A malformed record file fails the report stage with its path and

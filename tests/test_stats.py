@@ -1,13 +1,20 @@
-"""Friedman and Nemenyi, cross-checked against scipy's Friedman test."""
+"""Friedman and Nemenyi, cross-checked against scipy: its Friedman test,
+and the chi-square and studentized-range tails the library computes without
+scipy."""
+
+import itertools
 
 import numpy as np
 import pytest
-from scipy.stats import friedmanchisquare
+from hypothesis import given, settings, strategies as st
+from scipy.stats import chi2, friedmanchisquare, rankdata, studentized_range
 
 from xaibench.stats import (
     MeasurementTable,
     PosthocMatrix,
     StatsError,
+    _chi2_sf,
+    _studentized_range_sf,
     friedman,
     nemenyi,
 )
@@ -85,6 +92,42 @@ class TestNemenyi:
             assert np.array_equal(post.p, post.p.T)
             assert np.all(np.diag(post.p) == 1.0)
             assert np.all((post.p >= 0) & (post.p <= 1))
+
+
+class TestTails:
+    """The closed-form chi-square tail and the studentized-range quadrature
+    against the scipy.stats functions they replace."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(2, 40), st.floats(0.0, 100.0))
+    def test_chi2_sf_matches_scipy(self, k, stat):
+        assert _chi2_sf(stat, k - 1) == pytest.approx(float(chi2.sf(stat, k - 1)), rel=1e-13)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 20), st.lists(st.floats(0.0, 8.0), min_size=1, max_size=4))
+    def test_studentized_range_sf_matches_scipy(self, k, qs):
+        got = _studentized_range_sf(np.array(qs), k)
+        want = [float(studentized_range.sf(q, k, np.inf)) for q in qs]
+        assert np.all(np.abs(got - want) <= 1e-12), (got, want)
+
+    def test_exactly_one_at_zero(self):
+        assert [_chi2_sf(0.0, nu) for nu in range(1, 40)] == [1.0] * 39
+        for k in range(2, 21):
+            assert _studentized_range_sf(np.zeros(3), k).tolist() == [1.0] * 3
+
+    def test_chi2_sf_never_above_one(self):
+        # near 0 the rounded sum of the positive terms can pass 1 by an ulp
+        assert max(_chi2_sf(x, nu) for x in np.logspace(-12, 0, 50) for nu in range(1, 40)) <= 1.0
+
+    def test_nemenyi_matrix_matches_scipy_pairwise(self):
+        values = np.random.default_rng(14).random((6, 5))
+        post = nemenyi(table(values))
+        mean_ranks = rankdata(values, axis=1).mean(axis=0)
+        denom = np.sqrt(5 * 6 / (6.0 * 6))
+        for i, j in itertools.combinations(range(5), 2):
+            q = abs(mean_ranks[i] - mean_ranks[j]) / denom * np.sqrt(2.0)
+            assert post.p[i, j] == pytest.approx(float(studentized_range.sf(q, 5, np.inf)),
+                                                 abs=1e-12)
 
 
 class TestPosthocMatrix:
