@@ -116,8 +116,8 @@ class PerturbationSpec:
             raise DatasetError(f"unknown perturbation kind {self.kind!r}")
         if not 0.0 <= self.fraction <= 1.0:
             raise DatasetError("fraction must lie in [0, 1]")
-        if self.noise_scale < 0:
-            raise DatasetError("noise_scale must be >= 0")
+        if not (math.isfinite(self.noise_scale) and self.noise_scale >= 0):
+            raise DatasetError(f"noise_scale must be finite and >= 0, got {self.noise_scale}")
 
 
 def level_key(fraction: float) -> str:

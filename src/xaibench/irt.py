@@ -113,8 +113,7 @@ class IrtFit:
     b: np.ndarray  # difficulty
     c: np.ndarray  # guessing
     theta: np.ndarray  # ability
-    log_likelihood: float  # final penalized objective
-    history: tuple  # objective after each outer iteration, non-decreasing
+    history: tuple  # penalized objective after each outer iteration, non-decreasing
     iterations: int
     converged: bool
 
@@ -290,9 +289,8 @@ def fit_3pl_many(matrices, max_outer: int = MAX_OUTER) -> list:
         for j, i in enumerate(live):
             history[i].append(float(cur[j]))
             if converged[j] or iteration == max_outer:
-                fits[i] = IrtFit(a[j], b[j], c[j], theta[j], log_likelihood=history[i][-1],
-                                 history=tuple(history[i]), iterations=iteration,
-                                 converged=bool(converged[j]))
+                fits[i] = IrtFit(a[j], b[j], c[j], theta[j], history=tuple(history[i]),
+                                 iterations=iteration, converged=bool(converged[j]))
         if converged.all():
             break
         if converged.any():  # converged fits freeze; the rest go on

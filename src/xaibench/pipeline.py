@@ -1,24 +1,26 @@
-"""End-to-end orchestration in three stages: train (load, split,
-standardize, tune), explain (perturb, evaluate, explain, fit eXirt) and
-report (reliability, stability, post-hoc tests, rendering).
+"""End-to-end orchestration in three stages: train (tune the models),
+explain (explain every perturbed test variant, fit eXirt) and report
+(metrics, reliability, stability, post-hoc tests, rendering).
 
-Each stage persists only what is expensive to recompute: the prepared
-splits and models, the metrics, ranks and eXirt fits.  Later stages reload
-those, so running the stage subcommands in order produces byte-identical
-final outputs to a single run_all with the same seed.  Stage seeds derive
-from the master seed and stage labels, so subsets reproduce the values
-they would have inside a full run.
+Every stage derives the split, its standardization and the perturbed test
+variants from the dataset and the seed (``_prepare``), in milliseconds.
+Only the expensive results pass between stages: the models, the ranks and
+the eXirt fits.  So the stage subcommands run in order give byte-identical
+outputs to one run_all.  Stage seeds derive from the master seed and stage
+labels, so subsets reproduce the values they would have inside a full run.
 
 Records go through the ``data.to_record``/``from_record`` codec; a refused
-one names its file.  ``prepared/stats.json`` is train's commit marker: train
-removes it and every later stage's artifact first and writes it last, so no
-stage reads what another config's run or an interrupted train left.
+one names its file.  ``prepared/stats.json``, the config echo plus the
+dataset file's sha256, is train's commit marker: train removes it and
+every later stage's artifact first and writes it last, and later stages
+refuse to start unless it matches their config and dataset.
 """
 
 from __future__ import annotations
 
 import functools
 import glob
+import hashlib
 import json
 import numbers
 import os
@@ -28,7 +30,9 @@ import numpy as np
 
 from . import data as datamod
 from .data import (PerturbationSpec, atomic_open, from_record, level_key, load_csv,
-                   require_type, save_csv, split, to_record, zscore_apply, zscore_fit)
+                   require_type, split, to_record, zscore_apply, zscore_fit)
+# bench/tracing.py rebinds this name to time CSV writes; nothing here calls it
+from .data import save_csv  # noqa: F401
 from .explainers import (
     EXPLAINERS,
     ExplainerConfig,
@@ -44,7 +48,7 @@ from .explainers import (
     shap_exact,
 )
 from .irt import IrtFit, default_theta_grid, icc, summarize
-from .metrics import MetricReport, classification_report
+from .metrics import classification_report
 from .models import MODEL_KINDS, load_model, save_model, train
 from .report import RunReport, check_slots, write_report
 from .seeding import derive_seed
@@ -139,32 +143,8 @@ class RunConfig:
         return {k: v for k, v in to_record(self).items() if k != "out_dir"}
 
 
-@dataclass(frozen=True)
-class PreparedStats:
-    """``prepared/stats.json``: the trained run's config (its echo), a dataset
-    summary and the training split's standardization."""
-
-    config: dict
-    dataset: dict
-    mean: list
-    stddev: list
-
-    def __post_init__(self):
-        require_type(self.config, dict, "config")
-        require_type(self.dataset, dict, "dataset")
-        datamod.StandardizationStats(self.mean, self.stddev)  # refuses bad vectors
-
-
 def _path(cfg: RunConfig, *parts) -> str:
     return os.path.join(cfg.out_dir, *parts)
-
-
-def _require(cfg: RunConfig, stage: str, *parts) -> str:
-    p = _path(cfg, *parts)
-    if not os.path.exists(p):
-        raise PipelineError(stage, f"missing input artifact: {p} "
-                                   f"(run the earlier stages first)")
-    return p
 
 
 def _write_json(path, obj) -> None:
@@ -181,30 +161,47 @@ def _read_json(path, top=object):
 
 
 def _load(cfg: RunConfig, stage: str, read, *parts):
-    """``read(path)`` of an upstream artifact; a file it refuses is named."""
-    path = _require(cfg, stage, *parts)
+    """``read(path)`` of an upstream artifact; a missing file, or one that
+    ``read`` refuses, is named."""
+    path = _path(cfg, *parts)
+    if not os.path.exists(path):
+        raise PipelineError(stage, f"missing input artifact: {path} "
+                                   f"(run the earlier stages first)")
     try:
         return read(path)
     except ValueError as exc:
         raise PipelineError(stage, f"{path}: {exc}")
 
 
-def _check_config(cfg: RunConfig, stage: str) -> PreparedStats:
+def _fingerprint(cfg: RunConfig, stage: str) -> dict:
+    """What ``prepared/stats.json`` records: the config echo and the sha256
+    of the dataset file's bytes."""
+    try:
+        with open(cfg.dataset, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+    except OSError as exc:
+        raise PipelineError(stage, f"cannot read dataset {cfg.dataset}: {exc.strerror}")
+    return dict(cfg.echo(), dataset_sha256=digest)
+
+
+def _check_config(cfg: RunConfig, stage: str) -> None:
     """Refuse to consume artifacts that the train stage wrote under another
-    config; returns the prepared/stats.json record."""
-    meta = _load(cfg, stage, lambda p: from_record(PreparedStats, _read_json(p)),
-                 "prepared", "stats.json")
-    recorded, current = meta.config, cfg.echo()
+    config or from another dataset."""
+    recorded = _load(cfg, stage, lambda p: _read_json(p, dict), "prepared", "stats.json")
+    current = _fingerprint(cfg, stage)
+    both = recorded.keys() & current.keys()
     differ = sorted(k for k in recorded.keys() | current.keys()
-                    if recorded.get(k) != current.get(k))
+                    if k not in both or recorded[k] != current[k])
     if differ:
-        raise PipelineError(stage, f"{cfg.out_dir} holds artifacts of a run with a "
-                                   f"different config; differing keys: {', '.join(differ)}")
-    return meta
+        raise PipelineError(stage, f"{_path(cfg, 'prepared', 'stats.json')}: written by a run "
+                                   f"with a different config or dataset; differing keys: "
+                                   f"{', '.join(differ)}")
 
 
-def stage_train(cfg: RunConfig) -> None:
-    """Load, split, standardize and tune every configured model kind."""
+def _prepare(cfg: RunConfig, stage: str):
+    """The dataset, its standardized training split and the standardized
+    test variant of every fraction, derived from the dataset and the seed;
+    a run these could not serve is refused first."""
     try:
         dataset = load_csv(cfg.dataset)
         if "shap" in cfg.explainers:  # refuse the budget before any fit
@@ -212,39 +209,39 @@ def stage_train(cfg: RunConfig) -> None:
         train_raw, test_raw = split(dataset, cfg.train_fraction,
                                     derive_seed(cfg.master_seed, "split"))
     except (datamod.DatasetError, ExplainerError) as exc:
-        raise PipelineError("train", str(exc))
+        raise PipelineError(stage, str(exc))
     # tuning and lofo fold the training split; each fold needs both classes
     smaller = min(train_raw.class_counts().values())
     if cfg.cv_folds > smaller:
-        raise PipelineError("train", f"cv_folds={cfg.cv_folds} exceeds the smaller "
-                                     f"training class count {smaller}")
+        raise PipelineError(stage, f"cv_folds={cfg.cv_folds} exceeds the smaller "
+                                   f"training class count {smaller}")
     # a one-class test split gives every AUC the 0.5 fallback and every
     # dalex and eli5 score 0, so the run would "succeed" with no signal
     absent = [c for c, n in test_raw.class_counts().items() if n == 0]
     if absent:
-        raise PipelineError("train", f"the test split has no rows of class {absent[0]}; "
-                                     f"lower train_fraction={cfg.train_fraction}")
+        raise PipelineError(stage, f"the test split has no rows of class {absent[0]}; "
+                                   f"lower train_fraction={cfg.train_fraction}")
     stats = zscore_fit(train_raw)
-    train_std = zscore_apply(train_raw, stats)
+    # through the module: bench/tracing.py rebinds datamod.perturb
+    variants = {f: zscore_apply(datamod.perturb(test_raw, cfg.perturbation_spec(f)), stats)
+                for f in cfg.fractions}
+    return dataset, zscore_apply(train_raw, stats), variants
+
+
+def stage_train(cfg: RunConfig) -> None:
+    """Check the dataset and its split, then tune every configured model kind."""
+    fingerprint = _fingerprint(cfg, "train")  # before parsing: a later edit is refused
+    _, train_std, _ = _prepare(cfg, "train")
     # stats.json, the commit marker, goes first and comes back last
-    for path in [_path(cfg, "prepared", "stats.json"), _path(cfg, "metrics.json"),
-                 _path(cfg, "ranks.json"),
+    for path in [_path(cfg, "prepared", "stats.json"), _path(cfg, "ranks.json"),
                  *glob.glob(os.path.join(glob.escape(_path(cfg, "irt")), "fit_*.json"))]:
         if os.path.exists(path):
             os.remove(path)
-    os.makedirs(_path(cfg, "prepared"), exist_ok=True)
-    save_csv(train_std, _path(cfg, "prepared", "train.csv"))
-    save_csv(test_raw, _path(cfg, "prepared", "test_raw.csv"))
     os.makedirs(_path(cfg, "models"), exist_ok=True)
     for kind in cfg.models:
         model = train(kind, train_std, cfg.cv_folds, derive_seed(cfg.master_seed, "train", kind))
         save_model(model, _path(cfg, "models", f"{kind}.json"))
-    _write_json(_path(cfg, "prepared", "stats.json"), to_record(PreparedStats(
-        config=cfg.echo(),
-        dataset={"path": cfg.dataset, "n_rows": dataset.n_rows, "n_features": dataset.n_features,
-                 "class_counts": {str(k): v for k, v in dataset.class_counts().items()},
-                 "feature_names": list(dataset.feature_names)},
-        mean=stats.mean.tolist(), stddev=stats.stddev.tolist())))
+    _write_json(_path(cfg, "prepared", "stats.json"), fingerprint)
 
 
 def _load_models(cfg: RunConfig, stage: str) -> dict:
@@ -252,29 +249,19 @@ def _load_models(cfg: RunConfig, stage: str) -> dict:
             for kind in cfg.models}
 
 
-def _test_variants(cfg: RunConfig, meta: PreparedStats, test_raw) -> dict:
-    """The standardized test variant of every fraction, rebuilt in memory."""
-    stats = datamod.StandardizationStats(meta.mean, meta.stddev)
-    return {f: zscore_apply(datamod.perturb(test_raw, cfg.perturbation_spec(f)), stats)
-            for f in cfg.fractions}
-
-
 def stage_explain(cfg: RunConfig) -> None:
-    """Evaluate every (model, level) cell on its perturbed test variant and
-    produce every configured explainer's rank.  eXirt's cells are fitted
-    together in one lockstep 3PL solve after the loop, each rank keeping its
-    slot in ranks.json; the fits are persisted for the report stage."""
-    meta = _check_config(cfg, "explain")
+    """Produce every configured explainer's rank of every (model, level)
+    cell on its perturbed test variant.  eXirt's cells are fitted together
+    in one lockstep 3PL solve after the loop, each rank keeping its slot in
+    ranks.json; the fits are persisted for the report stage."""
+    _check_config(cfg, "explain")
+    _, train_std, variants = _prepare(cfg, "explain")
     models = _load_models(cfg, "explain")
-    test_raw = load_csv(_require(cfg, "explain", "prepared", "test_raw.csv"))
-    variants = _test_variants(cfg, meta, test_raw)
-    train_std = load_csv(_require(cfg, "explain", "prepared", "train.csv"))
     # Looked up per call, not at import: bench/tracing.py rebinds these names.
     explain = {"dalex": explain_dalex_style, "eli5": explain_eli5_style,
                "lofo": explain_lofo_style, "shap": explain_kernel_shap,
                "skater": explain_skater_style}
 
-    metrics = {}
     ranks = []
     exirt_cells, exirt_slots = [], []  # fitted together once every cell is known
     for kind in cfg.models:
@@ -283,11 +270,7 @@ def stage_explain(cfg: RunConfig) -> None:
             # one set of refits per kind scores every level
             refits = lofo_refits(model, train_std, cfg.explainer_config("lofo", kind, 0.0))
             explain["lofo"] = functools.partial(explain_lofo_style, refits=refits)
-        metrics[kind] = {}
-        for f in cfg.fractions:
-            test = variants[f]
-            proba = model.predict_proba(test.features)
-            metrics[kind][level_key(f)] = to_record(classification_report(test.labels, proba))
+        for f, test in variants.items():
             for explainer in cfg.explainers:
                 ecfg = cfg.explainer_config(explainer, kind, f)
                 if explainer == "exirt":
@@ -302,7 +285,6 @@ def stage_explain(cfg: RunConfig) -> None:
             ranks[slot] = to_record(rank)
             _write_json(_path(cfg, "irt", f"fit_{model.kind}_{level_key(f)}.json"),
                         to_record(fit))
-    _write_json(_path(cfg, "metrics.json"), metrics)
     _write_json(_path(cfg, "ranks.json"), ranks)
 
 
@@ -326,15 +308,12 @@ def _posthoc(cfg: RunConfig, metrics: dict):
 
 
 def stage_report(cfg: RunConfig) -> RunReport:
-    """Compute reliability, rank stability and the post-hoc tests from the
-    explain stage's artifacts, and write the report."""
-    meta = _check_config(cfg, "report")
-    models_meta = {kind: {"hyperparams": m.hyperparams, "cv_score": m.cv_score, "seed": m.seed}
-                   for kind, m in _load_models(cfg, "report").items()}
-    metrics = _load(cfg, "report", lambda p: {
-        k: {lvl: from_record(MetricReport, m)
-            for lvl, m in require_type(levels, dict, f"metrics of kind {k!r}").items()}
-        for k, levels in _read_json(p, dict).items()}, "metrics.json")
+    """Compute the classification metrics, reliability, rank stability and
+    the post-hoc tests from the explain stage's artifacts, and write the
+    report."""
+    _check_config(cfg, "report")
+    dataset, _, variants = _prepare(cfg, "report")
+    models = _load_models(cfg, "report")
     ranks = _load(cfg, "report", lambda p: [from_record(RelevanceRank, d)
                                             for d in _read_json(p, list)], "ranks.json")
     reliability, curves = {}, {}
@@ -348,12 +327,19 @@ def stage_report(cfg: RunConfig) -> RunReport:
                             "irt", f"fit_{kind}_{lvl}.json")
                 reliability[kind][lvl] = summarize(fit)
                 curves[kind, lvl] = (grid, icc(fit.a, fit.b, fit.c, grid), fit.a < 0)
-    pair_ranks = check_slots(cfg.echo(), metrics, ranks)  # level 0 first in each pair
+    pair_ranks = check_slots(cfg.echo(), ranks)  # level 0 first in each pair
+    metrics = {kind: {level_key(f): classification_report(t.labels, m.predict_proba(t.features))
+                      for f, t in variants.items()}
+               for kind, m in models.items()}
     friedman_result, nem = _posthoc(cfg, metrics)
     report = RunReport(
-        dataset_summary=meta.dataset,
+        dataset_summary={"path": cfg.dataset, "n_rows": dataset.n_rows,
+                         "n_features": dataset.n_features,
+                         "class_counts": {str(k): v for k, v in dataset.class_counts().items()},
+                         "feature_names": list(dataset.feature_names)},
         config=cfg.echo(),
-        models=models_meta,
+        models={kind: {"hyperparams": m.hyperparams, "cv_score": m.cv_score, "seed": m.seed}
+                for kind, m in models.items()},
         metrics=metrics,
         reliability=reliability,
         ranks=ranks,

@@ -219,19 +219,14 @@ def report_to_dict(r: RunReport) -> dict:
     }
 
 
-def check_slots(config: dict, metrics: dict, ranks) -> dict:
-    """Refuse a run whose metrics or ranks lack a configured (explainer,
-    model, level) slot, whose ranks fill a slot twice or one the config
-    lacks, or whose ranks of one pair cover different feature sets, naming
-    the first such slot.  Returns each configured (explainer, model) pair's
-    ranks in ascending level order."""
+def check_slots(config: dict, ranks) -> dict:
+    """Refuse ranks that lack a configured (explainer, model, level) slot,
+    fill a slot twice or one the config lacks, or whose ranks of one pair
+    cover different feature sets, naming the first such slot.  Returns each
+    configured (explainer, model) pair's ranks in ascending level order."""
     kinds = config.get("models", [])
     levels = [level_key(f) for f in sorted(config.get("fractions", []))]
     explainers = config.get("explainers", [])
-    for kind in kinds:
-        for lvl in levels:
-            if kind not in metrics or lvl not in metrics[kind]:
-                raise ReportError(f"missing metric report slot: {kind}:{lvl}")
     slots = {}
     for rk in ranks:
         slot = (rk.explainer, rk.model_kind, level_key(rk.perturbation_fraction))

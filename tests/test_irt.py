@@ -99,7 +99,6 @@ class TestFit3pl:
         matrix, _ = simulated_matrix()
         fit = fit_3pl(matrix)
         assert np.all(np.diff(fit.history) >= -1e-9)
-        assert fit.log_likelihood == fit.history[-1]
         assert fit.iterations == len(fit.history)
 
     def test_recovers_ability_ordering(self):
@@ -160,23 +159,21 @@ class TestFit3pl:
         item-parameter and ability records: a, b, c, theta, then the trace."""
         fit = fit_3pl(simulated_matrix(seed=8)[0], max_outer=5)
         nested = {"a": fit.a.tolist(), "b": fit.b.tolist(), "c": fit.c.tolist(),
-                  "theta": fit.theta.tolist(), "log_likelihood": fit.log_likelihood,
-                  "history": list(fit.history), "iterations": fit.iterations,
-                  "converged": fit.converged}
+                  "theta": fit.theta.tolist(), "history": list(fit.history),
+                  "iterations": fit.iterations, "converged": fit.converged}
         for kwargs in ({"sort_keys": True, "indent": 1}, {}):
             assert json.dumps(to_record(fit), **kwargs) == json.dumps(nested, **kwargs)
-        tiny = IrtFit([1.5, -0.25], [0.0, 2.0], [0.1, 0.0], [0.5], log_likelihood=-3.0,
+        tiny = IrtFit([1.5, -0.25], [0.0, 2.0], [0.1, 0.0], [0.5],
                       history=(-4.0, -3.0), iterations=2, converged=True)
         assert json.dumps(to_record(tiny)) == (
             '{"a": [1.5, -0.25], "b": [0.0, 2.0], "c": [0.1, 0.0], "theta": [0.5], '
-            '"log_likelihood": -3.0, "history": [-4.0, -3.0], "iterations": 2, '
-            '"converged": true}')
+            '"history": [-4.0, -3.0], "iterations": 2, "converged": true}')
 
 
 class TestIrtFit:
     def fields(self, **change):
         d = {"a": [1.0, -2.0], "b": [0.5, 1.5], "c": [0.1, 0.3], "theta": [0.0, 1.0, -1.0],
-             "log_likelihood": 0.0, "history": (0.0,), "iterations": 1, "converged": True}
+             "history": (0.0,), "iterations": 1, "converged": True}
         d.update(change)
         return d
 
@@ -233,7 +230,7 @@ class TestSummarize:
     def test_means_and_negative_count(self):
         fit_like = IrtFit(np.array([1.0, -2.0]), np.array([0.5, 1.5]),
                           np.array([0.1, 0.3]), np.array([1.0, -1.0, 0.0]),
-                          log_likelihood=0.0, history=(0.0,), iterations=1, converged=True)
+                          history=(0.0,), iterations=1, converged=True)
         s = summarize(fit_like)
         assert s.mean_difficulty == 1.0
         assert s.mean_discrimination == -0.5

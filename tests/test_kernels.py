@@ -257,8 +257,7 @@ def ref_fit_3pl(responses, max_outer, scan=ref_scan_golden_max):
             converged = True
             break
         prev = cur
-    return IrtFit(a, b, c, theta, history[-1],
-                  tuple(history), iterations, converged)
+    return IrtFit(a, b, c, theta, tuple(history), iterations, converged)
 
 
 @st.composite

@@ -1,8 +1,10 @@
 """Pipeline orchestration, staged artifact flow and the CLI."""
 
 import dataclasses
+import hashlib
 import json
 import os
+import pathlib
 import re
 import shutil
 import subprocess
@@ -18,6 +20,8 @@ from xaibench.data import Dataset, level_key, load_csv, save_csv
 from xaibench.datasets import make_synthetic_diabetes
 from xaibench.data import from_record
 from xaibench.irt import IrtFit, fit_3pl_many, summarize
+from xaibench.metrics import classification_report
+from xaibench.models import load_model
 from xaibench.pipeline import (
     STAGES,
     PipelineError,
@@ -83,6 +87,8 @@ class TestRunConfig:
         ({"master_seed": 1.5}, "master_seed must be an integer"),
         ({"repetitions": True}, "repetitions must be an integer"),
         ({"master_seed": "7"}, "master_seed must be an integer"),
+        ({"noise_scale": float("nan")}, "noise_scale must be finite"),
+        ({"noise_scale": float("inf")}, "noise_scale must be finite"),
     ])
     def test_invalid_values_rejected_at_construction(self, small_dataset_path, bad, match):
         with pytest.raises(ValueError, match=match):
@@ -112,23 +118,24 @@ class TestRunConfig:
 
 class TestRunAll:
     def test_artifact_files_exist(self, completed_run):
-        _, _, out_dir = completed_run
-        for rel in ("prepared/train.csv", "prepared/test_raw.csv",
-                    "prepared/stats.json", "models/cart.json",
-                    "metrics.json", "ranks.json", "report.json", "heatmap.svg",
-                    "icc_cart_0.svg", "bump_eli5_cart.svg", "irt/fit_cart_0.json"):
-            assert os.path.exists(os.path.join(out_dir, rel)), rel
-        # cheap to recompute, or already a report.json section, so only
-        # report.json carries them
-        for rel in ("variants", "reliability.json", "stability.json", "statstest.json",
-                    "metrics.csv", "ranks.csv", "stability.csv", "nemenyi.csv"):
-            assert not os.path.exists(os.path.join(out_dir, rel)), rel
-        assert not [n for n in os.listdir(os.path.join(out_dir, "irt"))
-                    if n.startswith("icc_")]
+        """A run writes the commit marker, the models, the ranks, the eXirt
+        fits, the report and its SVGs, and nothing else: the splits, the
+        test variants and the metrics are cheap to recompute from the
+        dataset and the seed, and every table is a report.json section."""
+        cfg, _, out_dir = completed_run
+        levels = [level_key(f) for f in cfg.fractions]
+        expected = {"prepared/stats.json", "ranks.json", "report.json", "heatmap.svg"}
+        for kind in cfg.models:
+            expected |= {f"models/{kind}.json"} | {f"bump_{e}_{kind}.svg"
+                                                    for e in cfg.explainers}
+            expected |= {f"irt/fit_{kind}_{lvl}.json" for lvl in levels}
+            expected |= {f"icc_{kind}_{lvl}.svg" for lvl in levels}
+        written = {os.path.relpath(os.path.join(d, n), out_dir).replace(os.sep, "/")
+                   for d, _, names in os.walk(out_dir) for n in names}
+        assert written == expected
 
     @pytest.mark.parametrize("artifact, key, section", [
         ("ranks.json", None, "ranks"),
-        ("metrics.json", None, "metrics"),
     ])
     def test_artifact_equals_its_report_section(self, completed_run, artifact, key,
                                                 section):
@@ -164,9 +171,6 @@ class TestRunAll:
         ("ranks.json", lambda ranks: [r for r in ranks if not (
             r["explainer"] == "eli5" and r["perturbation_fraction"] == 0.0)],
          "missing rank slot: eli5:cart:0"),
-        ("metrics.json", lambda metrics: {"cart": {lvl: m for lvl, m in metrics["cart"].items()
-                                                   if lvl != "6"}},
-         "missing metric report slot: cart:6"),
         ("ranks.json", lambda ranks: ranks + [r for r in ranks if (
             r["explainer"] == "eli5" and r["perturbation_fraction"] == 0.0)],
          "repeated rank slot: eli5:cart:0"),
@@ -174,7 +178,7 @@ class TestRunAll:
             "renamed"]) if r["explainer"] == "eli5" and r["perturbation_fraction"] == 0.1
             else r for r in ranks],
          "rank slot eli5:cart:10 covers other features than eli5:cart:0"),
-    ], ids=("rank", "metric", "repeated-rank", "other-features"))
+    ], ids=("rank", "repeated-rank", "other-features"))
     def test_report_names_a_missing_slot_before_using_it(self, completed_run, tmp_path,
                                                          artifact, drop, slot):
         cfg, _, out_dir = completed_run
@@ -198,10 +202,49 @@ class TestRunAll:
         assert report.friedman is not None
 
     def test_standardized_train_split(self, completed_run):
-        _, _, out_dir = completed_run
-        train = load_csv(os.path.join(out_dir, "prepared", "train.csv"))
+        cfg, _, _ = completed_run
+        _, train, _ = pipeline._prepare(cfg, "train")
         assert np.allclose(train.features.mean(axis=0), 0.0, atol=1e-9)
         assert np.allclose(train.features.std(axis=0, ddof=1), 1.0, atol=1e-9)
+
+    def test_metrics_score_each_level_on_its_own_variant(self, completed_run):
+        """report computes each (model, level) metric cell from the saved
+        model and that level's test variant; the levels' cells differ."""
+        cfg, report, out_dir = completed_run
+        _, _, variants = pipeline._prepare(cfg, "report")
+        model = load_model(os.path.join(out_dir, "models", "cart.json"))
+        cells = report.metrics["cart"]
+        assert cells == {level_key(f): classification_report(t.labels,
+                                                             model.predict_proba(t.features))
+                         for f, t in variants.items()}
+        assert len({dataclasses.astuple(c) for c in cells.values()}) > 1
+
+    def test_prepare_names_the_stage_that_calls_it(self, small_dataset_path):
+        cfg = dataclasses.replace(small_config(small_dataset_path, "unused"), cv_folds=200)
+        for stage in STAGES:
+            with pytest.raises(PipelineError, match=rf"^\[{stage}\] cv_folds=200 exceeds"):
+                pipeline._prepare(cfg, stage)
+
+    def test_an_edited_dataset_is_refused_by_name(self, small_dataset_path, tmp_path):
+        """stats.json records the sha256 of the dataset train read; explain
+        and report refuse to go on once the file changes."""
+        path = tmp_path / "data.csv"
+        shutil.copyfile(small_dataset_path, path)
+        cfg = small_config(str(path), tmp_path / "run")
+        run_stage(cfg, "train")
+        run_stage(cfg, "explain")
+        with open(os.path.join(cfg.out_dir, "prepared", "stats.json"), encoding="utf-8") as fh:
+            recorded = json.load(fh)
+        assert recorded == dict(cfg.echo(), dataset_sha256=hashlib.sha256(
+            path.read_bytes()).hexdigest())
+        data = load_csv(path)
+        features = data.features.copy()
+        features[0, 0] += 1.0  # one cell
+        save_csv(data.with_features(features), path)
+        for stage in ("explain", "report"):
+            with pytest.raises(PipelineError, match=rf"\[{stage}\] .*stats\.json: .*"
+                                                    rf"differing keys: dataset_sha256$"):
+                run_stage(cfg, stage)
 
     def test_missing_artifacts_raise_stage_errors(self, small_dataset_path, tmp_path):
         cfg = small_config(small_dataset_path, tmp_path / "fresh")
@@ -260,7 +303,7 @@ class TestRunAll:
     def test_train_drops_what_a_run_under_another_config_left(self, small_dataset_path,
                                                               tmp_path):
         """train and explain at 5 repetitions, then train at 2: the report
-        stage finds no metrics, ranks or fits of the 5-repetition run."""
+        stage finds no ranks or fits of the 5-repetition run."""
         cfg = RunConfig(dataset=small_dataset_path, out_dir=str(tmp_path / "run"),
                         models=("cart", "knn"), explainers=("eli5", "exirt"),
                         fractions=(0.0, 0.1), cv_folds=2, repetitions=5)
@@ -268,11 +311,10 @@ class TestRunAll:
         run_stage(cfg, "explain")
         two = dataclasses.replace(cfg, repetitions=2)
         run_stage(two, "train")
-        assert not (tmp_path / "run" / "metrics.json").exists()
         assert not (tmp_path / "run" / "ranks.json").exists()
         assert list((tmp_path / "run" / "irt").glob("fit_*.json")) == []
         with pytest.raises(PipelineError, match=r"\[report\] missing input artifact: "
-                                                r".*metrics\.json"):
+                                                r".*ranks\.json"):
             run_stage(two, "report")
 
     def test_a_train_that_stops_early_leaves_no_commit_marker(self, small_dataset_path,
@@ -453,13 +495,13 @@ class TestStageComposition:
                 "--models", "cart", "--explainers", "eli5,exirt"]
         for stage in STAGES:
             assert cli.main([stage] + args) == 0
-        # the same config in another out_dir writes the same bytes
-        for name in ["report.json"] + sorted(n for n in os.listdir(all_dir) if n.endswith(".svg")):
-            with open(os.path.join(all_dir, name), "rb") as fh:
-                a = fh.read()
-            with open(os.path.join(staged_dir, name), "rb") as fh:
-                b = fh.read()
-            assert a == b, name
+        # the same config in another out_dir writes the same files, byte for byte
+        def tree(root):
+            return {str(p.relative_to(root)): p.read_bytes()
+                    for p in pathlib.Path(root).rglob("*") if p.is_file()}
+        staged, whole = tree(staged_dir), tree(all_dir)
+        assert sorted(staged) == sorted(whole)
+        assert [name for name in whole if staged[name] != whole[name]] == []
 
 
 class TestCli:
@@ -483,9 +525,6 @@ class TestCli:
          r"IrtFit record keys: missing \[\], unknown \['note'\]"),
         (("irt", "fit_cart_10.json"), lambda d: {k: v for k, v in d.items() if k != "history"},
          r"IrtFit record keys: missing \['history'\], unknown \[\]"),
-        (("metrics.json",), lambda d: {"cart": dict(d["cart"], **{"10": dict(d["cart"]["10"],
-                                                                             extra=1)})},
-         r"MetricReport record keys: missing \[\], unknown \['extra'\]"),
         (("ranks.json",), lambda d: [{k: v for k, v in d[0].items() if k != "scores"}] + d[1:],
          r"RelevanceRank record keys: missing \['scores'\], unknown \[\]"),
         (("models", "cart.json"), lambda d: dict(d, note="x"),
@@ -496,22 +535,20 @@ class TestCli:
          r"DecisionTreeClassifier record keys: missing \['root'\], unknown \[\]"),
         (("models", "cart.json"), lambda d: dict(d, estimator=dict(d["estimator"], extra=1)),
          r"DecisionTreeClassifier record keys: missing \[\], unknown \['extra'\]"),
-        (("prepared", "stats.json"), lambda d: {k: v for k, v in d.items() if k != "mean"},
-         r"PreparedStats record keys: missing \['mean'\], unknown \[\]"),
-        (("prepared", "stats.json"), lambda d: dict(d, extra=1),
-         r"PreparedStats record keys: missing \[\], unknown \['extra'\]"),
+        (("prepared", "stats.json"),
+         lambda d: {k: v for k, v in d.items() if k != "dataset_sha256"},
+         r"differing keys: dataset_sha256$"),
+        (("prepared", "stats.json"), lambda d: dict(d, extra=None),
+         r"differing keys: extra$"),
         (("prepared", "stats.json"), lambda d: "{", r"Expecting property name"),
         (("ranks.json",), lambda d: [dict(d[0], scores=None)] + d[1:],
          r"RelevanceRank record: object of type 'NoneType' has no len\(\)"),
-        (("metrics.json",), lambda d: [], r"top level must be a dict, got list"),
-        (("metrics.json",), lambda d: dict(d, cart=[]),
-         r"metrics of kind 'cart' must be a dict, got list"),
+        (("prepared", "stats.json"), lambda d: [], r"top level must be a dict, got list"),
         (("models", "cart.json"), lambda d: dict(d, feature_names=None),
          r"TrainedModel record: 'NoneType' object is not iterable"),
-    ], ids=("unknown", "missing", "metrics", "rank", "model", "model-kind", "estimator-missing",
+    ], ids=("unknown", "missing", "rank", "model", "model-kind", "estimator-missing",
             "estimator-unknown", "stats-missing", "stats-unknown", "stats-not-json",
-            "rank-scores-null", "metrics-not-object", "metrics-kind-not-object",
-            "model-names-null"))
+            "rank-scores-null", "stats-not-object", "model-names-null"))
     def test_report_names_the_keys_of_a_bad_fit_file(self, small_dataset_path, completed_run,
                                                      tmp_path, capsys, parts, edit, named):
         """A malformed record file fails the report stage with its path and
@@ -584,6 +621,19 @@ class TestCli:
             perturbation_kind="noise", models=("cart", "knn"), explainers=("eli5", "shap"),
             fractions=(0.0, 0.05), noise_scale=0.5, cv_folds=3, repetitions=2,
             coalition_budget=64, bootstrap_respondents=4)
+
+    @pytest.mark.parametrize("scale", ["nan", "inf"])
+    def test_non_finite_noise_scale_refused_before_train(self, small_dataset_path, tmp_path,
+                                                         capsys, scale):
+        """NaN never equals itself, so explain used to refuse it as another
+        config after train had fitted every model; inf made the noisy test
+        features non-finite."""
+        out = tmp_path / "o"
+        assert cli.main(["run", "--dataset", small_dataset_path, "--out", str(out),
+                         "--perturbation-kind", "noise", "--noise-scale", scale,
+                         "--models", "cart", "--explainers", "eli5"]) == 1
+        assert "noise_scale must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_config_value_refused_before_train(self, small_dataset_path, tmp_path,
                                                    capsys):

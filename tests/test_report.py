@@ -19,7 +19,6 @@ from xaibench.metrics import MetricReport
 from xaibench.models import (DecisionTreeClassifier, GradientBoostedTrees, KNearestNeighbors,
                              MultilayerPerceptron)
 from xaibench.models.training import TrainedModel, model_from_dict, model_to_dict
-from xaibench.pipeline import PreparedStats
 from xaibench.report import (
     GREEN,
     RED,
@@ -265,8 +264,7 @@ class TestBumpSvg:
         the chart that the by-fraction lookup and the long-form table gave."""
         fractions, ranks = drawn
         config = {"models": ["gbt"], "explainers": ["eli5"], "fractions": fractions}
-        metrics = {"gbt": {level_key(f): None for f in fractions}}
-        pair = check_slots(config, metrics, ranks)["eli5", "gbt"]
+        pair = check_slots(config, ranks)["eli5", "gbt"]
         record = StabilityRecord("eli5", "gbt", {}, 0.0)
         if len(pair) > 1:
             baseline = next(r for r in ranks if r.perturbation_fraction == 0.0)
@@ -284,7 +282,6 @@ class TestBumpSvg:
 class TestCheckSlots:
     CONFIG = {"models": ["gbt", "cart"], "explainers": ["shap", "eli5"],
               "fractions": [0.0, 0.1, 0.04]}
-    METRICS = {kind: {"0": None, "4": None, "10": None} for kind in ("gbt", "cart")}
 
     def ranks(self, fractions, pairs=(("shap", "gbt"), ("shap", "cart"),
                                       ("eli5", "gbt"), ("eli5", "cart"))):
@@ -292,7 +289,7 @@ class TestCheckSlots:
                 for f in fractions for e, kind in pairs]
 
     def test_pairs_come_in_ascending_level_order(self):
-        pairs = check_slots(self.CONFIG, self.METRICS, self.ranks([0.1, 0.0, 0.04]))
+        pairs = check_slots(self.CONFIG, self.ranks([0.1, 0.0, 0.04]))
         assert list(pairs) == [("shap", "gbt"), ("shap", "cart"),
                                ("eli5", "gbt"), ("eli5", "cart")]
         for (e, kind), ranks in pairs.items():
@@ -302,18 +299,18 @@ class TestCheckSlots:
     def test_missing_fraction_rejected(self):
         ranks = self.ranks([0.0, 0.1]) + self.ranks([0.04], pairs=[("shap", "gbt")])
         with pytest.raises(ReportError, match="missing rank slot: shap:cart:4"):
-            check_slots(self.CONFIG, self.METRICS, ranks)
+            check_slots(self.CONFIG, ranks)
 
     def test_duplicate_fraction_rejected(self):
         ranks = self.ranks([0.0, 0.04, 0.1]) + self.ranks([0.04], pairs=[("eli5", "cart")])
         with pytest.raises(ReportError, match="repeated rank slot: eli5:cart:4"):
-            check_slots(self.CONFIG, self.METRICS, ranks)
+            check_slots(self.CONFIG, ranks)
 
     def test_unconfigured_slot_rejected(self):
         for extra in (("lofo", "gbt"), ("eli5", "knn")):
             ranks = self.ranks([0.0, 0.04, 0.1]) + self.ranks([0.1], pairs=[extra])
             with pytest.raises(ReportError, match=f"unconfigured rank slot: {':'.join(extra)}:10"):
-                check_slots(self.CONFIG, self.METRICS, ranks)
+                check_slots(self.CONFIG, ranks)
 
     def test_pair_covering_other_features_rejected(self):
         ranks = self.ranks([0.0, 0.04, 0.1], pairs=[("shap", "gbt"), ("shap", "cart"),
@@ -322,12 +319,7 @@ class TestCheckSlots:
         ranks.append(RelevanceRank(("x", "z"), (2.0, 1.0), "eli5", "cart", 0.1))
         with pytest.raises(ReportError,
                            match="rank slot eli5:cart:10 covers other features than eli5:cart:0"):
-            check_slots(self.CONFIG, self.METRICS, ranks)
-
-    def test_missing_metric_slot_rejected(self):
-        metrics = {"gbt": self.METRICS["gbt"], "cart": {"0": None, "10": None}}
-        with pytest.raises(ReportError, match="missing metric report slot: cart:4"):
-            check_slots(self.CONFIG, metrics, self.ranks([0.0, 0.04, 0.1]))
+            check_slots(self.CONFIG, ranks)
 
 
 class TestHeatmapSvg:
@@ -383,7 +375,7 @@ def irt_fits(draw):
     a, b, c, theta = (draw(st.lists(st.floats(*bounds), min_size=k, max_size=k))
                       for bounds, k in ((A_BOUNDS, n), (B_BOUNDS, n), (C_BOUNDS, n),
                                         (THETA_BOUNDS, r)))
-    return IrtFit(a, b, c, theta, draw(finite), draw(st.lists(finite, max_size=4)),
+    return IrtFit(a, b, c, theta, draw(st.lists(finite, max_size=4)),
                   draw(st.integers(0, 50)), draw(st.booleans()))
 
 
@@ -423,14 +415,6 @@ def trained_models(draw):
                         {"k": estimator.k}, draw(finite))
 
 
-@st.composite
-def prepared_stats(draw):
-    m = draw(st.integers(1, 4))
-    entries = st.dictionaries(names, finite | st.integers() | names, max_size=4)
-    return PreparedStats(draw(entries), draw(entries), draw(vectors(m)),
-                         draw(vectors(m, st.floats(1e-12, 1e6))))
-
-
 # record type -> (strategy, encoder, decoder); the pipeline writes each of
 # these records through its encoder and reads it back through its decoder
 RECORDS = {
@@ -458,7 +442,6 @@ RECORDS = {
                              to_record, functools.partial(from_record, DecisionTreeClassifier)),
     KNearestNeighbors: (neighbour_sets(), to_record,
                         functools.partial(from_record, KNearestNeighbors)),
-    PreparedStats: (prepared_stats(), to_record, functools.partial(from_record, PreparedStats)),
 }
 
 # the fields a record may omit, when None; every other field is required,
