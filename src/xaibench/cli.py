@@ -58,7 +58,10 @@ def parse_config_file(path) -> dict:
             key, value = (s.strip() for s in line.split("=", 1))
             if key not in _KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            out[key] = _KEYS[key][1](value)
+            try:
+                out[key] = _KEYS[key][1](value)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return out
 
 

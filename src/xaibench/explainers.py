@@ -3,12 +3,10 @@
 Re-implementations of the mechanisms popularized by Dalex (column inversion),
 Eli5 (mean decrease accuracy), Lofo (leave-one-feature-out retraining),
 kernel SHAP, Skater (prediction-entropy change) and eXirt (IRT ability drop).
-Each ``explain_*`` but eXirt takes ``(model, train, test, cfg,
-perturbation_fraction=0.0)`` and returns a RelevanceRank, and
+Each ``explain_*`` takes ``(model, train, test, cfg,
+perturbation_fraction=0.0)`` and returns a RelevanceRank, but
+``explain_exirt`` returns ``(rank, fit)`` with its pool's 3PL fit, and
 ``explain_lofo_style`` also accepts the ``refits`` of :func:`lofo_refits`.
-``explain_exirt`` takes a list of ``(model, test, cfg, perturbation_fraction)``
-cells, fits their 3PL models in one lockstep solve and returns one
-``(rank, fit)`` per cell.
 
 All randomness flows through per-feature seed streams derived from the
 config seed, so equal seeds give identical ranks regardless of evaluation
@@ -32,9 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .irt import ResponseMatrix, fit_3pl_many
-# bench/tracing.py rebinds this name to time each fit; nothing here calls it
-from .irt import fit_3pl  # noqa: F401
+from .irt import ResponseMatrix, fit_3pl
 from .metrics import accuracy_score, labels_from_proba, roc_auc_score
 from .models.training import (TrainedModel, build_estimator, predict_blends,
                               stratified_kfold)
@@ -393,25 +389,20 @@ def _exirt_pool(model: TrainedModel, test: Dataset, cfg: ExplainerConfig) -> Res
     return ResponseMatrix(np.array(rows))
 
 
-def explain_exirt(cells) -> list:
-    """IRT-ability relevance ranking of each ``(model, test, cfg,
-    perturbation_fraction)`` cell.
+def explain_exirt(model: TrainedModel, train: Dataset, test: Dataset,
+                  cfg: ExplainerConfig, perturbation_fraction=0.0) -> tuple:
+    """IRT-ability relevance ranking.
 
-    Builds each cell's respondent pool from the original model, one
+    Builds the respondent pool from the original model, one
     feature-shuffled probe per feature and bootstrap respondents that
     answer only the items covered by a row-resampled copy of the test set,
-    fits every pool's 3PL model in one :func:`fit_3pl_many` call (so the
-    pools must share a shape), and scores each feature by the ability drop
-    of its shuffled probe relative to the original model.
+    fits its 3PL model, and scores each feature by the ability drop of its
+    shuffled probe relative to the original model.
 
-    Returns one (rank, fit) per cell; the fit also feeds the ICC and
-    reliability outputs.
+    Returns (rank, fit); the fit also feeds the ICC and reliability outputs.
     """
-    fits = fit_3pl_many([_exirt_pool(model, test, cfg) for model, test, cfg, _ in cells])
-    out = []
-    for (model, test, _, fraction), fit in zip(cells, fits):
-        theta = fit.theta  # rows: original, one probe per feature, bootstrap
-        rank = rank_from_scores(test.feature_names, theta[0] - theta[1:1 + test.n_features],
-                                "exirt", model.kind, fraction)
-        out.append((rank, fit))
-    return out
+    fit = fit_3pl(_exirt_pool(model, test, cfg))
+    theta = fit.theta  # rows: original, one probe per feature, bootstrap
+    rank = rank_from_scores(test.feature_names, theta[0] - theta[1:1 + test.n_features],
+                            "exirt", model.kind, perturbation_fraction)
+    return rank, fit

@@ -1,39 +1,15 @@
 """3PL item response theory engine.
 
-Joint item/ability estimation by alternating penalized maximum likelihood
-(Birnbaum scheme) on a respondents x items correctness matrix, item
-characteristic curves as one array, reliability summaries and
-model-reliability verdicts.
+Marginal maximum a posteriori estimation of the item parameters by EM over
+a fixed ability grid (Bock & Aitkin, Psychometrika 1981), with priors on
+discrimination and difficulty (Mislevy, Psychometrika 1986), on a
+respondents x items correctness matrix; abilities are the posterior means
+(EAP).  Also item characteristic curves as one array, reliability
+summaries and model-reliability verdicts.
 
-Respondents are rows, items are columns.  All optimizer moves are
-accept-only-if-better, so the tracked objective never decreases across
-outer iterations.
-
-``fit_3pl_many`` fits F same-shape matrices in lockstep: each objective
-call evaluates up to SCAN_POINTS candidate vectors of every fit still
-iterating in one (SCAN_POINTS, F, R, N) work buffer allocated once, with
-``out=`` and in-place ufuncs, so no call allocates a (K, F, R, N)
-temporary and one ufunc call serves every fit.  ``fit_3pl`` is the case
-F = 1.  Each fit's golden-section search stops on its own widths, and a fit
-that converges leaves the lockstep, so every fit is bit-identical to a fit
-of its matrix alone.  Each step gives the same bits as the textbook form
-``log(where(u, p, 1 - p))`` with ``p = clip(c + (1 - c) / (1 + exp(-z)))``
-and ``z = theta*a - a*b`` (not a*(theta - b), which rounds differently):
-
-- ``exp(a*b - theta*a)`` is ``exp(-z)``: IEEE subtraction is antisymmetric
-  under round-to-nearest, so y - x is exactly -(x - y); only the sign of
-  a zero can differ, and exp ignores it.
-- z is not clipped to +-500 as in ``p_correct``: the box bounds keep
-  |z| <= 4*4 + 4*6 = 40, where that clip never binds.
-- ``np.minimum(np.maximum(p, lo), hi)`` is ``np.clip`` for non-NaN p.
-- ``s + t*p`` with s = 1 - u and t = 2u - 1 is p where u = 1 (0 + 1*p)
-  and 1 - p where u = 0 (1 + -1*p): exact because ``ResponseMatrix``
-  admits only 0 and 1.
-- Commuted additions and products (``e + 1``, ``q / d + c``) round the
-  same, and the buffer slices have the layout of a fresh array, so the
-  sums over respondents and over items add in the same order.
-- What stays fixed through a pass is computed once: theta*a in the b pass
-  and the whole 1 + exp(a*b - theta*a) in the c pass.
+Respondents are rows, items are columns.  Each M-step keeps an item's old
+parameters unless its expected log posterior strictly improves, so the
+marginal log posterior never decreases across iterations (generalized EM).
 """
 
 from __future__ import annotations
@@ -49,13 +25,21 @@ THETA_BOUNDS = (-4.0, 4.0)
 
 _PROB_CLIP = 1e-6  # likelihood clipping keeps all-correct/all-wrong rows finite
 
-TOL = 1e-4  # stop once an outer iteration gains less than this
+TOL = 1e-4  # stop once an EM iteration gains less than this
 MAX_OUTER = 50
-PENALTY_WEIGHT = 0.01  # pulls a toward ANCHOR_A and c toward ANCHOR_C
-ANCHOR_A = 1.0
+PENALTY_WEIGHT = 0.01  # pulls c toward ANCHOR_C
 ANCHOR_C = 0.1
-SCAN_POINTS = 17
-XTOL = 1e-3
+PRIOR_A = (1.0, 1.0)  # mean and sd of the normal prior on a
+PRIOR_B = (0.0, 2.0)  # mean and sd of the normal prior on b
+MAX_HALVINGS = 8
+
+# E-step ability nodes, weighted by the standard normal density
+GRID = np.linspace(THETA_BOUNDS[0], THETA_BOUNDS[1], 41)
+_LOG_WEIGHTS = -0.5 * GRID ** 2 - np.log(np.exp(-0.5 * GRID ** 2).sum())
+_LOWER, _UPPER = np.array([A_BOUNDS, B_BOUNDS, C_BOUNDS]).T[:, :, None]
+# one normal prior per row of (a, b, c); c's penalty is the one of precision 2 * PENALTY_WEIGHT
+_PRIOR_MEAN = np.array([[PRIOR_A[0]], [PRIOR_B[0]], [ANCHOR_C]])
+_PRIOR_PRECISION = np.array([[PRIOR_A[1] ** -2], [PRIOR_B[1] ** -2], [2 * PENALTY_WEIGHT]])
 
 TIE_EPSILON = 0.05  # a dissenting margin below this never blocks a verdict
 
@@ -113,7 +97,7 @@ class IrtFit:
     b: np.ndarray  # difficulty
     c: np.ndarray  # guessing
     theta: np.ndarray  # ability
-    history: tuple  # penalized objective after each outer iteration, non-decreasing
+    history: tuple  # marginal log posterior after each EM iteration, non-decreasing
     iterations: int
     converged: bool
 
@@ -141,163 +125,95 @@ class ReliabilitySummary:
     negative_item_count: int
 
 
-def _denominators(w, ab, theta_a):
-    """1 + exp(a*b - theta*a) into w; theta_a may be w itself."""
-    np.subtract(ab, theta_a, out=w)
-    np.exp(w, out=w)
-    w += 1.0
-    return w
+def _log_prior(x):
+    """Per-item log prior of the (3, N) item parameters x = (a, b, c)."""
+    return -0.5 * (_PRIOR_PRECISION * (x - _PRIOR_MEAN) ** 2).sum(axis=0)
 
 
-def _log_lik(w, denom, c, s, t):
-    """Per-entry log-likelihoods log(s + t*p) into w, where p is the clipped
-    hit probability c + (1 - c) / denom; denom may be w itself."""
-    c = c[..., None, :]
-    np.divide(1.0 - c, denom, out=w)
-    w += c
-    np.maximum(w, _PROB_CLIP, out=w)
-    np.minimum(w, 1.0 - _PROB_CLIP, out=w)
-    w *= t
-    w += s
-    return np.log(w, out=w)
+def _grid_probabilities(x):
+    """(G, N) hit probabilities of the items x on the ability grid, clipped
+    to keep the logs finite, and where the clip leaves them unchanged."""
+    raw = p_correct(*x, GRID[:, None])
+    p = np.clip(raw, _PROB_CLIP, 1.0 - _PROB_CLIP)
+    return p, p == raw
 
 
-def _scan_golden_max(f, current, lo, hi, scan_points=SCAN_POINTS, xtol=XTOL):
-    """Elementwise 1-D maximization of f over [lo, hi].
-
-    ``current`` is one fit's n-vector or an (F, n) block with one row per
-    fit.  f maps a stacked (K, *current.shape) block of candidates to
-    objectives of that shape, so the scan of all scan_points grid values,
-    the pair of golden-section probes, and the final candidate-vs-current
-    test each cost one call.  The scan brackets the optimum at the first
-    grid maximum (robust to bimodality in the discrimination coordinate),
-    golden-section refines it, and each coordinate keeps its current value
-    unless the candidate improves it.  Each fit's golden-section loop stops
-    on its own widths, so it takes the steps it would take alone.
-    """
-    current = np.asarray(current, dtype=float)
-    grid = np.linspace(lo, hi, scan_points)
-    step = grid[1] - grid[0]
-    best_x = grid[np.argmax(f(np.repeat(grid, current.size).reshape(scan_points,
-                                                                    *current.shape)), axis=0)]
-    left = np.maximum(best_x - step, lo)
-    right = np.minimum(best_x + step, hi)
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    searching = (right - left).max(axis=-1) > xtol  # per fit
-    while searching.any():
-        x1 = right - invphi * (right - left)
-        x2 = left + invphi * (right - left)
-        f1, f2 = f(np.stack([x1, x2]))
-        move_lo = f1 < f2
-        on = searching[..., None]
-        left = np.where(on & move_lo, x1, left)
-        right = np.where(on & ~move_lo, x2, right)
-        searching = (right - left).max(axis=-1) > xtol
-    cand = 0.5 * (left + right)
-    f_cand, f_cur = f(np.stack([cand, current]))
-    return np.where(f_cand > f_cur, cand, current)
+def _e_step(u, x):
+    """Marginal log posterior of the items x and the (R, G) posterior of
+    each respondent's ability over the grid."""
+    p, _ = _grid_probabilities(x)
+    joint = u @ np.log(p).T + (1.0 - u) @ np.log(1.0 - p).T + _LOG_WEIGHTS
+    peak = joint.max(axis=1, keepdims=True)
+    log_marginal = peak + np.log(np.exp(joint - peak).sum(axis=1, keepdims=True))
+    return float(log_marginal.sum() + _log_prior(x).sum()), np.exp(joint - log_marginal)
 
 
-def _standardized_scores(u):
-    s = u.mean(axis=1)
-    sd = s.std(ddof=0)
-    if sd < 1e-12:
-        return np.zeros(len(s))
-    return np.clip((s - s.mean()) / sd, *THETA_BOUNDS)
+def _expected_log_posterior(x, n, r):
+    """Per-item expected complete-data log posterior, given the expected
+    respondents n (G,) and expected hits r (G, N) at each grid node."""
+    p, _ = _grid_probabilities(x)
+    return (r * np.log(p) + (n[:, None] - r) * np.log(1.0 - p)).sum(axis=0) + _log_prior(x)
+
+
+def _score_information(x, n, r):
+    """Gradient (3, N) of :func:`_expected_log_posterior` in (a, b, c) and
+    its expected information plus the prior curvature, one (3, 3) matrix
+    per item."""
+    a, b, c = x
+    p, inside = _grid_probabilities(x)
+    # dP/dz with z = a (theta - b), and dP/dc; zero where the clip holds P
+    dz = np.where(inside, (p - c) * (1.0 - p) / (1.0 - c), 0.0)
+    dp = np.stack([dz * (GRID[:, None] - b), -a * dz,
+                   np.where(inside, (1.0 - p) / (1.0 - c), 0.0)])  # (3, G, N)
+    variance = p * (1.0 - p)
+    score = ((dp * ((r - n[:, None] * p) / variance)).sum(axis=1)
+             + _PRIOR_PRECISION * (_PRIOR_MEAN - x))
+    weighted = dp * np.sqrt(n[:, None] / variance)  # so that info is exactly symmetric
+    info = np.einsum("kgn,lgn->nkl", weighted, weighted) + np.diag(_PRIOR_PRECISION[:, 0])
+    return score, info
 
 
 def fit_3pl(responses: ResponseMatrix, max_outer: int = MAX_OUTER) -> IrtFit:
-    """Alternating penalized MLE of one matrix's item parameters and
-    abilities: :func:`fit_3pl_many` of that matrix alone."""
-    return fit_3pl_many([responses], max_outer)[0]
+    """Marginal MAP item parameters and EAP abilities of one matrix.
 
-
-def fit_3pl_many(matrices, max_outer: int = MAX_OUTER) -> list:
-    """Alternating penalized MLE of item parameters and abilities for every
-    response matrix of one shape, in lockstep; one IrtFit per matrix.
-
-    Initialization: theta from standardized raw scores, a = 1, b from the
-    inverse logistic of item easiness, c = ANCHOR_C.  Outer iterations
-    alternate a full item-parameter pass with a respondent-ability pass
-    until the objective gain drops below TOL or max_outer is reached.
-
-    Every objective call evaluates all fits still iterating in one
-    (SCAN_POINTS, F, R, N) work buffer.  Each fit's arithmetic, its
-    golden-section steps and its stopping rule are its own, and a fit that
-    meets TOL drops out of the lockstep, so each IrtFit is bit-identical to
-    a fit of its matrix alone.
+    Starts from a = 1, b the inverse logistic of item difficulty and
+    c = ANCHOR_C.  Each iteration takes the posterior over the grid (E-step)
+    and one Fisher-scoring step per item (M-step), halved up to
+    MAX_HALVINGS times, each trial projected onto the box bounds, until the
+    item's expected log posterior strictly improves; else the item keeps
+    its parameters.  ``history`` is the marginal log posterior after each
+    iteration; the fit stops once an iteration gains less than TOL or after
+    max_outer iterations.
     """
-    if not matrices:
-        raise IrtError("need at least one response matrix")
-    shapes = sorted({m.entries.shape for m in matrices})
-    if len(shapes) > 1:
-        raise IrtError(f"response matrices must share one shape, got {shapes}")
     if max_outer < 1:
         raise IrtError("max_outer must be >= 1")
-    u = np.stack([m.entries for m in matrices]).astype(float)
-    n_fits, r, n = u.shape
-    theta = np.stack([_standardized_scores(x) for x in u])
-    a = np.ones((n_fits, n))
-    easiness = np.clip(u.mean(axis=1), 1e-3, 1 - 1e-3)
-    b = np.clip(-np.log(easiness / (1.0 - easiness)), *B_BOUNDS)
-    c = np.full((n_fits, n), ANCHOR_C)
-
-    s, t = 1.0 - u, 2.0 * u - 1.0  # s + t*p is p where u = 1, 1 - p where u = 0
-    work = np.empty(SCAN_POINTS * u.size)
-    live = np.arange(n_fits)  # input positions of the fits still iterating
-
-    def buffer(k):
-        # (k, live fits, R, N), with the layout of a fresh array
-        return work[:k * len(live) * r * n].reshape(k, len(live), r, n)
-
-    def item_objective(w, denom, a, c):
-        pen = PENALTY_WEIGHT * ((a - ANCHOR_A) ** 2 + (c - ANCHOR_C) ** 2)
-        return _log_lik(w, denom, c, s, t).sum(axis=-2) - pen
-
-    def a_objective(v):
-        w = buffer(len(v))
-        np.multiply(theta[:, :, None], v[:, :, None, :], out=w)
-        return item_objective(w, _denominators(w, (v * b)[:, :, None, :], w), v, c)
-
-    def b_objective(v):
-        w = buffer(len(v))
-        return item_objective(w, _denominators(w, (a * v)[:, :, None, :], theta_a), a, c)
-
-    def c_objective(v):
-        return item_objective(buffer(len(v)), denom, a, v)
-
-    def theta_objective(v):
-        w = buffer(len(v))
-        np.multiply(v[..., None], a[:, None, :], out=w)
-        return _log_lik(w, _denominators(w, (a * b)[:, None, :], w), c, s, t).sum(axis=-1)
-
-    def total_objective():
-        return a_objective(a[None])[0].sum(axis=-1)
-
-    fits = [None] * n_fits
-    history = [[] for _ in range(n_fits)]
-    prev = total_objective()
-    for iteration in range(1, max_outer + 1):
-        a = _scan_golden_max(a_objective, a, *A_BOUNDS)
-        theta_a = theta[:, :, None] * a[:, None, :]  # b_objective's invariant
-        b = _scan_golden_max(b_objective, b, *B_BOUNDS)
-        denom = _denominators(theta_a, (a * b)[:, None, :], theta_a)  # c_objective's
-        c = _scan_golden_max(c_objective, c, *C_BOUNDS)
-        theta = _scan_golden_max(theta_objective, theta, *THETA_BOUNDS)
-        cur = total_objective()
+    u = responses.entries.astype(float)
+    easiness = np.clip(u.mean(axis=0), 1e-3, 1 - 1e-3)
+    x = np.stack([np.ones(u.shape[1]),
+                  np.clip(-np.log(easiness / (1.0 - easiness)), *B_BOUNDS),
+                  np.full(u.shape[1], ANCHOR_C)])
+    prev, posterior = _e_step(u, x)
+    history = []
+    for _ in range(max_outer):
+        n, r = posterior.sum(axis=0), posterior.T @ u
+        score, info = _score_information(x, n, r)
+        step = np.linalg.solve(info, score.T[..., None])[..., 0].T
+        old = _expected_log_posterior(x, n, r)
+        pending = np.ones(u.shape[1], dtype=bool)
+        for _ in range(MAX_HALVINGS + 1):
+            trial = np.clip(x + step, _LOWER, _UPPER)  # projected onto the box
+            better = pending & (_expected_log_posterior(trial, n, r) > old)
+            x = np.where(better, trial, x)
+            pending &= ~better
+            step /= 2
+        cur, posterior = _e_step(u, x)
+        history.append(cur)
         converged = cur - prev < TOL
-        for j, i in enumerate(live):
-            history[i].append(float(cur[j]))
-            if converged[j] or iteration == max_outer:
-                fits[i] = IrtFit(a[j], b[j], c[j], theta[j], history=tuple(history[i]),
-                                 iterations=iteration, converged=bool(converged[j]))
-        if converged.all():
+        if converged:
             break
-        if converged.any():  # converged fits freeze; the rest go on
-            live, a, b, c, theta, s, t, cur = (x[~converged]
-                                               for x in (live, a, b, c, theta, s, t, cur))
         prev = cur
-    return fits
+    return IrtFit(*x, theta=(posterior * GRID).sum(axis=1), history=history,
+                  iterations=len(history), converged=converged)
 
 
 def default_theta_grid() -> np.ndarray:

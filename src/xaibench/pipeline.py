@@ -11,9 +11,10 @@ labels, so subsets reproduce the values they would have inside a full run.
 
 Records go through the ``data.to_record``/``from_record`` codec; a refused
 one names its file.  ``prepared/stats.json``, the config echo plus the
-dataset file's sha256, is train's commit marker: train removes it and
-every later stage's artifact first and writes it last, and later stages
-refuse to start unless it matches their config and dataset.
+dataset file's sha256, is train's commit marker: train removes it, every
+other file a run writes and the files older versions wrote first, and
+writes it last, and later stages refuse to start unless it matches their
+config and dataset.
 """
 
 from __future__ import annotations
@@ -232,10 +233,13 @@ def stage_train(cfg: RunConfig) -> None:
     """Check the dataset and its split, then tune every configured model kind."""
     fingerprint = _fingerprint(cfg, "train")  # before parsing: a later edit is refused
     _, train_std, _ = _prepare(cfg, "train")
-    # stats.json, the commit marker, goes first and comes back last
-    for path in [_path(cfg, "prepared", "stats.json"), _path(cfg, "ranks.json"),
-                 *glob.glob(os.path.join(glob.escape(_path(cfg, "irt")), "fit_*.json"))]:
-        if os.path.exists(path):
+    # stats.json, the commit marker, goes first and comes back last; every
+    # file a run writes goes too, and the CSVs and metrics.json of older
+    # versions, so no earlier run's output outlives this one
+    for pattern in [("prepared", "stats.json"), ("ranks.json",), ("irt", "fit_*.json"),
+                    ("models", "*.json"), ("report.json",), ("heatmap.svg",), ("icc_*.svg",),
+                    ("bump_*.svg",), ("metrics.json",), ("prepared", "*.csv")]:
+        for path in glob.glob(os.path.join(glob.escape(cfg.out_dir), *pattern)):
             os.remove(path)
     os.makedirs(_path(cfg, "models"), exist_ok=True)
     for kind in cfg.models:
@@ -251,19 +255,17 @@ def _load_models(cfg: RunConfig, stage: str) -> dict:
 
 def stage_explain(cfg: RunConfig) -> None:
     """Produce every configured explainer's rank of every (model, level)
-    cell on its perturbed test variant.  eXirt's cells are fitted together
-    in one lockstep 3PL solve after the loop, each rank keeping its slot in
-    ranks.json; the fits are persisted for the report stage."""
+    cell on its perturbed test variant; eXirt's 3PL fits are persisted for
+    the report stage."""
     _check_config(cfg, "explain")
     _, train_std, variants = _prepare(cfg, "explain")
     models = _load_models(cfg, "explain")
     # Looked up per call, not at import: bench/tracing.py rebinds these names.
     explain = {"dalex": explain_dalex_style, "eli5": explain_eli5_style,
-               "lofo": explain_lofo_style, "shap": explain_kernel_shap,
-               "skater": explain_skater_style}
+               "exirt": explain_exirt, "lofo": explain_lofo_style,
+               "shap": explain_kernel_shap, "skater": explain_skater_style}
 
     ranks = []
-    exirt_cells, exirt_slots = [], []  # fitted together once every cell is known
     for kind in cfg.models:
         model = models[kind]
         if "lofo" in cfg.explainers:
@@ -272,19 +274,13 @@ def stage_explain(cfg: RunConfig) -> None:
             explain["lofo"] = functools.partial(explain_lofo_style, refits=refits)
         for f, test in variants.items():
             for explainer in cfg.explainers:
-                ecfg = cfg.explainer_config(explainer, kind, f)
+                result = explain[explainer](model, train_std, test,
+                                            cfg.explainer_config(explainer, kind, f), f)
                 if explainer == "exirt":
-                    exirt_slots.append(len(ranks))
-                    exirt_cells.append((model, test, ecfg, f))
-                    ranks.append(None)
-                else:
-                    ranks.append(to_record(explain[explainer](model, train_std, test, ecfg, f)))
-    if exirt_cells:
-        for slot, (model, _, _, f), (rank, fit) in zip(exirt_slots, exirt_cells,
-                                                        explain_exirt(exirt_cells)):
-            ranks[slot] = to_record(rank)
-            _write_json(_path(cfg, "irt", f"fit_{model.kind}_{level_key(f)}.json"),
-                        to_record(fit))
+                    result, fit = result
+                    _write_json(_path(cfg, "irt", f"fit_{kind}_{level_key(f)}.json"),
+                                to_record(fit))
+                ranks.append(to_record(result))
     _write_json(_path(cfg, "ranks.json"), ranks)
 
 

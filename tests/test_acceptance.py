@@ -259,7 +259,7 @@ def test_criterion_08_null_feature_soundness():
         "lofo": explain_lofo_style(model, train_data, test_data, cfg),
         "shap": explain_kernel_shap(model, train_data, test_data, cfg),
         "skater": explain_skater_style(model, train_data, test_data, cfg),
-        "exirt": explain_exirt([(model, test_data, cfg, 0.0)])[0][0],
+        "exirt": explain_exirt(model, train_data, test_data, cfg)[0],
     }
     tolerances = {"lofo": 0.02, "shap": 1e-9}
     failures = []

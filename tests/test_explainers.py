@@ -231,7 +231,7 @@ class TestRankers:
             explain_lofo_style(model, train_data, test_data, cfg),
             explain_kernel_shap(model, train_data, test_data, cfg),
             explain_skater_style(model, train_data, test_data, cfg),
-            explain_exirt([(model, test_data, cfg, 0.0)])[0][0],
+            explain_exirt(model, train_data, test_data, cfg)[0],
         ]
         assert sorted(r.explainer for r in ranks) == sorted(EXPLAINERS)
         for rank in ranks:
@@ -305,7 +305,7 @@ class TestRankers:
     def test_exirt_returns_fit_with_pool_sized_matrix(self, fitted):
         model, train_data, test_data = fitted
         cfg = ExplainerConfig(seed=13, bootstrap_respondents=5)
-        [(rank, fit)] = explain_exirt([(model, test_data, cfg, 0.0)])
+        rank, fit = explain_exirt(model, train_data, test_data, cfg)
         # pool = original + one probe per feature + bootstrap respondents
         assert len(fit.theta) == 1 + test_data.n_features + 5
         assert rank.explainer == "exirt"
@@ -317,7 +317,7 @@ class TestRankers:
         # knn misses some test rows, so bootstrap rows differ from plain selections
         model = train(kind, train_data, 4, seed=19)
         cfg = ExplainerConfig(seed=13, bootstrap_respondents=bootstrap)
-        [(rank, fit)] = explain_exirt([(model, test_data, cfg, 0.0)])
+        rank, fit = explain_exirt(model, train_data, test_data, cfg)
         want_rank, want_fit = ref_exirt(model, test_data, cfg)
         assert rank == want_rank
         assert to_record(fit) == to_record(want_fit)
@@ -340,5 +340,5 @@ class TestRankers:
         data = Dataset(x, labels, ("used", "ignored"))
         model = train("cart", data, 4, seed=5)
         assert model.estimator.features_used() == {0}
-        [(rank, _)] = explain_exirt([(model, data, ExplainerConfig(seed=9), 0.0)])
+        rank, _ = explain_exirt(model, data, data, ExplainerConfig(seed=9))
         assert rank.scores[rank.ordered_features.index("ignored")] == 0.0

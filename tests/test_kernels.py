@@ -1,15 +1,18 @@
 """Oracle tests for the rewritten kernels: the tree split search, the 3PL
-optimizer, kNN neighbour selection, the MLP minibatch loop and kernel SHAP.
-The references below are the original per-feature split loop, the original
-one-candidate-per-call scan + golden-section search, the stable-argsort kNN,
-the per-batch index MLP loop and the loop-built coalitions with a diagonal
-weight matrix; the rewrites evaluate the same points with the same
-arithmetic, so results must match exactly, not within a tolerance.  The 3PL
-reference is the textbook u*log(p) + (1-u)*log(1-p) on fresh arrays, which
-``fit_3pl``'s in-place work-buffer kernel must reproduce bit for bit, down
-to the value of every objective call.  kNN's ``predict_coalitions`` must
-give ``predict_proba``'s probabilities on the materialized coalition blends,
-and their squared distances, byte for byte.
+EM fit, kNN neighbour selection, the MLP minibatch loop and kernel SHAP.
+The references below are the original per-feature split loop, the
+stable-argsort kNN, the per-batch index MLP loop and the loop-built
+coalitions with a diagonal weight matrix; the rewrites evaluate the same
+points with the same arithmetic, so results must match exactly, not within
+a tolerance.  kNN's ``predict_coalitions`` must give ``predict_proba``'s
+probabilities on the materialized coalition blends, and their squared
+distances, byte for byte.
+
+The 3PL fit is held to a loop over respondents and grid nodes that
+recomputes its marginal log posterior and abilities from its item
+parameters, to a central difference of its M-step score, and to the
+generalized-EM properties: the marginal log posterior never decreases, and
+the fit stops exactly when an iteration gains less than ``TOL``.
 
 ``MultilayerPerceptron.fit_many`` trains K nets in lockstep with stacked
 (K, bs, m) matmuls, and its test holds each net to the single-net reference.
@@ -21,7 +24,6 @@ last axis, which ``predict_coalitions`` reproduces, is numpy's pairwise
 kernel, and a guard test pins it."""
 
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,7 +31,6 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from xaibench import irt
-from xaibench.data import to_record
 from xaibench.explainers import (
     EXACT_SHAP_LIMIT,
     ExplainerConfig,
@@ -40,12 +41,10 @@ from xaibench.irt import (
     A_BOUNDS,
     B_BOUNDS,
     C_BOUNDS,
-    THETA_BOUNDS,
     IrtError,
-    IrtFit,
     ResponseMatrix,
     fit_3pl,
-    fit_3pl_many,
+    p_correct,
 )
 from xaibench.models import knn
 from xaibench.models.knn import KNearestNeighbors
@@ -175,95 +174,12 @@ def test_split_ties_pick_lowest_feature_then_lowest_threshold():
     assert got == ref_split_classification(x, y, 1)
 
 
-# --- reference 3PL optimizer: one candidate vector per objective call -----
-
-def ref_prob_matrix(a, b, c, theta):
-    z = np.clip(np.outer(theta, np.ones_like(a)) * a - np.outer(np.ones_like(theta), a * b),
-                -500, 500)
-    p = c + (1.0 - c) / (1.0 + np.exp(-z))
-    return np.clip(p, irt._PROB_CLIP, 1.0 - irt._PROB_CLIP)
-
-
-def ref_loglik_entries(u, a, b, c, theta):
-    p = ref_prob_matrix(a, b, c, theta)
-    return u * np.log(p) + (1.0 - u) * np.log(1.0 - p)
-
-
-def ref_item_objective(u, a, b, c, theta):
-    ll = ref_loglik_entries(u, a, b, c, theta).sum(axis=0)
-    pen = irt.PENALTY_WEIGHT * ((a - irt.ANCHOR_A) ** 2 + (c - irt.ANCHOR_C) ** 2)
-    return ll - pen
-
-
-def ref_respondent_objective(u, a, b, c, theta):
-    return ref_loglik_entries(u, a, b, c, theta).sum(axis=1)
-
-
-def ref_scan_golden_max(f, current, lo, hi, scan_points, xtol):
-    n = len(current)
-    grid = np.linspace(lo, hi, scan_points)
-    step = grid[1] - grid[0]
-    best_val = np.full(n, -np.inf)
-    best_x = np.full(n, grid[0])
-    for g in grid:
-        v = f(np.full(n, g))
-        better = v > best_val
-        best_val = np.where(better, v, best_val)
-        best_x = np.where(better, g, best_x)
-    left = np.maximum(best_x - step, lo)
-    right = np.minimum(best_x + step, hi)
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    while np.max(right - left) > xtol:
-        x1 = right - invphi * (right - left)
-        x2 = left + invphi * (right - left)
-        f1 = f(x1)
-        f2 = f(x2)
-        move_lo = f1 < f2
-        left = np.where(move_lo, x1, left)
-        right = np.where(move_lo, right, x2)
-    cand = 0.5 * (left + right)
-    f_cand = f(cand)
-    f_cur = f(np.asarray(current, dtype=float))
-    return np.where(f_cand > f_cur, cand, current)
-
-
-def ref_fit_3pl(responses, max_outer, scan=ref_scan_golden_max):
-    u = responses.entries.astype(float)
-    r, n = u.shape
-    theta = irt._standardized_scores(u)
-    a = np.ones(n)
-    easiness = np.clip(u.mean(axis=0), 1e-3, 1 - 1e-3)
-    b = np.clip(-np.log(easiness / (1.0 - easiness)), *B_BOUNDS)
-    c = np.full(n, irt.ANCHOR_C)
-    steps = (irt.SCAN_POINTS, irt.XTOL)
-
-    def total_objective():
-        return float(np.sum(ref_item_objective(u, a, b, c, theta)))
-
-    history = []
-    prev = total_objective()
-    converged = False
-    iterations = 0
-    for _ in range(max_outer):
-        iterations += 1
-        a = scan(lambda v: ref_item_objective(u, v, b, c, theta), a, *A_BOUNDS, *steps)
-        b = scan(lambda v: ref_item_objective(u, a, v, c, theta), b, *B_BOUNDS, *steps)
-        c = scan(lambda v: ref_item_objective(u, a, b, v, theta), c, *C_BOUNDS, *steps)
-        theta = scan(lambda v: ref_respondent_objective(u, a, b, c, v),
-                     theta, *THETA_BOUNDS, *steps)
-        cur = total_objective()
-        history.append(cur)
-        if cur - prev < irt.TOL:
-            converged = True
-            break
-        prev = cur
-    return IrtFit(a, b, c, theta, tuple(history), iterations, converged)
-
+# --- 3PL EM: a loop over respondents and grid nodes is the E-step oracle --
 
 @st.composite
-def response_matrices(draw, shape=None):
+def response_matrices(draw):
     """Random 0/1 matrices, with some rows and columns forced all-0 or all-1."""
-    r, n = shape or (draw(st.integers(2, 12)), draw(st.integers(2, 15)))
+    r, n = draw(st.integers(2, 30)), draw(st.integers(2, 40))
     u = draw(arrays(np.int64, (r, n), elements=st.integers(0, 1)))
     for i in draw(st.lists(st.integers(0, r - 1), max_size=3)):
         u[i, :] = draw(st.integers(0, 1))
@@ -272,161 +188,105 @@ def response_matrices(draw, shape=None):
     return ResponseMatrix(u)
 
 
-def recording(scan, rows):
-    """scan, with each objective call's candidate vectors and values appended
-    to rows as bytes, one (candidate, value) pair per vector."""
-    def recorded(f, current, lo, hi, *args):
-        def objective(v):
-            out = f(v)
-            rows.extend((vi.tobytes(), oi.tobytes())
-                        for vi, oi in zip(np.atleast_2d(v), np.atleast_2d(out)))
-            return out
-        return scan(objective, current, lo, hi, *args)
-    return recorded
+def ref_log_prior(a, b, c):
+    return sum(-0.5 * ((ai - irt.PRIOR_A[0]) / irt.PRIOR_A[1]) ** 2
+               - 0.5 * ((bi - irt.PRIOR_B[0]) / irt.PRIOR_B[1]) ** 2
+               - irt.PENALTY_WEIGHT * (ci - irt.ANCHOR_C) ** 2
+               for ai, bi, ci in zip(a, b, c))
 
 
-def assert_fit_3pl_matches_reference(responses, max_outer):
-    # the golden-section path rarely turns on a last-bit change of one
-    # objective value, so every value of every objective call is compared
-    got, want = [], []
-    with mock.patch.object(irt, "_scan_golden_max", recording(irt._scan_golden_max, got)):
-        fit = fit_3pl(responses, max_outer=max_outer)
-    ref = ref_fit_3pl(responses, max_outer, scan=recording(ref_scan_golden_max, want))
-    assert to_record(fit) == to_record(ref)
-    assert got == want
-    return fit
+def ref_e_step(u, a, b, c):
+    """Marginal log posterior and EAP abilities of the items (a, b, c), one
+    respondent and one standard-normal-weighted grid node at a time."""
+    grid = np.linspace(-4.0, 4.0, 41)
+    weights = [math.exp(-0.5 * g * g) for g in grid]
+    clip = irt._PROB_CLIP
+    hits = [np.clip(p_correct(a, b, c, g), clip, 1.0 - clip).tolist() for g in grid]
+    total, theta = ref_log_prior(a, b, c), []
+    for row in u.tolist():
+        joint = [math.log(w / sum(weights))
+                 + sum(math.log(p if hit else 1.0 - p) for hit, p in zip(row, node))
+                 for w, node in zip(weights, hits)]
+        peak = max(joint)
+        mass = [math.exp(j - peak) for j in joint]
+        total += peak + math.log(sum(mass))
+        theta.append(sum(m * g for m, g in zip(mass, grid)) / sum(mass))
+    return total, theta
 
 
 @settings(max_examples=40, deadline=None)
-@given(response_matrices(), st.integers(1, 3))
-def test_fit_3pl_matches_reference(responses, max_outer):
-    fit = assert_fit_3pl_matches_reference(responses, max_outer)
-    assert all(y >= x for x, y in zip(fit.history, fit.history[1:]))
+@given(response_matrices(), st.integers(1, 5))
+def test_fit_3pl_e_step_matches_a_loop_over_respondents_and_nodes(responses, max_outer):
+    fit = fit_3pl(responses, max_outer=max_outer)
+    log_posterior, theta = ref_e_step(responses.entries, fit.a, fit.b, fit.c)
+    assert abs(fit.history[-1] - log_posterior) <= 1e-9
+    assert np.max(np.abs(fit.theta - theta)) <= 1e-9
 
 
-@pytest.mark.parametrize("r, n, seed", [(29, 58, 0), (29, 173, 1), (200, 100, 2)])
-def test_fit_3pl_matches_reference_at_exirt_shapes(r, n, seed):
-    # eXirt's matrices are 29 x 58 (paper-default) and 29 x 173 (tall-items);
-    # every scan fills the whole (SCAN_POINTS, R, N) work buffer
-    rng = np.random.default_rng(seed)
-    u = (rng.random((r, n)) < rng.uniform(0.2, 0.95, n)).astype(int)
-    u[:, 3], u[:, 4] = 0, 1  # degenerate items
-    u[1, :], u[2, :] = 0, 1  # degenerate respondents
-    responses = ResponseMatrix(u)
-    assert_fit_3pl_matches_reference(responses, 2)
-
-
-def test_fit_3pl_exponent_cannot_reach_the_clip_it_omits():
-    # fit_3pl drops p_correct's +-500 clip on a*b - theta*a; the box bounds
-    # must keep the exponent inside it
-    a = max(map(abs, A_BOUNDS))
-    assert a * (max(map(abs, THETA_BOUNDS)) + max(map(abs, B_BOUNDS))) < 500
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_fit_3pl_kernel_rewrites_are_exact(data):
-    size = data.draw(st.integers(1, 40))
-    p = data.draw(arrays(np.float64, size,
-                         elements=st.floats(irt._PROB_CLIP, 1.0 - irt._PROB_CLIP)))
-    u = data.draw(arrays(np.int64, size, elements=st.integers(0, 1))).astype(float)
-    s, t = 1.0 - u, 2.0 * u - 1.0
-    assert (s + t * p).tobytes() == np.where(u, p, 1.0 - p).tobytes()
-
-    def bounded(bounds):
-        return data.draw(arrays(np.float64, size, elements=st.floats(*bounds)))
-
-    a, b, theta = bounded(A_BOUNDS), bounded(B_BOUNDS), bounded(THETA_BOUNDS)
-    folded, negated = a * b - theta * a, -(theta * a - a * b)
-    # equal as numbers; a zero may differ in sign, which exp ignores
-    assert folded.tolist() == negated.tolist()
-    assert np.exp(folded).tobytes() == np.exp(negated).tobytes()
+@settings(max_examples=40, deadline=None)
+@given(response_matrices(), st.integers(1, 50))
+def test_fit_3pl_is_monotone_and_stops_on_its_first_small_gain(responses, max_outer):
+    fit = fit_3pl(responses, max_outer=max_outer)
+    u = responses.entries
+    easiness = np.clip(u.mean(axis=0), 1e-3, 1 - 1e-3)
+    start, _ = ref_e_step(u, np.ones(u.shape[1]),
+                          np.clip(-np.log(easiness / (1 - easiness)), *B_BOUNDS),
+                          np.full(u.shape[1], irt.ANCHOR_C))
+    gains = np.diff([start, *fit.history])
+    assert np.all(np.diff(fit.history) >= -1e-9)  # the slack bench/check.py allows
+    assert fit.iterations == len(fit.history)
+    assert np.all(gains[:-1] >= irt.TOL)
+    assert fit.converged == (gains[-1] < irt.TOL)
+    assert fit.converged or fit.iterations == max_outer
 
 
 @settings(max_examples=100, deadline=None)
-@given(arrays(np.float64, st.integers(1, 8), elements=st.floats(-3.0, 3.0)),
-       st.integers(2, 9), st.sampled_from([1e-3, 0.5]))
-def test_scan_golden_max_matches_reference_on_plateaus(targets, scan_points, step):
-    # quantized objective: many grid values tie, so the first-maximum rule matters
-    def f(v):
-        return -np.round(np.abs(v - targets) / step)
+@given(st.data())
+def test_m_step_score_is_the_gradient_and_the_information_is_positive_definite(data):
+    n_items = data.draw(st.integers(1, 6))
+    h = 1e-6
 
-    current = np.zeros(len(targets))
-    got = irt._scan_golden_max(f, current, -4.0, 4.0, scan_points, 1e-3)
-    want = ref_scan_golden_max(f, current, -4.0, 4.0, scan_points, 1e-3)
-    assert got.tolist() == want.tolist()
+    def inside(lo, hi):  # h away from the bounds, so x +- h stays in the box
+        return data.draw(arrays(np.float64, n_items, elements=st.floats(lo + 2 * h, hi - 2 * h)))
 
-
-# --- lockstep 3PL: each fit of a group equals its fit alone ---------------
-
-@st.composite
-def response_groups(draw):
-    """1-5 random response matrices of one shape."""
-    shape = (draw(st.integers(2, 12)), draw(st.integers(2, 15)))
-    return draw(st.lists(response_matrices(shape), min_size=1, max_size=5))
-
-
-def assert_lockstep_matches_lone_fits(group, max_outer):
-    fits = fit_3pl_many(group, max_outer)
-    assert [to_record(f) for f in fits] == [to_record(fit_3pl(m, max_outer))
-                                            for m in group]
-    return fits
+    # c >= 0.01: as P nears c -> 0, the central difference's own error grows like 1/P^3
+    x = np.stack([inside(*A_BOUNDS), inside(*B_BOUNDS), inside(0.01, C_BOUNDS[1])])
+    g = len(irt.GRID)
+    n = data.draw(arrays(np.float64, g, elements=st.floats(0.0, 30.0)))
+    r = n[:, None] * data.draw(arrays(np.float64, (g, n_items), elements=st.floats(0.0, 1.0)))
+    score, info = irt._score_information(x, n, r)
+    p, _ = irt._grid_probabilities(x)
+    # the central difference's rounding: log P and log(1 - P) lose eps / P and
+    # eps / (1 - P), which matters next to the clip
+    rounding = 4 * np.finfo(float).eps / h * (n[:, None] / np.minimum(p, 1 - p)).sum(axis=0)
+    for k in range(3):
+        e = np.zeros((3, 1))
+        e[k] = h
+        # the clip is a kink: compare only where no node crosses it
+        assume(np.array_equal(irt._grid_probabilities(x + e)[1],
+                              irt._grid_probabilities(x - e)[1]))
+        central = (irt._expected_log_posterior(x + e, n, r)
+                   - irt._expected_log_posterior(x - e, n, r)) / (2 * h)
+        assert np.all(np.abs(score[k] - central) <= 1e-5 * np.abs(central) + 1e-4 + rounding)
+    assert np.array_equal(info, info.transpose(0, 2, 1))
+    assert np.all(np.linalg.eigvalsh(info) > 0)
 
 
 @settings(max_examples=40, deadline=None)
-@given(response_groups(), st.integers(1, 50))
-def test_fit_3pl_many_equals_a_fit_per_matrix(group, max_outer):
-    assert_lockstep_matches_lone_fits(group, max_outer)
+@given(response_matrices(), st.integers(1, 5), st.data())
+def test_identical_response_rows_get_bit_equal_abilities(responses, max_outer, data):
+    u = responses.entries
+    copies = data.draw(st.lists(st.integers(0, len(u) - 1), min_size=1, max_size=10))
+    u = np.vstack([u, u[copies]])
+    theta = fit_3pl(ResponseMatrix(u), max_outer=max_outer).theta
+    _, group = np.unique(u, axis=0, return_inverse=True)
+    for k in np.unique(group):
+        assert len({t.tobytes() for t in theta[group.ravel() == k]}) == 1
 
 
-def test_fit_3pl_many_freezes_each_fit_when_it_converges():
-    rng = np.random.default_rng(0)
-    group = [ResponseMatrix(rng.integers(0, 2, (5, 6))) for _ in range(3)]
-    fits = assert_lockstep_matches_lone_fits(group, 20)
-    # the fits stop at different outer iterations, two of them converged
-    assert [(f.iterations, f.converged) for f in fits] == [(20, False), (11, True),
-                                                          (15, True)]
-
-
-def scan_calls(responses, max_outer):
-    """Objective calls of each ``_scan_golden_max`` pass of a lone fit."""
-    calls = []
-
-    def counted(f, *args):
-        calls.append(0)
-
-        def objective(v):
-            calls[-1] += 1
-            return f(v)
-        return scan(objective, *args)
-
-    scan = irt._scan_golden_max
-    with mock.patch.object(irt, "_scan_golden_max", counted):
-        fit_3pl(responses, max_outer=max_outer)
-    return calls
-
-
-def test_fit_3pl_many_stops_each_golden_search_on_its_own_widths():
-    # every respondent answers each item of `flat` alike, so its first b
-    # pass brackets every item at a bound, half as wide as an inner bracket,
-    # and its golden search stops two objective calls sooner than `mixed`'s
-    flat = ResponseMatrix(np.array([[1, 0, 1]] * 3))
-    mixed = ResponseMatrix(np.array([[1, 0, 1], [1, 0, 0], [0, 1, 1]]))
-    assert scan_calls(flat, 1)[:4] == [17, 16, 11, 17]
-    assert scan_calls(mixed, 1)[:4] == [17, 18, 11, 17]
-    for max_outer in (1, 4):
-        assert_lockstep_matches_lone_fits([flat, mixed, flat], max_outer)
-        assert_lockstep_matches_lone_fits([mixed, flat], max_outer)
-
-
-def test_fit_3pl_many_refuses_what_it_cannot_fit_in_lockstep():
-    m = ResponseMatrix(np.eye(3, dtype=int))
-    with pytest.raises(IrtError, match="at least one"):
-        fit_3pl_many([])
-    with pytest.raises(IrtError, match=r"one shape, got \[\(3, 3\), \(3, 4\)\]"):
-        fit_3pl_many([m, ResponseMatrix(np.eye(3, 4, dtype=int))])
+def test_fit_3pl_refuses_no_iterations():
     with pytest.raises(IrtError, match="max_outer"):
-        fit_3pl_many([m], max_outer=0)
+        fit_3pl(ResponseMatrix(np.eye(3, dtype=int)), max_outer=0)
 
 
 # --- reference kNN: full stable argsort of every distance row -------------

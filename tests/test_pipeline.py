@@ -19,7 +19,7 @@ from xaibench import cli, explainers, pipeline
 from xaibench.data import Dataset, level_key, load_csv, save_csv
 from xaibench.datasets import make_synthetic_diabetes
 from xaibench.data import from_record
-from xaibench.irt import IrtFit, fit_3pl_many, summarize
+from xaibench.irt import IrtFit, fit_3pl, summarize
 from xaibench.metrics import classification_report
 from xaibench.models import load_model
 from xaibench.pipeline import (
@@ -317,11 +317,31 @@ class TestRunAll:
                                                 r".*ranks\.json"):
             run_stage(two, "report")
 
+    def test_train_leaves_only_the_new_runs_files(self, small_dataset_path, tmp_path):
+        """A second run into one directory with fewer models and explainers
+        leaves no model, chart or fit of the first, nor the files older
+        versions wrote; a file no version writes stays."""
+        def run(out, models, explainers):
+            assert cli.main(["run", "--dataset", small_dataset_path, "--out", str(out),
+                             "--models", models, "--explainers", explainers,
+                             "--levels", "0,10", "--cv-folds", "2"]) == 0
+
+        def files(root):
+            return sorted(str(p.relative_to(root)) for p in root.rglob("*") if p.is_file())
+
+        out = tmp_path / "out"
+        run(out, "cart,knn", "eli5,exirt")
+        planted = ["metrics.json", "prepared/train.csv", "prepared/test_raw.csv", "notes.txt"]
+        for name in planted:
+            (out / name).write_text("planted\n")
+        run(out, "cart", "eli5")
+        run(tmp_path / "fresh", "cart", "eli5")
+        assert files(out) == sorted(files(tmp_path / "fresh") + ["notes.txt"])
+
     def test_a_train_that_stops_early_leaves_no_commit_marker(self, small_dataset_path,
                                                               tmp_path, monkeypatch):
         """A train under another config that fails on its second model kind
-        leaves the first config's second model behind, but no stats.json,
-        so explain refuses to start."""
+        leaves no stats.json, so explain refuses to start."""
         cfg = RunConfig(dataset=small_dataset_path, out_dir=str(tmp_path / "run"),
                         models=("cart", "knn"), explainers=("eli5",), fractions=(0.0, 0.1),
                         cv_folds=2)
@@ -370,27 +390,27 @@ class TestExplainDispatch:
                 return _original(*args, **kwargs)
             monkeypatch.setattr(pipeline, name, counted)
         pipeline.stage_explain(dataclasses.replace(cfg, out_dir=copy))
-        # one model x four levels; eXirt takes every cell in one call
-        assert calls == {"explain_eli5_style": 4, "explain_exirt": 1}
+        # one model x four levels
+        assert calls == {"explain_eli5_style": 4, "explain_exirt": 4}
         with open(os.path.join(out_dir, "ranks.json"), "rb") as fh:
             original = fh.read()
         with open(os.path.join(copy, "ranks.json"), "rb") as fh:
             assert fh.read() == original
 
-    def test_exirt_fits_every_cell_in_one_lockstep_call(self, small_dataset_path, tmp_path,
-                                                        monkeypatch):
+    def test_exirt_fits_one_pool_per_cell(self, small_dataset_path, tmp_path, monkeypatch):
         cfg = RunConfig(dataset=small_dataset_path, out_dir=str(tmp_path / "run"),
                         models=("cart", "knn"), explainers=("exirt", "eli5"),
                         fractions=(0.0, 0.1), cv_folds=2)
         run_stage(cfg, "train")
-        groups = []
+        shapes = []
 
-        def counted(matrices, *args):
-            groups.append(len(matrices))
-            return fit_3pl_many(matrices, *args)
-        monkeypatch.setattr(explainers, "fit_3pl_many", counted)
+        def counted(matrix, *args):
+            shapes.append(matrix.entries.shape)
+            return fit_3pl(matrix, *args)
+        monkeypatch.setattr(explainers, "fit_3pl", counted)
         run_stage(cfg, "explain")
-        assert groups == [2 * 2]  # one call, models x levels
+        # one call per (model, level) cell; rows: the model, 8 probes, 20 bootstraps
+        assert shapes == [(29, 48)] * (2 * 2)
         with open(os.path.join(cfg.out_dir, "ranks.json"), encoding="utf-8") as fh:
             slots = [(r["model_kind"], r["perturbation_fraction"], r["explainer"])
                      for r in json.load(fh)]
@@ -453,8 +473,8 @@ class TestTracerHooks:
         xaibench.report, and its worker imports level_key from
         xaibench.report.  A renamed or dropped import fails here, and so
         does a stage that stops calling through a traced name: each
-        explainer, the report writer and each report-stage helper the
-        tracer rebinds must record time in a traced run."""
+        explainer, the report writer, each report-stage helper the tracer
+        rebinds and the 3PL fit must record time in a traced run."""
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         path = tmp_path / "data.csv"
         save_csv(make_synthetic_diabetes(seed=29, n_rows=120, n_positive=42), path)
@@ -484,6 +504,12 @@ class TestTracerHooks:
             "stats.friedman_s", "stats.nemenyi_s", "report.render_icc_svg_s"]
         assert len(timed) == 12
         assert {k: layers[k] for k in timed if not layers[k] > 0} == {}
+        # eXirt fits through explainers.fit_3pl, once per (model, level) cell
+        with open(tmp_path / "out" / "irt" / "fit_cart_0.json", encoding="utf-8") as fh:
+            fit = json.load(fh)
+        assert layers["irt.fit_3pl_s"] > 0
+        assert layers["irt.fit_3pl_calls"] == 2 * 2
+        assert layers["irt.response_cells"] == 2 * 2 * len(fit["theta"]) * len(fit["a"])
 
 
 class TestStageComposition:
@@ -644,6 +670,14 @@ class TestCli:
         assert cli.main(["run", "--config", str(path)]) == 1
         assert "gaussian" in capsys.readouterr().err
         assert not os.path.exists(out / "models")
+
+    @pytest.mark.parametrize("line", ["cv_folds = three", "levels = 0,x"])
+    def test_config_file_bad_value_names_the_file_line_and_key(self, tmp_path, capsys, line):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"dataset = x\n{line}\n")
+        assert cli.main(["run", "--config", str(path)]) == 1
+        key = line.split(" ")[0]
+        assert capsys.readouterr().err.startswith(f"error: {path}:2: {key}: ")
 
     def test_config_file_unknown_key(self, tmp_path):
         path = tmp_path / "bad.cfg"
