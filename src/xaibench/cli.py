@@ -46,7 +46,9 @@ _KEYS = {
 
 
 def parse_config_file(path) -> dict:
-    """Flat key = value format; '#' starts a comment."""
+    """Flat key = value format; '#' starts a comment.  A value that does not
+    parse, or that ``RunConfig`` refuses on its own, is refused with the
+    file, the line and the key."""
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -58,8 +60,10 @@ def parse_config_file(path) -> dict:
             key, value = (s.strip() for s in line.split("=", 1))
             if key not in _KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            field, parse, _ = _KEYS[key]
             try:
-                out[key] = _KEYS[key][1](value)
+                out[key] = parse(value)
+                RunConfig(**{"dataset": "", "out_dir": "", field: out[key]})
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return out

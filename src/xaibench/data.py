@@ -1,7 +1,8 @@
 """Dataset I/O with atomic writes, z-score standardization, stratified splitting,
 level keys, the perturbation engine for the 0/4/6/10% test-set variants, and
-the one codec of every persisted record: :func:`to_record` and
-:func:`from_record`, which refuses a record whose keys are not its fields."""
+the one codec of every persisted record: :func:`to_record`, which recurses
+into nested records, and :func:`from_record`, which refuses a record whose
+keys are not its fields."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import csv
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -87,22 +88,6 @@ class Dataset:
 
 
 @dataclass(frozen=True)
-class StandardizationStats:
-    """Per-feature mean and (sample) standard deviation from a training split."""
-
-    mean: np.ndarray
-    stddev: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "mean", _frozen(np.asarray(self.mean, dtype=float)))
-        object.__setattr__(self, "stddev", _frozen(np.asarray(self.stddev, dtype=float)))
-        if self.mean.shape != self.stddev.shape or self.mean.ndim != 1:
-            raise DatasetError("mean/stddev must be 1-D vectors of equal length")
-        if np.any(self.stddev < EPSILON):
-            raise DatasetError("stddev entries must be >= epsilon")
-
-
-@dataclass(frozen=True)
 class PerturbationSpec:
     """How to damage a test set: gaussian noise or instance-value permutation."""
 
@@ -146,17 +131,19 @@ def require_type(value, top, what: str):
     return value
 
 
-def to_record(obj) -> dict:
-    """A record dataclass's fields in declaration order, JSON-ready: arrays
-    and tuples become lists, and an optional field left at None is omitted."""
-    out = {}
-    for f in fields(obj):
-        v = getattr(obj, f.name)
-        if v is None and f.default is None:
-            continue
-        out[f.name] = (v.tolist() if isinstance(v, np.ndarray)
-                       else list(v) if isinstance(v, tuple) else v)
-    return out
+def to_record(obj):
+    """``obj`` made JSON-ready, recursively: a record dataclass becomes its
+    fields in declaration order, less an optional field left at None; a
+    dict's values and a list's or tuple's items are converted in turn, and
+    arrays and tuples become lists."""
+    if is_dataclass(obj):
+        return {f.name: to_record(getattr(obj, f.name)) for f in fields(obj)
+                if not (f.default is None and getattr(obj, f.name) is None)}
+    if isinstance(obj, dict):
+        return {k: to_record(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [to_record(v) for v in obj]
+    return obj.tolist() if isinstance(obj, np.ndarray) else obj
 
 
 def from_record(cls, d):
@@ -225,19 +212,13 @@ def save_csv(data: Dataset, path) -> None:
             writer.writerow([repr(float(v)) for v in x] + [int(y)])
 
 
-def zscore_fit(train: Dataset) -> StandardizationStats:
-    """Per-feature sample mean/stddev; constant columns get stddev = epsilon."""
+def zscore(train: Dataset, *others: Dataset) -> list:
+    """``train`` and each of ``others`` z-scored by ``train``'s per-feature
+    sample mean and stddev; a constant column's stddev is epsilon."""
     mean = train.features.mean(axis=0)
     std = train.features.std(axis=0, ddof=1)
     std = np.where(std < EPSILON, EPSILON, std)
-    return StandardizationStats(mean, std)
-
-
-def zscore_apply(data: Dataset, stats: StandardizationStats) -> Dataset:
-    if stats.mean.shape[0] != data.n_features:
-        raise DatasetError(
-            f"stats cover {stats.mean.shape[0]} features, dataset has {data.n_features}")
-    return data.with_features((data.features - stats.mean) / stats.stddev)
+    return [d.with_features((d.features - mean) / std) for d in (train, *others)]
 
 
 def split(data: Dataset, train_fraction: float, seed: int):

@@ -2,8 +2,6 @@ from .training import (  # noqa: F401
     MODEL_KINDS,
     TrainedModel,
     default_grids,
-    load_model,
-    save_model,
     stratified_kfold,
     train,
 )

@@ -1,15 +1,15 @@
 """Hyperparameter tuning with stratified 4-fold cross-validation on AUC,
-plus the TrainedModel wrapper and its JSON serialization: the record codec's
-fields, with the estimator a record of its own, and a ``format_version``."""
+plus the TrainedModel wrapper, a codec record (``data.to_record`` /
+``from_record``) whose estimator is a record of its own and whose
+``format_version`` has one legal value."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..data import Dataset, DatasetError, RecordError, atomic_open, from_record, to_record
+from ..data import Dataset, DatasetError, RecordError, from_record
 from ..seeding import rng_for
 from ..metrics import roc_auc_score
 from .gbt import GradientBoostedTrees
@@ -72,9 +72,16 @@ class TrainedModel:
     seed: int
     hyperparams: dict
     cv_score: float
+    format_version: int = _MODEL_FORMAT_VERSION
 
     def __post_init__(self):
+        if self.format_version != _MODEL_FORMAT_VERSION:
+            raise RecordError(f"unsupported model format version {self.format_version!r}")
         self.feature_names = tuple(self.feature_names)  # a record's list
+        if isinstance(self.estimator, dict):  # a record's estimator
+            if self.kind not in _ESTIMATORS:
+                raise RecordError(f"unknown model kind {self.kind!r}")
+            self.estimator = from_record(_ESTIMATORS[self.kind], self.estimator)
 
     def _checked(self, features) -> np.ndarray:
         features = np.atleast_2d(np.asarray(features, dtype=float))
@@ -191,31 +198,3 @@ def train(kind: str, train_data: Dataset, folds: int, seed: int) -> TrainedModel
         cv_score=best_score,
     )
 
-
-def model_to_dict(model: TrainedModel) -> dict:
-    return dict(to_record(model), estimator=to_record(model.estimator),
-                format_version=_MODEL_FORMAT_VERSION)
-
-
-def model_from_dict(d: dict) -> TrainedModel:
-    """The model that :func:`model_to_dict` wrote; its keys other than
-    ``format_version`` are the TrainedModel fields, and its ``estimator``'s
-    are the fields of its kind's estimator class."""
-    version = d.get("format_version") if isinstance(d, dict) else None
-    if version != _MODEL_FORMAT_VERSION:
-        raise RecordError(f"unsupported model format version {version!r}")
-    model = from_record(TrainedModel, {k: v for k, v in d.items() if k != "format_version"})
-    if model.kind not in _ESTIMATORS:
-        raise RecordError(f"unknown model kind {model.kind!r}")
-    model.estimator = from_record(_ESTIMATORS[model.kind], model.estimator)
-    return model
-
-
-def save_model(model: TrainedModel, path) -> None:
-    with atomic_open(path) as fh:
-        json.dump(model_to_dict(model), fh, sort_keys=True)
-
-
-def load_model(path) -> TrainedModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))

@@ -9,8 +9,11 @@ the eXirt fits.  So the stage subcommands run in order give byte-identical
 outputs to one run_all.  Stage seeds derive from the master seed and stage
 labels, so subsets reproduce the values they would have inside a full run.
 
-Records go through the ``data.to_record``/``from_record`` codec; a refused
-one names its file.  ``prepared/stats.json``, the config echo plus the
+``_write_json`` writes every stage artifact (models, ranks, eXirt fits and
+``prepared/stats.json``) as compact JSON, records through the
+``data.to_record`` codec; ``from_record`` reads them back, and a refused
+one names its file.  Only the human-facing ``report.json`` is indented
+(``report.write_report``).  ``prepared/stats.json``, the config echo plus the
 dataset file's sha256, is train's commit marker: train removes it, every
 other file a run writes and the files older versions wrote first, and
 writes it last, and later stages refuse to start unless it matches their
@@ -31,7 +34,7 @@ import numpy as np
 
 from . import data as datamod
 from .data import (PerturbationSpec, atomic_open, from_record, level_key, load_csv,
-                   require_type, split, to_record, zscore_apply, zscore_fit)
+                   require_type, split, to_record, zscore)
 # bench/tracing.py rebinds this name to time CSV writes; nothing here calls it
 from .data import save_csv  # noqa: F401
 from .explainers import (
@@ -50,15 +53,13 @@ from .explainers import (
 )
 from .irt import IrtFit, default_theta_grid, icc, summarize
 from .metrics import classification_report
-from .models import MODEL_KINDS, load_model, save_model, train
+from .models import MODEL_KINDS, TrainedModel, train
 from .report import RunReport, check_slots, write_report
 from .seeding import derive_seed
 from .stability import stability_sum
 from .stats import MeasurementTable, friedman, nemenyi
 
 METRIC_NAMES = ("accuracy", "precision", "recall", "f1", "roc_auc")
-
-STAGES = ("train", "explain", "report")
 
 
 class PipelineError(RuntimeError):
@@ -149,9 +150,10 @@ def _path(cfg: RunConfig, *parts) -> str:
 
 
 def _write_json(path, obj) -> None:
+    """``obj`` as one line of sorted-key JSON and a newline, written atomically."""
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with atomic_open(path) as fh:
-        json.dump(obj, fh, sort_keys=True, indent=1)
+        json.dump(obj, fh, sort_keys=True)
         fh.write("\n")
 
 
@@ -222,11 +224,10 @@ def _prepare(cfg: RunConfig, stage: str):
     if absent:
         raise PipelineError(stage, f"the test split has no rows of class {absent[0]}; "
                                    f"lower train_fraction={cfg.train_fraction}")
-    stats = zscore_fit(train_raw)
     # through the module: bench/tracing.py rebinds datamod.perturb
-    variants = {f: zscore_apply(datamod.perturb(test_raw, cfg.perturbation_spec(f)), stats)
-                for f in cfg.fractions}
-    return dataset, zscore_apply(train_raw, stats), variants
+    train_std, *tests = zscore(train_raw, *(datamod.perturb(test_raw, cfg.perturbation_spec(f))
+                                            for f in cfg.fractions))
+    return dataset, train_std, dict(zip(cfg.fractions, tests))
 
 
 def stage_train(cfg: RunConfig) -> None:
@@ -241,15 +242,15 @@ def stage_train(cfg: RunConfig) -> None:
                     ("bump_*.svg",), ("metrics.json",), ("prepared", "*.csv")]:
         for path in glob.glob(os.path.join(glob.escape(cfg.out_dir), *pattern)):
             os.remove(path)
-    os.makedirs(_path(cfg, "models"), exist_ok=True)
     for kind in cfg.models:
         model = train(kind, train_std, cfg.cv_folds, derive_seed(cfg.master_seed, "train", kind))
-        save_model(model, _path(cfg, "models", f"{kind}.json"))
+        _write_json(_path(cfg, "models", f"{kind}.json"), to_record(model))
     _write_json(_path(cfg, "prepared", "stats.json"), fingerprint)
 
 
-def _load_models(cfg: RunConfig, stage: str) -> dict:
-    return {kind: _load(cfg, stage, load_model, "models", f"{kind}.json")
+def _read_models(cfg: RunConfig, stage: str) -> dict:
+    return {kind: _load(cfg, stage, lambda p: from_record(TrainedModel, _read_json(p)),
+                        "models", f"{kind}.json")
             for kind in cfg.models}
 
 
@@ -259,7 +260,7 @@ def stage_explain(cfg: RunConfig) -> None:
     the report stage."""
     _check_config(cfg, "explain")
     _, train_std, variants = _prepare(cfg, "explain")
-    models = _load_models(cfg, "explain")
+    models = _read_models(cfg, "explain")
     # Looked up per call, not at import: bench/tracing.py rebinds these names.
     explain = {"dalex": explain_dalex_style, "eli5": explain_eli5_style,
                "exirt": explain_exirt, "lofo": explain_lofo_style,
@@ -309,7 +310,7 @@ def stage_report(cfg: RunConfig) -> RunReport:
     report."""
     _check_config(cfg, "report")
     dataset, _, variants = _prepare(cfg, "report")
-    models = _load_models(cfg, "report")
+    models = _read_models(cfg, "report")
     ranks = _load(cfg, "report", lambda p: [from_record(RelevanceRank, d)
                                             for d in _read_json(p, list)], "ranks.json")
     reliability, curves = {}, {}
@@ -329,10 +330,10 @@ def stage_report(cfg: RunConfig) -> RunReport:
                for kind, m in models.items()}
     friedman_result, nem = _posthoc(cfg, metrics)
     report = RunReport(
-        dataset_summary={"path": cfg.dataset, "n_rows": dataset.n_rows,
-                         "n_features": dataset.n_features,
-                         "class_counts": {str(k): v for k, v in dataset.class_counts().items()},
-                         "feature_names": list(dataset.feature_names)},
+        dataset={"path": cfg.dataset, "n_rows": dataset.n_rows,
+                 "n_features": dataset.n_features,
+                 "class_counts": {str(k): v for k, v in dataset.class_counts().items()},
+                 "feature_names": list(dataset.feature_names)},
         config=cfg.echo(),
         models={kind: {"hyperparams": m.hyperparams, "cv_score": m.cv_score, "seed": m.seed}
                 for kind, m in models.items()},
@@ -342,24 +343,18 @@ def stage_report(cfg: RunConfig) -> RunReport:
         stability=[stability_sum(r) for r in pair_ranks.values() if len(r) > 1],
         friedman=friedman_result,
         nemenyi=nem,
-        icc=curves,
-        bumps=pair_ranks,
     )
-    write_report(report, cfg.out_dir)
+    write_report(report, curves, pair_ranks, cfg.out_dir)
     return report
 
 
-_STAGE_FUNCS = {
-    "train": stage_train,
-    "explain": stage_explain,
-    "report": stage_report,
-}
+STAGES = {"train": stage_train, "explain": stage_explain, "report": stage_report}  # in order
 
 
 def run_stage(cfg: RunConfig, stage: str):
-    if stage not in _STAGE_FUNCS:
+    if stage not in STAGES:
         raise PipelineError(stage, "unknown stage")
-    return _STAGE_FUNCS[stage](cfg)
+    return STAGES[stage](cfg)
 
 
 def run_all(cfg: RunConfig) -> RunReport:

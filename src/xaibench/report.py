@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -188,9 +188,10 @@ def render_heatmap_svg(m: PosthocMatrix, title: str = "Pairwise post-hoc p-value
 
 @dataclass
 class RunReport:
-    """Everything one pipeline run produced, ready to serialize."""
+    """Everything one pipeline run reports: its fields are report.json's
+    sections."""
 
-    dataset_summary: dict
+    dataset: dict
     config: dict
     models: dict  # kind -> {hyperparams, cv_score, seed}
     metrics: dict  # kind -> {level_key -> MetricReport}
@@ -199,24 +200,6 @@ class RunReport:
     stability: list  # StabilityRecord
     friedman: dict | None
     nemenyi: PosthocMatrix | None
-    icc: dict = field(default_factory=dict)  # (kind, level) -> (grid, curves, negative)
-    bumps: dict = field(default_factory=dict)  # (explainer, kind) -> ranks, ascending level
-
-
-def report_to_dict(r: RunReport) -> dict:
-    return {
-        "dataset": r.dataset_summary,
-        "config": r.config,
-        "models": r.models,
-        "metrics": {k: {lvl: to_record(m) for lvl, m in levels.items()}
-                    for k, levels in r.metrics.items()},
-        "reliability": {k: {lvl: to_record(s) for lvl, s in levels.items()}
-                        for k, levels in r.reliability.items()},
-        "ranks": [to_record(rk) for rk in r.ranks],
-        "stability": [to_record(rec) for rec in r.stability],
-        "friedman": r.friedman,
-        "nemenyi": None if r.nemenyi is None else to_record(r.nemenyi),
-    }
 
 
 def check_slots(config: dict, ranks) -> dict:
@@ -249,30 +232,33 @@ def check_slots(config: dict, ranks) -> dict:
     return pairs
 
 
-def write_report(r: RunReport, out_dir) -> None:
-    """Emit report.json and the SVG set for a report whose slots
-    :func:`check_slots` accepted.  Byte-identical across runs with equal
-    config and seeds."""
+def write_report(r: RunReport, icc: dict, bumps: dict, out_dir) -> None:
+    """Emit report.json, the one human-facing file (``to_record(r)``,
+    indented), and the SVG set: the heatmap, an ICC chart per ``icc`` entry
+    ((kind, level) -> (grid, curves, negative)) and a bump chart per
+    ``bumps`` entry ((explainer, kind) -> ranks in ascending level order,
+    as :func:`check_slots` returns them).  Byte-identical across runs with
+    equal config and seeds."""
     os.makedirs(out_dir, exist_ok=True)
 
     def path(name):
         return os.path.join(out_dir, name)
 
     with atomic_open(path("report.json")) as fh:
-        json.dump(report_to_dict(r), fh, sort_keys=True, indent=2)
+        json.dump(to_record(r), fh, sort_keys=True, indent=2)
         fh.write("\n")
 
     if r.nemenyi is not None:
         with atomic_open(path("heatmap.svg")) as fh:
             fh.write(render_heatmap_svg(r.nemenyi))
 
-    for (kind, lvl), (grid, curves, negative) in sorted(r.icc.items()):
+    for (kind, lvl), (grid, curves, negative) in sorted(icc.items()):
         with atomic_open(path(f"icc_{kind}_{lvl}.svg")) as fh:
             fh.write(render_icc_svg(grid, curves, negative, r.reliability[kind][lvl],
                                     title=f"{kind} at {lvl}% perturbation"))
 
     records = {(rec.explainer, rec.model_kind): rec for rec in r.stability}
-    for (expl, kind), ranks in r.bumps.items():
+    for (expl, kind), ranks in bumps.items():
         with atomic_open(path(f"bump_{expl}_{kind}.svg")) as fh:
             fh.write(render_bump_svg(ranks, records.get((expl, kind)),
                                      title=f"{expl} / {kind}"))

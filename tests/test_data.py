@@ -9,13 +9,11 @@ from xaibench.data import (
     Dataset,
     DatasetError,
     PerturbationSpec,
-    StandardizationStats,
     load_csv,
     perturb,
     save_csv,
     split,
-    zscore_apply,
-    zscore_fit,
+    zscore,
 )
 
 
@@ -103,29 +101,23 @@ class TestCsvRoundTrip:
 class TestStandardization:
     def test_fit_matches_sample_moments(self):
         d = small_dataset()
-        stats = zscore_fit(d)
-        assert np.allclose(stats.mean, d.features.mean(axis=0))
-        assert np.allclose(stats.stddev, d.features.std(axis=0, ddof=1))
+        other = d.with_features(d.features[::-1] * 2.0)
+        _, z = zscore(d, other)
+        expected = (other.features - d.features.mean(axis=0)) / d.features.std(axis=0, ddof=1)
+        assert np.allclose(z.features, expected)
 
     def test_apply_gives_zero_mean_unit_sd(self):
-        d = small_dataset()
-        z = zscore_apply(d, zscore_fit(d))
+        (z,) = zscore(small_dataset())
         assert np.allclose(z.features.mean(axis=0), 0.0)
         assert np.allclose(z.features.std(axis=0, ddof=1), 1.0)
 
     def test_constant_column_uses_epsilon_guard(self):
         d = Dataset(np.array([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]]),
                     [0, 1, 0], ("x", "const"))
-        stats = zscore_fit(d)
-        assert stats.stddev[1] == EPSILON
-        z = zscore_apply(d, stats)
+        z, shifted = zscore(d, d.with_features(d.features + 1.0))
+        assert np.all(z.features[:, 1] == 0.0)
+        assert np.all(shifted.features[:, 1] == 1.0 / EPSILON)
         assert np.all(np.isfinite(z.features))
-
-    def test_dimension_mismatch(self):
-        d = small_dataset()
-        stats = StandardizationStats(np.zeros(3), np.ones(3))
-        with pytest.raises(DatasetError):
-            zscore_apply(d, stats)
 
 
 class TestSplit:

@@ -117,14 +117,28 @@ def test_no_definition_only_tests_call():
 
 def test_no_hand_written_serializer():
     """Every persisted record goes through ``data.to_record`` and
-    ``from_record``: no class defines its own ``to_dict`` or ``from_dict``."""
+    ``from_record``: no class defines its own ``to_dict`` or ``from_dict``,
+    no module-level function is a ``*_to_dict`` or ``*_from_dict``, and only
+    ``pipeline._write_json`` (the stage artifacts) and
+    ``report.write_report`` (report.json) call ``json.dump``."""
+    dump_allowed = {("pipeline.py", "_write_json"), ("report.py", "write_report")}
     found = []
     for path in sorted((ROOT / "src" / "xaibench").rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        name = path.relative_to(ROOT)
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef):
-                found += [f"{path.relative_to(ROOT)}: {node.name}.{item.name}"
+                found += [f"{name}: {node.name}.{item.name}"
                           for item in node.body if isinstance(item, ast.FunctionDef)
                           and item.name in ("to_dict", "from_dict")]
+        for node in tree.body:
+            owner = node.name if isinstance(node, ast.FunctionDef) else None
+            if owner and owner.endswith(("_to_dict", "_from_dict")):
+                found.append(f"{name}: {owner}")
+            found += [f"{name}:{dump.lineno}: json.dump"
+                      for dump in ast.walk(node) if isinstance(dump, ast.Attribute)
+                      and dump.attr == "dump" and isinstance(dump.value, ast.Name)
+                      and dump.value.id == "json" and (path.name, owner) not in dump_allowed]
     assert found == []
 
 

@@ -21,7 +21,7 @@ from xaibench.datasets import make_synthetic_diabetes
 from xaibench.data import from_record
 from xaibench.irt import IrtFit, fit_3pl, summarize
 from xaibench.metrics import classification_report
-from xaibench.models import load_model
+from xaibench.models import TrainedModel
 from xaibench.pipeline import (
     STAGES,
     PipelineError,
@@ -212,7 +212,8 @@ class TestRunAll:
         model and that level's test variant; the levels' cells differ."""
         cfg, report, out_dir = completed_run
         _, _, variants = pipeline._prepare(cfg, "report")
-        model = load_model(os.path.join(out_dir, "models", "cart.json"))
+        with open(os.path.join(out_dir, "models", "cart.json"), encoding="utf-8") as fh:
+            model = from_record(TrainedModel, json.load(fh))
         cells = report.metrics["cart"]
         assert cells == {level_key(f): classification_report(t.labels,
                                                              model.predict_proba(t.features))
@@ -572,9 +573,14 @@ class TestCli:
         (("prepared", "stats.json"), lambda d: [], r"top level must be a dict, got list"),
         (("models", "cart.json"), lambda d: dict(d, feature_names=None),
          r"TrainedModel record: 'NoneType' object is not iterable"),
+        (("models", "cart.json"), lambda d: dict(d, format_version=2),
+         r"unsupported model format version 2$"),
+        (("models", "cart.json"), lambda d: [],
+         r"TrainedModel record must be a dict, got list$"),
     ], ids=("unknown", "missing", "rank", "model", "model-kind", "estimator-missing",
             "estimator-unknown", "stats-missing", "stats-unknown", "stats-not-json",
-            "rank-scores-null", "stats-not-object", "model-names-null"))
+            "rank-scores-null", "stats-not-object", "model-names-null", "model-version",
+            "model-not-object"))
     def test_report_names_the_keys_of_a_bad_fit_file(self, small_dataset_path, completed_run,
                                                      tmp_path, capsys, parts, edit, named):
         """A malformed record file fails the report stage with its path and
@@ -668,8 +674,21 @@ class TestCli:
         path.write_text(f"dataset = {small_dataset_path}\nout = {out}\n"
                         "perturbation_kind = gaussian\n")
         assert cli.main(["run", "--config", str(path)]) == 1
-        assert "gaussian" in capsys.readouterr().err
+        assert capsys.readouterr().err == (f"error: {path}:3: perturbation_kind: "
+                                           f"unknown perturbation kind 'gaussian'\n")
         assert not os.path.exists(out / "models")
+
+    def test_config_file_value_that_run_config_refuses_names_the_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text("dataset = x\n# folds\ncv_folds = 1\n")
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {path}:3: cv_folds: cv_folds must be >= 2\n"
+
+    def test_flag_value_that_run_config_refuses_keeps_the_plain_message(self, tmp_path,
+                                                                       capsys):
+        assert cli.main(["run", "--dataset", "x", "--out", str(tmp_path / "o"),
+                         "--cv-folds", "1"]) == 1
+        assert capsys.readouterr().err == "error: cv_folds must be >= 2\n"
 
     @pytest.mark.parametrize("line", ["cv_folds = three", "levels = 0,x"])
     def test_config_file_bad_value_names_the_file_line_and_key(self, tmp_path, capsys, line):

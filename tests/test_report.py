@@ -18,7 +18,7 @@ from xaibench.irt import (A_BOUNDS, B_BOUNDS, C_BOUNDS, THETA_BOUNDS, IrtFit,
 from xaibench.metrics import MetricReport
 from xaibench.models import (DecisionTreeClassifier, GradientBoostedTrees, KNearestNeighbors,
                              MultilayerPerceptron)
-from xaibench.models.training import TrainedModel, model_from_dict, model_to_dict
+from xaibench.models.training import TrainedModel
 from xaibench.report import (
     GREEN,
     RED,
@@ -430,7 +430,7 @@ RECORDS = {
                          to_record, functools.partial(from_record, ReliabilitySummary)),
     PosthocMatrix: (posthoc_matrices(), to_record, functools.partial(from_record, PosthocMatrix)),
     IrtFit: (irt_fits(), to_record, functools.partial(from_record, IrtFit)),
-    TrainedModel: (trained_models(), model_to_dict, model_from_dict),
+    TrainedModel: (trained_models(), to_record, functools.partial(from_record, TrainedModel)),
     GradientBoostedTrees: (st.builds(GradientBoostedTrees, st.integers(1, 200), finite,
                                      st.integers(1, 5), st.integers(1, 9), finite,
                                      st.lists(tree_nodes, max_size=3)),
@@ -464,7 +464,7 @@ class TestRecordCodec:
         text = json.dumps(d)
         assert json.dumps(encode(decode(json.loads(text)))) == text
         field_names = [f.name for f in fields(cls)]
-        assert [k for k in d if k != "format_version"] == [n for n in field_names if n in d]
+        assert list(d) == [n for n in field_names if n in d]
         optional = OPTIONAL.get(cls, [])
         assert [f.name for f in fields(cls) if f.default is None] == optional
         assert [n for n in field_names if n not in d] == [n for n in optional
