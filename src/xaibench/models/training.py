@@ -78,6 +78,9 @@ class TrainedModel:
         if self.format_version != _MODEL_FORMAT_VERSION:
             raise RecordError(f"unsupported model format version {self.format_version!r}")
         self.feature_names = tuple(self.feature_names)  # a record's list
+        if self.n_features != len(self.feature_names):
+            raise RecordError(f"n_features is {self.n_features}, but there are "
+                              f"{len(self.feature_names)} feature names")
         if isinstance(self.estimator, dict):  # a record's estimator
             if self.kind not in _ESTIMATORS:
                 raise RecordError(f"unknown model kind {self.kind!r}")

@@ -1,5 +1,10 @@
-"""CART-style binary trees: a Gini classifier and ``regression_tree``, the
-squared-error weak learner for gradient boosting.
+"""CART-style binary trees: ``regression_tree``, the squared-error CART that
+grows both the Gini classifier and the gradient-boosting weak learner.
+
+One split search serves both models.  On 0/1 labels the Gini impurity
+2p(1 - p) is twice the label variance, so a split's weighted Gini decrease
+is exactly 2/n times its squared-error decrease (Breiman et al., 1984): the
+two criteria rank every split of a node alike, up to rounding.
 
 Trees are plain nested dicts so they serialize to JSON losslessly.  A node's
 split search scores all features in one vectorized pass; each feature keeps
@@ -16,22 +21,26 @@ import numpy as np
 _GAIN_TOL = 1e-12
 
 
-def _split_candidates(x: np.ndarray, min_leaf: int):
-    """Sort all columns of the (n, m) node block at once.  Returns the row
-    order, the sorted block, the left/right row counts of a split after
-    sorted position i, and the (n - 1, m) mask of legal splits."""
+def _best_split(x: np.ndarray, y: np.ndarray, min_leaf: int):
+    """Best (feature, threshold, gain) of the (n, m) node block by
+    sum-of-squares reduction, or None."""
     n = x.shape[0]
+    total = float(np.sum(y))
+    total2 = float(np.sum(y * y))
+    parent_sse = total2 - total * total / n
     order = np.argsort(x, axis=0, kind="stable")
     xs = np.take_along_axis(x, order, axis=0)
+    ys = y[order]
+    # row counts left and right of a split after sorted position i
     left_n = np.arange(1, n)[:, None]
     right_n = n - left_n
+    left_sum = np.cumsum(ys, axis=0)[:-1]
+    left_sum2 = np.cumsum(ys * ys, axis=0)[:-1]
+    right_sum = total - left_sum
+    right_sum2 = total2 - left_sum2
+    sse = (left_sum2 - left_sum ** 2 / left_n) + (right_sum2 - right_sum ** 2 / right_n)
     legal = (xs[:-1] < xs[1:]) & (left_n >= min_leaf) & (right_n >= min_leaf)
-    return order, xs, left_n, right_n, legal
-
-
-def _pick_split(xs: np.ndarray, gain: np.ndarray, legal: np.ndarray):
-    """Apply the tie rule (module docstring) to an (n - 1, m) gain block."""
-    gain = np.where(legal, gain, -np.inf)
+    gain = np.where(legal, parent_sse - sse, -np.inf)
     pos = np.argmax(gain, axis=0)
     top = gain[pos, np.arange(gain.shape[1])]
     best = None
@@ -39,37 +48,6 @@ def _pick_split(xs: np.ndarray, gain: np.ndarray, legal: np.ndarray):
         if g > _GAIN_TOL and (best is None or g > best[2] + _GAIN_TOL):
             best = (j, float(0.5 * (xs[k, j] + xs[k + 1, j])), g)
     return best
-
-
-def _best_split_classification(x: np.ndarray, y: np.ndarray, min_leaf: int):
-    """Best (feature, threshold, gain) under Gini impurity, or None."""
-    n = x.shape[0]
-    total_pos = float(np.sum(y))
-    p = total_pos / n
-    parent_gini = 2.0 * p * (1.0 - p)
-    order, xs, left_n, right_n, legal = _split_candidates(x, min_leaf)
-    left_pos = np.cumsum(y[order], axis=0)[:-1]
-    right_pos = total_pos - left_pos
-    pl = left_pos / left_n
-    pr = right_pos / right_n
-    weighted = (left_n * 2 * pl * (1 - pl) + right_n * 2 * pr * (1 - pr)) / n
-    return _pick_split(xs, parent_gini - weighted, legal)
-
-
-def _best_split_regression(x: np.ndarray, y: np.ndarray, min_leaf: int):
-    """Best (feature, threshold, gain) by sum-of-squares reduction, or None."""
-    n = x.shape[0]
-    total = float(np.sum(y))
-    total2 = float(np.sum(y * y))
-    parent_sse = total2 - total * total / n
-    order, xs, left_n, right_n, legal = _split_candidates(x, min_leaf)
-    ys = y[order]
-    left_sum = np.cumsum(ys, axis=0)[:-1]
-    left_sum2 = np.cumsum(ys * ys, axis=0)[:-1]
-    right_sum = total - left_sum
-    right_sum2 = total2 - left_sum2
-    sse = (left_sum2 - left_sum ** 2 / left_n) + (right_sum2 - right_sum ** 2 / right_n)
-    return _pick_split(xs, parent_sse - sse, legal)
 
 
 def _predict_node(node: dict, x: np.ndarray, out: np.ndarray, idx: np.ndarray):
@@ -101,7 +79,10 @@ def tree_features_used(node: dict, acc=None) -> set:
 
 @dataclass(eq=False)
 class DecisionTreeClassifier:
-    """Binary CART with Gini impurity; leaves hold the class-1 fraction."""
+    """Binary CART with Gini impurity; leaves hold the class-1 fraction.
+    ``regression_tree`` grows it on the labels with unit hessians: its split
+    is the Gini-best one (module docstring), its Newton leaf sum(y) / n the
+    label mean and its equal-gradients stop the pure-node stop."""
 
     max_depth: int | None  # None: unbounded
     min_samples_leaf: int = 1
@@ -110,26 +91,10 @@ class DecisionTreeClassifier:
     def fit(self, x, y, rng=None):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        self.root = self._build(x, y, depth=0)
+        # a tree on n rows is at most n - 1 deep, so depth n never binds
+        depth = len(y) if self.max_depth is None else self.max_depth
+        self.root = regression_tree(x, y, np.ones(len(y)), depth, self.min_samples_leaf)
         return self
-
-    def _build(self, x, y, depth):
-        p = float(np.mean(y))
-        if (p == 0.0 or p == 1.0
-                or (self.max_depth is not None and depth >= self.max_depth)
-                or len(y) < 2 * self.min_samples_leaf):
-            return {"value": p}
-        best = _best_split_classification(x, y, self.min_samples_leaf)
-        if best is None:
-            return {"value": p}
-        j, thr, _ = best
-        mask = x[:, j] <= thr
-        return {
-            "feature": j,
-            "threshold": thr,
-            "left": self._build(x[mask], y[mask], depth + 1),
-            "right": self._build(x[~mask], y[~mask], depth + 1),
-        }
 
     def predict_proba(self, x) -> np.ndarray:
         return tree_predict(self.root, x)
@@ -140,11 +105,14 @@ class DecisionTreeClassifier:
 
 def regression_tree(x: np.ndarray, grad: np.ndarray, hess: np.ndarray, max_depth: int,
                     min_samples_leaf: int) -> dict:
-    """Squared-error CART on the gradient ``grad``, the boosting weak learner;
-    each leaf takes the Newton step sum(grad) / sum(hess)."""
+    """Squared-error CART on the gradient ``grad``: the boosting weak
+    learner, and on 0/1 labels with unit ``hess`` the Gini classifier (module
+    docstring).  A node splits while depth remains, both children can hold
+    ``min_samples_leaf`` rows and its gradients differ; each leaf takes the
+    Newton step sum(grad) / sum(hess)."""
     best = None
     if max_depth > 0 and len(grad) >= 2 * min_samples_leaf and not np.all(grad == grad[0]):
-        best = _best_split_regression(x, grad, min_samples_leaf)
+        best = _best_split(x, grad, min_samples_leaf)
     if best is None:
         return {"value": float(np.sum(grad) / max(float(np.sum(hess)), 1e-12))}
     j, thr, _ = best

@@ -1,6 +1,6 @@
 """End-to-end orchestration in three stages: train (tune the models),
 explain (explain every perturbed test variant, fit eXirt) and report
-(metrics, reliability, stability, post-hoc tests, rendering).
+(metrics, reliability, stability, post-hoc tests, verdicts, rendering).
 
 Every stage derives the split, its standardization and the perturbed test
 variants from the dataset and the seed (``_prepare``), in milliseconds.
@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import data as datamod
-from .data import (PerturbationSpec, atomic_open, from_record, level_key, load_csv,
-                   require_type, split, to_record, zscore)
+from .data import (PerturbationSpec, RecordError, atomic_open, from_record, level_key,
+                   load_csv, require_type, split, to_record, zscore)
 # bench/tracing.py rebinds this name to time CSV writes; nothing here calls it
 from .data import save_csv  # noqa: F401
 from .explainers import (
@@ -54,7 +54,7 @@ from .explainers import (
 from .irt import IrtFit, default_theta_grid, icc, summarize
 from .metrics import classification_report
 from .models import MODEL_KINDS, TrainedModel, train
-from .report import RunReport, check_slots, write_report
+from .report import RunReport, check_slots, verdicts, write_report
 from .seeding import derive_seed
 from .stability import stability_sum
 from .stats import MeasurementTable, friedman, nemenyi
@@ -248,10 +248,15 @@ def stage_train(cfg: RunConfig) -> None:
     _write_json(_path(cfg, "prepared", "stats.json"), fingerprint)
 
 
-def _read_models(cfg: RunConfig, stage: str) -> dict:
-    return {kind: _load(cfg, stage, lambda p: from_record(TrainedModel, _read_json(p)),
-                        "models", f"{kind}.json")
-            for kind in cfg.models}
+def _read_models(cfg: RunConfig, stage: str, feature_names: tuple) -> dict:
+    """Every configured model, refused unless it names the dataset's features."""
+    def read(path):
+        model = from_record(TrainedModel, _read_json(path))
+        if model.feature_names != feature_names:
+            raise RecordError(f"model features {list(model.feature_names)} are not "
+                              f"the dataset's {list(feature_names)}")
+        return model
+    return {kind: _load(cfg, stage, read, "models", f"{kind}.json") for kind in cfg.models}
 
 
 def stage_explain(cfg: RunConfig) -> None:
@@ -260,7 +265,7 @@ def stage_explain(cfg: RunConfig) -> None:
     the report stage."""
     _check_config(cfg, "explain")
     _, train_std, variants = _prepare(cfg, "explain")
-    models = _read_models(cfg, "explain")
+    models = _read_models(cfg, "explain", train_std.feature_names)
     # Looked up per call, not at import: bench/tracing.py rebinds these names.
     explain = {"dalex": explain_dalex_style, "eli5": explain_eli5_style,
                "exirt": explain_exirt, "lofo": explain_lofo_style,
@@ -305,30 +310,32 @@ def _posthoc(cfg: RunConfig, metrics: dict):
 
 
 def stage_report(cfg: RunConfig) -> RunReport:
-    """Compute the classification metrics, reliability, rank stability and
-    the post-hoc tests from the explain stage's artifacts, and write the
-    report."""
+    """Compute the classification metrics, reliability, rank stability, the
+    post-hoc tests and the paper's verdicts from the explain stage's
+    artifacts, and write the report."""
     _check_config(cfg, "report")
     dataset, _, variants = _prepare(cfg, "report")
-    models = _read_models(cfg, "report")
+    models = _read_models(cfg, "report", dataset.feature_names)
     ranks = _load(cfg, "report", lambda p: [from_record(RelevanceRank, d)
                                             for d in _read_json(p, list)], "ranks.json")
-    reliability, curves = {}, {}
+    reliability, fits, curves = {}, {}, {}
     if "exirt" in cfg.explainers:
         grid = default_theta_grid()
         for kind in cfg.models:
-            reliability[kind] = {}
+            reliability[kind], fits[kind] = {}, {}
             for f in cfg.fractions:
                 lvl = level_key(f)
                 fit = _load(cfg, "report", lambda p: from_record(IrtFit, _read_json(p)),
                             "irt", f"fit_{kind}_{lvl}.json")
                 reliability[kind][lvl] = summarize(fit)
+                fits[kind][lvl] = {"iterations": fit.iterations, "converged": fit.converged}
                 curves[kind, lvl] = (grid, icc(fit.a, fit.b, fit.c, grid), fit.a < 0)
     pair_ranks = check_slots(cfg.echo(), ranks)  # level 0 first in each pair
     metrics = {kind: {level_key(f): classification_report(t.labels, m.predict_proba(t.features))
                       for f, t in variants.items()}
                for kind, m in models.items()}
     friedman_result, nem = _posthoc(cfg, metrics)
+    stability = [stability_sum(r) for r in pair_ranks.values() if len(r) > 1]
     report = RunReport(
         dataset={"path": cfg.dataset, "n_rows": dataset.n_rows,
                  "n_features": dataset.n_features,
@@ -339,10 +346,12 @@ def stage_report(cfg: RunConfig) -> RunReport:
                 for kind, m in models.items()},
         metrics=metrics,
         reliability=reliability,
+        fits=fits,
         ranks=ranks,
-        stability=[stability_sum(r) for r in pair_ranks.values() if len(r) > 1],
+        stability=stability,
         friedman=friedman_result,
         nemenyi=nem,
+        verdicts=verdicts(cfg.models, reliability, stability),
     )
     write_report(report, curves, pair_ranks, cfg.out_dir)
     return report

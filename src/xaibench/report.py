@@ -1,6 +1,7 @@
 """Deterministic artifact rendering: ICC plots, bump charts and p-value
 heatmaps as standalone SVG, plus report.json, the one written copy of every
-report table (metrics, reliability, ranks, stability and the post-hoc tests).
+report table (metrics, reliability, how each eXirt fit ended, ranks,
+stability, the post-hoc tests and the paper's two verdicts).
 
 Rendering is a pure function of its inputs; equal inputs give byte-identical
 documents.  Colors follow the ICC convention: green for positive
@@ -16,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import atomic_open, level_key, to_record
-from .irt import ReliabilitySummary
+from .irt import ReliabilitySummary, reliability_compare
+from .stability import stability_order
 from .stats import PosthocMatrix
 
 WIDTH = 800
@@ -196,10 +198,27 @@ class RunReport:
     models: dict  # kind -> {hyperparams, cv_score, seed}
     metrics: dict  # kind -> {level_key -> MetricReport}
     reliability: dict  # kind -> {level_key -> ReliabilitySummary}
+    fits: dict  # kind -> {level_key -> {iterations, converged}} of each eXirt fit
     ranks: list  # RelevanceRank
     stability: list  # StabilityRecord
     friedman: dict | None
     nemenyi: PosthocMatrix | None
+    verdicts: dict  # the paper's two answers; see verdicts()
+
+
+def verdicts(kinds, reliability: dict, stability: list) -> dict:
+    """The paper's two answers: ``reliability``, level -> x -> y ->
+    ``reliability_compare`` of every pair of ``kinds`` with x first ({}
+    without eXirt), and ``stability_order``, the explainers by their
+    correlation sums."""
+    levels = reliability[kinds[0]] if reliability else {}
+    return {
+        "reliability": {lvl: {x: {y: reliability_compare(reliability[x][lvl], reliability[y][lvl])
+                                  for y in kinds[i + 1:]}
+                              for i, x in enumerate(kinds[:-1])}
+                        for lvl in levels},
+        "stability_order": stability_order(stability),
+    }
 
 
 def check_slots(config: dict, ranks) -> dict:

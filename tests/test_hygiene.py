@@ -22,8 +22,6 @@ UNREAD_ALLOWED = {
     "brute_force_shapley": "the definition-level oracle kernel SHAP is tested against",
     "DecisionTreeClassifier.features_used": "acceptance criterion 08 asserts that cart "
                                             "never splits on the noise feature",
-    "reliability_compare": "the paper's model verdict; ROADMAP item 4 reports it",
-    "stability_order": "the paper's explainer order; ROADMAP item 4 reports it",
 }
 
 

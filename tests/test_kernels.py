@@ -6,7 +6,10 @@ coalitions with a diagonal weight matrix; the rewrites evaluate the same
 points with the same arithmetic, so results must match exactly, not within
 a tolerance.  kNN's ``predict_coalitions`` must give ``predict_proba``'s
 probabilities on the materialized coalition blends, and their squared
-distances, byte for byte.
+distances, byte for byte.  The exception is the Gini reference: CART grows
+its tree with the squared-error search, whose gain is n/2 times the Gini
+gain on 0/1 labels up to rounding, so its splits are held to the Gini
+reference's best gain within 1e-12, at the root and at every node.
 
 The 3PL fit is held to a loop over respondents and grid nodes that
 recomputes its marginal log posterior and abilities from its item
@@ -49,11 +52,7 @@ from xaibench.irt import (
 from xaibench.models import knn
 from xaibench.models.knn import KNearestNeighbors
 from xaibench.models.mlp import MultilayerPerceptron
-from xaibench.models.tree import (
-    _GAIN_TOL,
-    _best_split_classification,
-    _best_split_regression,
-)
+from xaibench.models.tree import _GAIN_TOL, DecisionTreeClassifier, _best_split
 from xaibench.seeding import rng_for
 
 
@@ -144,12 +143,57 @@ def split_problems(draw):
     return x, min_leaf
 
 
+def labels_for(x, data):
+    return data.draw(arrays(np.int64, x.shape[0], elements=st.integers(0, 1))).astype(float)
+
+
 @settings(max_examples=300, deadline=None)
 @given(split_problems(), st.data())
-def test_classification_split_matches_reference(problem, data):
+def test_cart_root_split_has_the_best_gini_gain(problem, data):
+    """On 0/1 labels the weighted Gini decrease is 2/n times the
+    squared-error decrease, so the one split search finds the Gini-best
+    split, and finds none exactly when the Gini search finds none."""
     x, min_leaf = problem
-    y = data.draw(arrays(np.int64, x.shape[0], elements=st.integers(0, 1))).astype(float)
-    assert _best_split_classification(x, y, min_leaf) == ref_split_classification(x, y, min_leaf)
+    y = labels_for(x, data)
+    got = _best_split(x, y, min_leaf)
+    want = ref_split_classification(x, y, min_leaf)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert abs(got[2] * 2 / len(y) - want[2]) <= 1e-12
+
+
+def gini_gain(x, y, feature, threshold):
+    """Weighted Gini decrease of one split of the rows (x, y)."""
+    def impurity(labels):
+        p = float(np.mean(labels))
+        return 2.0 * p * (1.0 - p)
+    left = x[:, feature] <= threshold
+    return impurity(y) - (left.sum() * impurity(y[left])
+                          + (~left).sum() * impurity(y[~left])) / len(y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(split_problems(), st.sampled_from([None, 1, 2, 3]), st.data())
+def test_cart_splits_every_node_by_its_best_gini_gain(problem, max_depth, data):
+    x, min_leaf = problem
+    y = labels_for(x, data)
+    tree = DecisionTreeClassifier(max_depth, min_leaf).fit(x, y)
+
+    def walk(node, rows, depth):
+        xs, ys = x[rows], y[rows]
+        best = ref_split_classification(xs, ys, min_leaf)
+        stop = (np.all(ys == ys[0]) or len(ys) < 2 * min_leaf
+                or (max_depth is not None and depth >= max_depth))
+        assert ("value" in node) == (stop or best is None)
+        if "value" in node:
+            assert node["value"] == float(np.mean(ys))
+            return
+        assert abs(gini_gain(xs, ys, node["feature"], node["threshold"]) - best[2]) <= 1e-12
+        left = x[:, node["feature"]] <= node["threshold"]
+        walk(node["left"], rows & left, depth + 1)
+        walk(node["right"], rows & ~left, depth + 1)
+
+    walk(tree.root, np.ones(len(y), dtype=bool), 0)
 
 
 @settings(max_examples=300, deadline=None)
@@ -158,20 +202,20 @@ def test_regression_split_matches_reference(problem, data):
     x, min_leaf = problem
     y = data.draw(arrays(np.float64, x.shape[0], elements=st.floats(
         -2.0, 2.0, allow_nan=False, allow_infinity=False)))
-    assert _best_split_regression(x, y, min_leaf) == ref_split_regression(x, y, min_leaf)
+    assert _best_split(x, y, min_leaf) == ref_split_regression(x, y, min_leaf)
 
 
 def test_split_ties_pick_lowest_feature_then_lowest_threshold():
     # both features separate y perfectly with equal gain; feature 0 wins
     x = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
     y = np.array([0.0, 0.0, 1.0, 1.0])
-    assert _best_split_classification(x, y, 1) == (0, 1.5, 0.5)
+    assert _best_split(x, y, 1) == (0, 1.5, 1.0)
     # thresholds 0.5 and 2.5 of one feature tie exactly; the lower one wins
     x = np.array([[0.0], [1.0], [2.0], [3.0]])
     y = np.array([1.0, 0.0, 0.0, 1.0])
-    got = _best_split_classification(x, y, 1)
+    got = _best_split(x, y, 1)
     assert got[:2] == (0, 0.5)
-    assert got == ref_split_classification(x, y, 1)
+    assert got == ref_split_regression(x, y, 1)
 
 
 # --- 3PL EM: a loop over respondents and grid nodes is the E-step oracle --

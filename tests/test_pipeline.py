@@ -19,7 +19,7 @@ from xaibench import cli, explainers, pipeline
 from xaibench.data import Dataset, level_key, load_csv, save_csv
 from xaibench.datasets import make_synthetic_diabetes
 from xaibench.data import from_record
-from xaibench.irt import IrtFit, fit_3pl, summarize
+from xaibench.irt import IrtFit, ReliabilitySummary, fit_3pl, reliability_compare, summarize
 from xaibench.metrics import classification_report
 from xaibench.models import TrainedModel
 from xaibench.pipeline import (
@@ -30,6 +30,7 @@ from xaibench.pipeline import (
     run_all,
     run_stage,
 )
+from xaibench.stability import StabilityRecord, stability_order
 
 
 @pytest.fixture(scope="module")
@@ -147,17 +148,40 @@ class TestRunAll:
         assert (got if key is None else got[key]) == report[section]
 
     def test_reliability_summarizes_the_saved_fits(self, completed_run):
+        """Each reliability cell summarizes its saved fit, and the fits
+        section says how that fit ended."""
         cfg, _, out_dir = completed_run
         with open(os.path.join(out_dir, "report.json"), encoding="utf-8") as fh:
-            reliability = json.load(fh)["reliability"]
-        assert sorted(reliability) == list(cfg.models)
-        for kind, levels in reliability.items():
+            d = json.load(fh)
+        assert sorted(d["reliability"]) == sorted(d["fits"]) == list(cfg.models)
+        for kind, levels in d["reliability"].items():
             assert sorted(levels) == sorted(level_key(f) for f in cfg.fractions)
             for lvl, cell in levels.items():
                 path = os.path.join(out_dir, "irt", f"fit_{kind}_{lvl}.json")
                 with open(path, encoding="utf-8") as fh:
                     fit = from_record(IrtFit, json.load(fh))
                 assert cell == dataclasses.asdict(summarize(fit))
+                assert d["fits"][kind][lvl] == {"iterations": fit.iterations,
+                                                "converged": fit.converged}
+
+    def test_verdicts_recompute_from_the_reliability_and_stability_sections(
+            self, completed_run):
+        cfg, _, out_dir = completed_run
+        with open(os.path.join(out_dir, "report.json"), encoding="utf-8") as fh:
+            d = json.load(fh)
+        reliability = {kind: {lvl: ReliabilitySummary(**cell) for lvl, cell in levels.items()}
+                       for kind, levels in d["reliability"].items()}
+        kinds = d["config"]["models"]
+        assert d["verdicts"] == {
+            "reliability": {lvl: {x: {y: reliability_compare(reliability[x][lvl],
+                                                             reliability[y][lvl])
+                                      for y in kinds[i + 1:]}
+                                  for i, x in enumerate(kinds[:-1])}
+                            for lvl in reliability[kinds[0]]},
+            "stability_order": stability_order([from_record(StabilityRecord, r)
+                                                for r in d["stability"]]),
+        }
+        assert sorted(d["verdicts"]["stability_order"]) == sorted(cfg.explainers)
 
     def test_report_needs_every_saved_fit(self, completed_run, tmp_path):
         cfg, _, out_dir = completed_run
@@ -577,10 +601,15 @@ class TestCli:
          r"unsupported model format version 2$"),
         (("models", "cart.json"), lambda d: [],
          r"TrainedModel record must be a dict, got list$"),
+        (("models", "cart.json"), lambda d: dict(d, n_features=d["n_features"] + 1),
+         r"n_features is 9, but there are 8 feature names$"),
+        (("models", "cart.json"),
+         lambda d: dict(d, feature_names=[f"x{i}" for i in range(d["n_features"])]),
+         r"model features \['x0', .*\] are not the dataset's \['pregnancies', "),
     ], ids=("unknown", "missing", "rank", "model", "model-kind", "estimator-missing",
             "estimator-unknown", "stats-missing", "stats-unknown", "stats-not-json",
             "rank-scores-null", "stats-not-object", "model-names-null", "model-version",
-            "model-not-object"))
+            "model-not-object", "model-n-features", "model-feature-names"))
     def test_report_names_the_keys_of_a_bad_fit_file(self, small_dataset_path, completed_run,
                                                      tmp_path, capsys, parts, edit, named):
         """A malformed record file fails the report stage with its path and

@@ -322,6 +322,40 @@ class TestCheckSlots:
             check_slots(self.CONFIG, ranks)
 
 
+class TestVerdicts:
+    @staticmethod
+    def cell(difficulty):
+        return ReliabilitySummary(mean_difficulty=difficulty, mean_discrimination=1.0,
+                                  mean_guessing=0.1, mean_ability=0.0,
+                                  negative_item_count=0)
+
+    def test_every_pair_in_kind_order_at_every_level(self):
+        # lower difficulty alone carries the vote
+        reliability = {"gbt": {"0": self.cell(0.5), "10": self.cell(-0.5)},
+                       "mlp": {"0": self.cell(0.0), "10": self.cell(0.0)},
+                       "cart": {"0": self.cell(1.0), "10": self.cell(1.0)}}
+        stability = [StabilityRecord("shap", "gbt", {}, 1.0),
+                     StabilityRecord("eli5", "gbt", {}, 2.0)]
+        got = report.verdicts(("gbt", "mlp", "cart"), reliability, stability)
+        assert got == {
+            "reliability": {
+                "0": {"gbt": {"mlp": "y_more_reliable", "cart": "x_more_reliable"},
+                      "mlp": {"cart": "x_more_reliable"}},
+                "10": {"gbt": {"mlp": "x_more_reliable", "cart": "x_more_reliable"},
+                       "mlp": {"cart": "x_more_reliable"}},
+            },
+            "stability_order": ["eli5", "shap"],
+        }
+
+    def test_no_reliability_without_exirt(self):
+        stability = [StabilityRecord("shap", "gbt", {}, 1.0)]
+        assert report.verdicts(("gbt", "mlp"), {}, stability) == {
+            "reliability": {}, "stability_order": ["shap"]}
+        # one kind has no pair to compare
+        assert report.verdicts(("gbt",), {"gbt": {"0": self.cell(0.0)}}, [])["reliability"] \
+            == {"0": {}}
+
+
 class TestHeatmapSvg:
     def matrix(self):
         p = np.array([[1.0, 0.04, 0.8],
