@@ -107,12 +107,6 @@ def rank_from_scores(feature_names, scores, explainer, model_kind,
     )
 
 
-def _check_schema(model: TrainedModel, data: Dataset):
-    if model.n_features != data.n_features:
-        raise ExplainerError(
-            f"model expects {model.n_features} features, data has {data.n_features}")
-
-
 def _stratified_subsample(labels, fraction, rng):
     idx = []
     for c in (0, 1):
@@ -134,7 +128,6 @@ def explain_dalex_style(model: TrainedModel, train: Dataset, test: Dataset,
                         cfg: ExplainerConfig, perturbation_fraction=0.0) -> RelevanceRank:
     """Column-inversion relevance: reflect each test column about its mean
     and measure the AUC drop, averaged over row subsamples."""
-    _check_schema(model, test)
     col_mean = test.features.mean(axis=0)
     m = test.n_features
     subsample_labels, blocks = [], []  # per rep: the subsample, then its m inversions
@@ -165,7 +158,6 @@ def _shuffle_relevance(model: TrainedModel, test: Dataset, cfg: ExplainerConfig,
     each feature, each from its own stream, all predicted in one call.
     ``scorer(base)`` takes the unshuffled predictions and returns the score
     of one shuffled copy's predictions; a feature's relevance is its mean."""
-    _check_schema(model, test)
     shuffles = [(j, _shuffled(test.features, j, rng_for(cfg.seed, explainer, name, rep)))
                 for j, name in enumerate(test.feature_names) for rep in range(cfg.repetitions)]
     base, *proba = model.predict_blocks([test.features] + [x for _, x in shuffles])
@@ -345,7 +337,6 @@ def explain_kernel_shap(model: TrainedModel, train: Dataset, test: Dataset,
                         cfg: ExplainerConfig, perturbation_fraction=0.0) -> RelevanceRank:
     """Global kernel SHAP rank: mean absolute Shapley value over test rows,
     with excluded features replaced by the training (background) column means."""
-    _check_schema(model, test)
     phi = shapley_values(model, test.features, train.features.mean(axis=0), cfg)
     return rank_from_scores(test.feature_names, np.abs(phi).mean(axis=0), "shap",
                             model.kind, perturbation_fraction)
@@ -371,7 +362,6 @@ def _exirt_pool(model: TrainedModel, test: Dataset, cfg: ExplainerConfig) -> Res
     """eXirt's respondents x test rows correctness matrix: the original
     model, one feature-shuffled probe per feature, then the bootstrap
     respondents."""
-    _check_schema(model, test)
     y = test.labels
     probes = [_shuffled(test.features, j, rng_for(cfg.seed, "exirt", name))
               for j, name in enumerate(test.feature_names)]

@@ -4,24 +4,13 @@ Probability of class 1 is the fraction of positive labels among the k
 nearest training rows.  Distance ties resolve by training-row order so
 prediction is deterministic.
 
-Kernel SHAP asks for the probabilities of coalition blends: row (i, c) takes
-``x[i, j]`` where ``z[c, j]`` is 1 and ``background[j]`` where it is 0.
-``predict_coalitions`` scores them without building the blends.  Each squared
-difference of a blend is an entry of one of two tables, ``(x_i - T)**2`` or
-``(background - T)**2`` (T the training rows), so it sums table entries in
-the order numpy's ``.sum(axis=-1)`` adds a contiguous last axis of M values:
-- M < 8: left to right;
-- 8 <= M <= 128: eight accumulators, accumulator q taking the columns
-  j = q (mod 8) of the full 8-blocks in order, combined as
-  ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the tail columns in order;
-- M > 128: the first M//2 columns, rounded down to a multiple of 8, and the
-  rest, each summed the same way, then added.
-Every node of that tree depends only on the coalition's members among its
-columns, so it is computed once per distinct sub-mask of z.  The distances
-thus equal ``predict_proba``'s bit for bit and the neighbour vote is shared.
-That order is numpy's pairwise-summation kernel, not a documented contract;
-``tests/test_kernels.py`` guards it.  Plain rows keep ``.sum``, which is
-faster than any explicit order.
+A squared distance adds its M columns' squared differences on one tree,
+``_sum_order(M)``'s pairwise levels.  Kernel SHAP asks for the probabilities
+of coalition blends: row (i, c) takes ``x[i, j]`` where ``z[c, j]`` is 1 and
+``background[j]`` where it is 0.  ``predict_coalitions`` builds each node of
+that tree once per distinct sub-mask of z from the tables ``(x_i - T)**2``
+and ``(background - T)**2`` (T the training rows), so its distances equal
+``predict_proba``'s on the materialized blends bit for bit.
 """
 
 from __future__ import annotations
@@ -30,38 +19,33 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-_CHUNK = 256  # bound the (chunk, n_train, m) difference cube
+_CHUNK = 256  # bound the (m, chunk, n_train) difference cube
 _BLOCK = 2  # test rows per coalition block: bounds each (K, rows, n_train) table
 
 
-def _sum_order(lo: int, hi: int):
-    """numpy's summation tree over columns lo..hi-1 as nested (left, right)
-    pairs of column indices."""
-    n = hi - lo
-    if n > 128:
-        half = n // 2 - (n // 2) % 8
-        return (_sum_order(lo, lo + half), _sum_order(lo + half, hi))
-    if n < 8:
-        node, tail = lo, range(lo + 1, hi)
-    else:
-        acc = list(range(lo, lo + 8))
-        full = lo + n - n % 8
-        for j in range(lo + 8, full):
-            q = (j - lo) % 8
-            acc[q] = (acc[q], j)
-        node = (((acc[0], acc[1]), (acc[2], acc[3])), ((acc[4], acc[5]), (acc[6], acc[7])))
-        tail = range(full, hi)
-    for j in tail:
-        node = (node, j)
-    return node
+def _sum_order(m: int):
+    """Pairwise summation tree over m columns as nested (left, right) pairs:
+    adjacent nodes pair up level by level, an odd last one carried up."""
+    nodes = list(range(m))
+    while len(nodes) > 1:
+        nodes = list(zip(nodes[0::2], nodes[1::2])) + nodes[len(nodes) - len(nodes) % 2:]
+    return nodes[0]
+
+
+def _level_sum(d: np.ndarray) -> np.ndarray:
+    """d summed over its first axis on ``_sum_order``'s tree, in place (one add
+    per level, each even node taking its odd neighbour); returns a copy."""
+    while len(d) > 1:
+        d[0:len(d) - 1:2] += d[1::2]
+        d = d[0::2]
+    return d[0].copy()
 
 
 def _coalition_plan(z: np.ndarray):
-    """Steps that build every node of the summation tree once per distinct
-    sub-mask of z.  Slots 0..M-1 are the columns, each with values
-    (background, x); step s fills slot M + s with
-    ``slot[left][left_ids] + slot[right][right_ids]``.  Returns the steps,
-    the root's slot and each coalition's id among the root's values."""
+    """Steps that build every node of ``_sum_order``'s tree once per distinct
+    sub-mask of z.  Slots 0..M-1 are the columns, each with values (background,
+    x); step s fills slot M + s with ``slot[left][left_ids] + slot[right][right_ids]``.
+    Returns the steps, the root's slot and each coalition's id among its values."""
     member = np.asarray(z) == 1
     m = member.shape[1]
     steps = []
@@ -75,7 +59,7 @@ def _coalition_plan(z: np.ndarray):
         steps.append((left, right, pairs // width, pairs % width))
         return m + len(steps) - 1, ids
 
-    root, ids = build(_sum_order(0, m))
+    root, ids = build(_sum_order(m))
     return steps, root, ids
 
 
@@ -95,8 +79,7 @@ class KNearestNeighbors:
     def _vote(self, d2: np.ndarray) -> np.ndarray:
         """Positive fraction among each row's k nearest, d2 (rows, n_train)."""
         k = min(self.k, len(self.y))
-        # every row nearer than the k-th distance, then the earliest
-        # training rows tied with it until k are taken
+        # rows nearer than the k-th distance, then the earliest tied ones up to k
         kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
         nearer = d2 < kth
         tied = d2 == kth
@@ -109,10 +92,13 @@ class KNearestNeighbors:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         out = np.empty(x.shape[0], dtype=float)
         for start in range(0, x.shape[0], _CHUNK):
-            chunk = x[start:start + _CHUNK]
-            d2 = ((chunk[:, None, :] - self.x[None, :, :]) ** 2).sum(axis=2)
-            out[start:start + _CHUNK] = self._vote(d2)
+            out[start:start + _CHUNK] = self._vote(self._distances(x[start:start + _CHUNK]))
         return out
+
+    def _distances(self, x) -> np.ndarray:
+        """(rows, n_train) squared distances of x's rows, on ``_sum_order``'s tree."""
+        t = np.ascontiguousarray(self.x.T)  # (M, n_train): unit stride along n_train
+        return _level_sum((x.T[:, :, None] - t[:, None, :]) ** 2)
 
     def predict_coalitions(self, x, background, z) -> np.ndarray:
         """(n, K) probabilities of the blends of x's rows with background

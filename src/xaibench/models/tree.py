@@ -7,9 +7,10 @@ is exactly 2/n times its squared-error decrease (Breiman et al., 1984): the
 two criteria rank every split of a node alike, up to rounding.
 
 Trees are plain nested dicts so they serialize to JSON losslessly.  A node's
-split search scores all features in one vectorized pass; each feature keeps
-its first (lowest-threshold) maximum, then features are visited in index
-order and a later one wins only by more than _GAIN_TOL.
+split search scores all features in one vectorized pass.  Gains within
+_GAIN_TOL tie, inside a feature and between features alike: each feature
+keeps its first (lowest) threshold within _GAIN_TOL of its best gain, and a
+later feature wins only by more than _GAIN_TOL.
 """
 
 from __future__ import annotations
@@ -23,30 +24,32 @@ _GAIN_TOL = 1e-12
 
 def _best_split(x: np.ndarray, y: np.ndarray, min_leaf: int):
     """Best (feature, threshold, gain) of the (n, m) node block by
-    sum-of-squares reduction, or None."""
-    n = x.shape[0]
+    sum-of-squares reduction, or None.  Works on one row per feature, so
+    every scan runs along a contiguous axis."""
+    n, m = x.shape
+    rows = np.arange(m)
     total = float(np.sum(y))
     total2 = float(np.sum(y * y))
     parent_sse = total2 - total * total / n
-    order = np.argsort(x, axis=0, kind="stable")
-    xs = np.take_along_axis(x, order, axis=0)
+    order = np.argsort(x.T, axis=1, kind="stable")  # (m, n)
+    xs = x[order, rows[:, None]]
     ys = y[order]
     # row counts left and right of a split after sorted position i
-    left_n = np.arange(1, n)[:, None]
+    left_n = np.arange(1, n)
     right_n = n - left_n
-    left_sum = np.cumsum(ys, axis=0)[:-1]
-    left_sum2 = np.cumsum(ys * ys, axis=0)[:-1]
+    left_sum = np.cumsum(ys, axis=1)[:, :-1]
+    left_sum2 = np.cumsum(ys * ys, axis=1)[:, :-1]
     right_sum = total - left_sum
     right_sum2 = total2 - left_sum2
     sse = (left_sum2 - left_sum ** 2 / left_n) + (right_sum2 - right_sum ** 2 / right_n)
-    legal = (xs[:-1] < xs[1:]) & (left_n >= min_leaf) & (right_n >= min_leaf)
+    legal = (xs[:, :-1] < xs[:, 1:]) & (left_n >= min_leaf) & (right_n >= min_leaf)
     gain = np.where(legal, parent_sse - sse, -np.inf)
-    pos = np.argmax(gain, axis=0)
-    top = gain[pos, np.arange(gain.shape[1])]
+    pos = np.argmax(gain >= gain.max(axis=1, keepdims=True) - _GAIN_TOL, axis=1)
+    top = gain[rows, pos]
     best = None
     for j, (k, g) in enumerate(zip(pos.tolist(), top.tolist())):
         if g > _GAIN_TOL and (best is None or g > best[2] + _GAIN_TOL):
-            best = (j, float(0.5 * (xs[k, j] + xs[k + 1, j])), g)
+            best = (j, float(0.5 * (xs[j, k] + xs[j, k + 1])), g)
     return best
 
 

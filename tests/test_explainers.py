@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xaibench.data import Dataset, to_record
+from xaibench.data import Dataset, DatasetError, to_record
 from xaibench.explainers import (
     DALEX_SUBSAMPLE,
     EXPLAINERS,
@@ -252,7 +252,7 @@ class TestRankers:
         model, train_data, test_data = fitted
         wrong = Dataset(test_data.features[:, 1:], test_data.labels,
                         test_data.feature_names[1:])
-        with pytest.raises(ExplainerError):
+        with pytest.raises(DatasetError, match="^model expects 3 features, got 2$"):
             explain_eli5_style(model, train_data, wrong, ExplainerConfig(seed=0))
 
     def test_lofo_records_fold_dispersion(self, fitted):

@@ -22,9 +22,9 @@ the fit stops exactly when an iteration gains less than ``TOL``.
 That a stacked ``np.matmul`` equals the 2-D product of each slice bit for
 bit is a property of this numpy/OpenBLAS build (numpy hands each slice to
 the same BLAS call), not something numpy guarantees; that test is what
-guards it.  Likewise the order in which ``.sum(axis=-1)`` adds a contiguous
-last axis, which ``predict_coalitions`` reproduces, is numpy's pairwise
-kernel, and a guard test pins it."""
+guards it.  kNN's squared distances need no such guard: both of its paths
+add on the tree ``_sum_order`` builds, and the oracle sums that tree one
+node at a time."""
 
 import math
 
@@ -86,7 +86,7 @@ def ref_split_classification(x, y, min_leaf):
         pr = right_pos / right_n
         weighted = (left_n * 2 * pl * (1 - pl) + right_n * 2 * pr * (1 - pr)) / n
         gain = parent_gini - weighted
-        k = int(np.argmax(gain))
+        k = int(np.argmax(gain >= gain.max() - _GAIN_TOL))  # first near-best
         if gain[k] > _GAIN_TOL:
             thr = 0.5 * (cs[valid[k]] + cs[valid[k] + 1])
             if best is None or gain[k] > best[2] + _GAIN_TOL:
@@ -122,7 +122,7 @@ def ref_split_regression(x, y, min_leaf):
         right_sum2 = total2 - left_sum2
         sse = (left_sum2 - left_sum ** 2 / left_n) + (right_sum2 - right_sum ** 2 / right_n)
         gain = parent_sse - sse
-        k = int(np.argmax(gain))
+        k = int(np.argmax(gain >= gain.max() - _GAIN_TOL))  # first near-best
         if gain[k] > _GAIN_TOL:
             thr = 0.5 * (cs[valid[k]] + cs[valid[k] + 1])
             if best is None or gain[k] > best[2] + _GAIN_TOL:
@@ -216,6 +216,21 @@ def test_split_ties_pick_lowest_feature_then_lowest_threshold():
     got = _best_split(x, y, 1)
     assert got[:2] == (0, 0.5)
     assert got == ref_split_regression(x, y, 1)
+
+
+def test_split_ties_within_a_feature_ignore_rounding_noise():
+    # thresholds 0.5 and 2.5 tie in exact arithmetic (y is a palindrome), but
+    # rounding puts 2.5 ahead by 2.2e-16; the tie goes to the lower threshold
+    x = np.array([[0.0], [1.0], [2.0], [3.0]])
+    y = np.array([0.1, 1.1, 1.1, 0.1])
+    total, total2, left_n = y.sum(), (y * y).sum(), np.arange(1, 4)
+    left_sum, left_sum2 = np.cumsum(y)[:-1], np.cumsum(y * y)[:-1]
+    gain = (total2 - total * total / 4) - ((left_sum2 - left_sum ** 2 / left_n)
+                                           + ((total2 - left_sum2)
+                                              - (total - left_sum) ** 2 / (4 - left_n)))
+    assert 0 < gain[2] - gain[0] < _GAIN_TOL
+    assert _best_split(x, y, 1) == (0, 0.5, gain[0])
+    assert _best_split(x, y, 1) == ref_split_regression(x, y, 1)
 
 
 # --- 3PL EM: a loop over respondents and grid nodes is the E-step oracle --
@@ -378,6 +393,13 @@ def test_knn_chunks_match_reference():
 
 # --- kNN on kernel-SHAP coalitions: the materialized blends are the oracle --
 
+def tree_sum(a, node):
+    """a's last axis summed on the nested-pair tree ``node``, one add per node."""
+    if isinstance(node, int):
+        return a[..., node]
+    return tree_sum(a, node[0]) + tree_sum(a, node[1])
+
+
 def blends_of(x, background, z):
     n, m = x.shape
     return (z[None, :, :] * x[:, None, :]
@@ -391,7 +413,9 @@ def assert_coalitions_match_blends(model, x, background, z):
     assert got.shape == (n, k)
     assert got.tobytes() == model.predict_proba(blends).reshape(n, k).tobytes()
     # the distances too: a last-bit change shows even where no neighbour flips
-    want = ((blends[:, None, :] - model.x[None, :, :]) ** 2).sum(axis=2)
+    want = model._distances(blends)
+    diff2 = (blends[:, None, :] - model.x[None, :, :]) ** 2
+    assert want.tobytes() == tree_sum(diff2, knn._sum_order(x.shape[1])).tobytes()
     want = want.reshape(n, k, len(model.x)).transpose(1, 0, 2)
     for start, d2 in model._coalition_distances(x, background, z):
         assert d2.tobytes() == want[:, start:start + d2.shape[1]].tobytes()
@@ -423,8 +447,7 @@ def test_knn_predict_coalitions_matches_blends(data):
 
 
 @pytest.mark.parametrize("m", [129, 257])
-def test_knn_predict_coalitions_splits_wide_rows_like_numpy(m):
-    # above 128 columns numpy sums two halves, each cut at a multiple of 8
+def test_knn_predict_coalitions_matches_blends_on_wide_rows(m):
     rng = np.random.default_rng(m)
     x_train = rng.normal(size=(12, m)) * 10.0 ** rng.integers(-3, 4, size=(12, m))
     model = KNearestNeighbors(3).fit(x_train, rng.integers(0, 2, size=12).astype(float))
@@ -432,21 +455,25 @@ def test_knn_predict_coalitions_splits_wide_rows_like_numpy(m):
     assert_coalitions_match_blends(model, rng.normal(size=(3, m)), rng.normal(size=m), z)
 
 
-def tree_sum(a, node):
+def columns_of(node):
     if isinstance(node, int):
-        return a[..., node]
-    return tree_sum(a, node[0]) + tree_sum(a, node[1])
+        return [node]
+    return columns_of(node[0]) + columns_of(node[1])
 
 
-def test_numpy_sums_a_last_axis_in_the_order_knn_reproduces():
-    # predict_proba keeps .sum(axis=2) and predict_coalitions rebuilds its
-    # order; numpy does not document that order, so an upgrade that changes
-    # it must fail here
+def test_sum_order_lists_every_column_once_in_ascending_order():
+    for m in range(1, 301):
+        assert columns_of(knn._sum_order(m)) == list(range(m)), m
+
+
+def test_level_sum_adds_on_the_sum_order_tree():
+    # spread magnitudes: any other order of the adds shows in the last bits
     rng = np.random.default_rng(0)
     for m in [*range(1, 41), 127, 128, 129, 257]:
         for shape in [(33, m), (4, 37, m)]:
             a = rng.random(shape) * 10.0 ** rng.integers(-6, 7, size=shape)
-            assert a.sum(axis=-1).tobytes() == tree_sum(a, knn._sum_order(0, m)).tobytes(), m
+            got = knn._level_sum(np.moveaxis(a, -1, 0).copy())
+            assert got.tobytes() == tree_sum(a, knn._sum_order(m)).tobytes(), m
 
 
 # --- reference MLP fit: index the rows of every minibatch -----------------

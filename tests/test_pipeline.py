@@ -117,23 +117,49 @@ class TestRunConfig:
             assert len(seeds) == distinct, explainer
 
 
-class TestRunAll:
-    def test_artifact_files_exist(self, completed_run):
-        """A run writes the commit marker, the models, the ranks, the eXirt
-        fits, the report and its SVGs, and nothing else: the splits, the
-        test variants and the metrics are cheap to recompute from the
-        dataset and the seed, and every table is a report.json section."""
-        cfg, _, out_dir = completed_run
-        levels = [level_key(f) for f in cfg.fractions]
-        expected = {"prepared/stats.json", "ranks.json", "report.json", "heatmap.svg"}
-        for kind in cfg.models:
-            expected |= {f"models/{kind}.json"} | {f"bump_{e}_{kind}.svg"
-                                                    for e in cfg.explainers}
+def run_files(cfg: RunConfig) -> set:
+    """The commit marker, the models, the ranks, the eXirt fits, the report
+    and its SVGs: every file a run under cfg writes."""
+    levels = [level_key(f) for f in cfg.fractions]
+    expected = {"prepared/stats.json", "ranks.json", "report.json", "heatmap.svg"}
+    for kind in cfg.models:
+        expected |= {f"models/{kind}.json"} | {f"bump_{e}_{kind}.svg" for e in cfg.explainers}
+        if "exirt" in cfg.explainers:
             expected |= {f"irt/fit_{kind}_{lvl}.json" for lvl in levels}
             expected |= {f"icc_{kind}_{lvl}.svg" for lvl in levels}
-        written = {os.path.relpath(os.path.join(d, n), out_dir).replace(os.sep, "/")
-                   for d, _, names in os.walk(out_dir) for n in names}
-        assert written == expected
+    return expected
+
+
+def written_files(out_dir) -> set:
+    return {os.path.relpath(os.path.join(d, n), out_dir).replace(os.sep, "/")
+            for d, _, names in os.walk(out_dir) for n in names}
+
+
+class TestRunAll:
+    def test_artifact_files_exist(self, completed_run):
+        """A run writes the files of ``run_files`` and nothing else: the
+        splits, the test variants and the metrics are cheap to recompute from
+        the dataset and the seed, and every table is a report.json section."""
+        cfg, _, out_dir = completed_run
+        assert written_files(out_dir) == run_files(cfg)
+
+    def test_a_one_feature_dataset_runs_end_to_end(self, tmp_path):
+        """M = 1 reaches kNN's one-column sum, the one-feature branches of
+        lofo and kernel SHAP, one-row bump charts, Spearman's n = 1 case and
+        eXirt pools with one probe."""
+        full = make_synthetic_diabetes(seed=29, n_rows=120, n_positive=42)
+        save_csv(Dataset(full.features[:, :1], full.labels, full.feature_names[:1]),
+                 tmp_path / "one.csv")
+        out = tmp_path / "run"
+        assert cli.main(["run", "--dataset", str(tmp_path / "one.csv"), "--out", str(out),
+                         "--cv-folds", "2", "--levels", "0,10"]) == 0
+        cfg = RunConfig(dataset=str(tmp_path / "one.csv"), out_dir=str(out),
+                        fractions=(0.0, 0.10), cv_folds=2)
+        assert written_files(out) == run_files(cfg)
+        with open(out / "report.json", encoding="utf-8") as fh:
+            ranks = json.load(fh)["ranks"]
+        assert len(ranks) == len(cfg.models) * len(cfg.explainers) * 2
+        assert {tuple(r["ordered_features"]) for r in ranks} == {("pregnancies",)}
 
     @pytest.mark.parametrize("artifact, key, section", [
         ("ranks.json", None, "ranks"),
