@@ -18,6 +18,7 @@ from .explainers import EXPLAINERS
 from .models import MODEL_KINDS
 from .pipeline import STAGES, PipelineError, RunConfig, run_all, run_stage
 
+
 def _csv_list(value: str) -> tuple:
     return tuple(s.strip() for s in value.split(",") if s.strip())
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tree import regression_tree, tree_predict
+from .tree import feature_order, regression_tree, tree_predict
 
 
 def _sigmoid(z):
@@ -33,10 +33,11 @@ class GradientBoostedTrees:
         p0 = np.clip(np.mean(y), 1e-6, 1 - 1e-6)
         self.base_score = float(np.log(p0 / (1 - p0)))
         f = np.full(len(y), self.base_score)
+        order = feature_order(x)  # x is the same in every round
         self.trees = []
         for _ in range(self.n_rounds):
             p = _sigmoid(f)
-            tree = regression_tree(x, y - p, p * (1 - p), self.max_depth,
+            tree = regression_tree(x, y - p, p * (1 - p), order, self.max_depth,
                                    self.min_samples_leaf)
             f = f + self.learning_rate * tree_predict(tree, x)
             self.trees.append(tree)

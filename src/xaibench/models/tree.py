@@ -11,6 +11,14 @@ split search scores all features in one vectorized pass.  Gains within
 _GAIN_TOL tie, inside a feature and between features alike: each feature
 keeps its first (lowest) threshold within _GAIN_TOL of its best gain, and a
 later feature wins only by more than _GAIN_TOL.
+
+Each feature is sorted once per tree, or once per boosted fit, since boosting
+never changes x: ``feature_order`` gives the (m, n) stable argsort of every
+column, and each child takes its rows by a stable filter of its parent's
+order (the presorted exact greedy search of SLIQ, Mehta et al. 1996, and
+XGBoost, Chen & Guestrin 2016).  A stable filter of a stable argsort is the
+stable argsort of the subset, so every node sees the sorted block, sums and
+ties that sorting it afresh would give, bit for bit.
 """
 
 from __future__ import annotations
@@ -22,18 +30,26 @@ import numpy as np
 _GAIN_TOL = 1e-12
 
 
-def _best_split(x: np.ndarray, y: np.ndarray, min_leaf: int):
-    """Best (feature, threshold, gain) of the (n, m) node block by
-    sum-of-squares reduction, or None.  Works on one row per feature, so
+def feature_order(x: np.ndarray) -> np.ndarray:
+    """Each column's row ids in ascending value order, ties in row order:
+    the (m, n) ``order`` that ``regression_tree`` takes."""
+    return np.argsort(x.T, axis=1, kind="stable")
+
+
+def _best_split(x: np.ndarray, grad: np.ndarray, y: np.ndarray, order: np.ndarray,
+                min_leaf: int):
+    """Best (feature, threshold, gain) of a node by sum-of-squares reduction,
+    or None.  ``x`` and ``grad`` are the full arrays, ``y`` the node's
+    gradients in ascending row order and ``order`` (m, n) its row ids sorted
+    by each feature (module docstring).  Works on one row per feature, so
     every scan runs along a contiguous axis."""
-    n, m = x.shape
+    m, n = order.shape
     rows = np.arange(m)
     total = float(np.sum(y))
     total2 = float(np.sum(y * y))
     parent_sse = total2 - total * total / n
-    order = np.argsort(x.T, axis=1, kind="stable")  # (m, n)
     xs = x[order, rows[:, None]]
-    ys = y[order]
+    ys = grad[order]
     # row counts left and right of a split after sorted position i
     left_n = np.arange(1, n)
     right_n = n - left_n
@@ -96,7 +112,8 @@ class DecisionTreeClassifier:
         y = np.asarray(y, dtype=float)
         # a tree on n rows is at most n - 1 deep, so depth n never binds
         depth = len(y) if self.max_depth is None else self.max_depth
-        self.root = regression_tree(x, y, np.ones(len(y)), depth, self.min_samples_leaf)
+        self.root = regression_tree(x, y, np.ones(len(y)), feature_order(x), depth,
+                                    self.min_samples_leaf)
         return self
 
     def predict_proba(self, x) -> np.ndarray:
@@ -106,25 +123,35 @@ class DecisionTreeClassifier:
         return tree_features_used(self.root)
 
 
-def regression_tree(x: np.ndarray, grad: np.ndarray, hess: np.ndarray, max_depth: int,
-                    min_samples_leaf: int) -> dict:
+def regression_tree(x: np.ndarray, grad: np.ndarray, hess: np.ndarray, order: np.ndarray,
+                    max_depth: int, min_samples_leaf: int) -> dict:
     """Squared-error CART on the gradient ``grad``: the boosting weak
     learner, and on 0/1 labels with unit ``hess`` the Gini classifier (module
-    docstring).  A node splits while depth remains, both children can hold
-    ``min_samples_leaf`` rows and its gradients differ; each leaf takes the
-    Newton step sum(grad) / sum(hess)."""
+    docstring).  ``order`` is ``feature_order(x)``; each child's order is the
+    stable filter of its parent's by the split.  A node splits while depth
+    remains, both children can hold ``min_samples_leaf`` rows and its
+    gradients differ; each leaf takes the Newton step sum(grad) / sum(hess)."""
+    return _grow(x, grad, hess, np.arange(len(grad)), order, max_depth, min_samples_leaf)
+
+
+def _grow(x, grad, hess, idx, order, max_depth, min_leaf) -> dict:
+    """The subtree of the node holding rows ``idx`` (ascending), whose
+    per-feature sorted row ids are ``order``."""
+    y = grad[idx]
     best = None
-    if max_depth > 0 and len(grad) >= 2 * min_samples_leaf and not np.all(grad == grad[0]):
-        best = _best_split(x, grad, min_samples_leaf)
+    if max_depth > 0 and len(y) >= 2 * min_leaf and not np.all(y == y[0]):
+        best = _best_split(x, grad, y, order, min_leaf)
     if best is None:
-        return {"value": float(np.sum(grad) / max(float(np.sum(hess)), 1e-12))}
+        return {"value": float(np.sum(y) / max(float(np.sum(hess[idx])), 1e-12))}
     j, thr, _ = best
-    mask = x[:, j] <= thr
+    side = x[:, j] <= thr
+    left = side[order]
+    m = len(order)
     return {
         "feature": j,
         "threshold": thr,
-        "left": regression_tree(x[mask], grad[mask], hess[mask], max_depth - 1,
-                                min_samples_leaf),
-        "right": regression_tree(x[~mask], grad[~mask], hess[~mask], max_depth - 1,
-                                 min_samples_leaf),
+        "left": _grow(x, grad, hess, idx[side[idx]], order[left].reshape(m, -1),
+                      max_depth - 1, min_leaf),
+        "right": _grow(x, grad, hess, idx[~side[idx]], order[~left].reshape(m, -1),
+                       max_depth - 1, min_leaf),
     }

@@ -9,7 +9,10 @@ probabilities on the materialized coalition blends, and their squared
 distances, byte for byte.  The exception is the Gini reference: CART grows
 its tree with the squared-error search, whose gain is n/2 times the Gini
 gain on 0/1 labels up to rounding, so its splits are held to the Gini
-reference's best gain within 1e-12, at the root and at every node.
+reference's best gain within 1e-12, at the root and at every node.  The
+tree builder sorts each feature once and filters each child's order from
+its parent's; it is held, tree for tree and bit for bit, to a builder that
+masks each child's rows and sorts every node afresh.
 
 The 3PL fit is held to a loop over respondents and grid nodes that
 recomputes its marginal log posterior and abilities from its item
@@ -26,6 +29,7 @@ guards it.  kNN's squared distances need no such guard: both of its paths
 add on the tree ``_sum_order`` builds, and the oracle sums that tree one
 node at a time."""
 
+import json
 import math
 
 import numpy as np
@@ -34,6 +38,7 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from xaibench import irt
+from xaibench.data import to_record
 from xaibench.explainers import (
     EXACT_SHAP_LIMIT,
     ExplainerConfig,
@@ -50,9 +55,17 @@ from xaibench.irt import (
     p_correct,
 )
 from xaibench.models import knn
+from xaibench.models.gbt import GradientBoostedTrees, _sigmoid
 from xaibench.models.knn import KNearestNeighbors
 from xaibench.models.mlp import MultilayerPerceptron
-from xaibench.models.tree import _GAIN_TOL, DecisionTreeClassifier, _best_split
+from xaibench.models.tree import (
+    _GAIN_TOL,
+    DecisionTreeClassifier,
+    _best_split,
+    feature_order,
+    regression_tree,
+    tree_predict,
+)
 from xaibench.seeding import rng_for
 
 
@@ -147,6 +160,11 @@ def labels_for(x, data):
     return data.draw(arrays(np.int64, x.shape[0], elements=st.integers(0, 1))).astype(float)
 
 
+def best_split(x, y, min_leaf):
+    """``_best_split`` of the whole block (x, y), sorted here."""
+    return _best_split(x, y, y, feature_order(x), min_leaf)
+
+
 @settings(max_examples=300, deadline=None)
 @given(split_problems(), st.data())
 def test_cart_root_split_has_the_best_gini_gain(problem, data):
@@ -155,7 +173,7 @@ def test_cart_root_split_has_the_best_gini_gain(problem, data):
     split, and finds none exactly when the Gini search finds none."""
     x, min_leaf = problem
     y = labels_for(x, data)
-    got = _best_split(x, y, min_leaf)
+    got = best_split(x, y, min_leaf)
     want = ref_split_classification(x, y, min_leaf)
     assert (got is None) == (want is None)
     if got is not None:
@@ -202,18 +220,18 @@ def test_regression_split_matches_reference(problem, data):
     x, min_leaf = problem
     y = data.draw(arrays(np.float64, x.shape[0], elements=st.floats(
         -2.0, 2.0, allow_nan=False, allow_infinity=False)))
-    assert _best_split(x, y, min_leaf) == ref_split_regression(x, y, min_leaf)
+    assert best_split(x, y, min_leaf) == ref_split_regression(x, y, min_leaf)
 
 
 def test_split_ties_pick_lowest_feature_then_lowest_threshold():
     # both features separate y perfectly with equal gain; feature 0 wins
     x = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
     y = np.array([0.0, 0.0, 1.0, 1.0])
-    assert _best_split(x, y, 1) == (0, 1.5, 1.0)
+    assert best_split(x, y, 1) == (0, 1.5, 1.0)
     # thresholds 0.5 and 2.5 of one feature tie exactly; the lower one wins
     x = np.array([[0.0], [1.0], [2.0], [3.0]])
     y = np.array([1.0, 0.0, 0.0, 1.0])
-    got = _best_split(x, y, 1)
+    got = best_split(x, y, 1)
     assert got[:2] == (0, 0.5)
     assert got == ref_split_regression(x, y, 1)
 
@@ -229,8 +247,103 @@ def test_split_ties_within_a_feature_ignore_rounding_noise():
                                            + ((total2 - left_sum2)
                                               - (total - left_sum) ** 2 / (4 - left_n)))
     assert 0 < gain[2] - gain[0] < _GAIN_TOL
-    assert _best_split(x, y, 1) == (0, 0.5, gain[0])
-    assert _best_split(x, y, 1) == ref_split_regression(x, y, 1)
+    assert best_split(x, y, 1) == (0, 0.5, gain[0])
+    assert best_split(x, y, 1) == ref_split_regression(x, y, 1)
+
+
+# --- reference builder: every node masks its rows and sorts them afresh ----
+
+def ref_regression_tree(x, grad, hess, max_depth, min_leaf):
+    """``regression_tree`` as it was before presorting: each child gets its
+    rows by a boolean mask, and each node's split search sorts its own block
+    (here the one-feature-at-a-time reference)."""
+    best = None
+    if max_depth > 0 and len(grad) >= 2 * min_leaf and not np.all(grad == grad[0]):
+        best = ref_split_regression(x, grad, min_leaf)
+    if best is None:
+        return {"value": float(np.sum(grad) / max(float(np.sum(hess)), 1e-12))}
+    j, thr, _ = best
+    mask = x[:, j] <= thr
+    return {
+        "feature": j,
+        "threshold": thr,
+        "left": ref_regression_tree(x[mask], grad[mask], hess[mask], max_depth - 1, min_leaf),
+        "right": ref_regression_tree(x[~mask], grad[~mask], hess[~mask], max_depth - 1,
+                                     min_leaf),
+    }
+
+
+@st.composite
+def tree_problems(draw):
+    """Integer features with 1-7 levels (ties), some columns constant, up to
+    250 rows, and either 0/1 labels with unit hessians (the CART case) or
+    real gradients with hessians in (0, 1/4] (the boosting case)."""
+    n = draw(st.integers(2, 250))
+    m = draw(st.integers(1, 6))
+    levels = draw(st.integers(1, 7))
+    x = draw(arrays(np.int64, (n, m), elements=st.integers(0, levels - 1))).astype(float)
+    for j in draw(st.lists(st.integers(0, m - 1), max_size=m)):
+        x[:, j] = x[0, j]
+    if draw(st.booleans()):
+        grad = draw(arrays(np.int64, n, elements=st.integers(0, 1))).astype(float)
+        hess = np.ones(n)
+    else:
+        grad = draw(arrays(np.float64, n, elements=st.floats(-1.0, 1.0)))
+        hess = draw(arrays(np.float64, n, elements=st.floats(1e-3, 0.25)))
+    return x, grad, hess
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree_problems(), st.sampled_from([1, 2, 3, 5, None]), st.integers(1, 5))
+def test_presorted_builder_matches_sorting_every_node(problem, max_depth, min_leaf):
+    x, grad, hess = problem
+    depth = len(grad) if max_depth is None else max_depth
+    got = regression_tree(x, grad, hess, feature_order(x), depth, min_leaf)
+    assert json.dumps(got) == json.dumps(ref_regression_tree(x, grad, hess, depth, min_leaf))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree_problems(), st.integers(1, 8), st.integers(1, 3), st.integers(1, 5))
+def test_boosted_fit_matches_rounds_that_sort_every_node(problem, n_rounds, max_depth,
+                                                         min_leaf):
+    x, grad, _ = problem
+    y = (grad > 0).astype(float)
+    model = GradientBoostedTrees(n_rounds, 0.1, max_depth, min_leaf).fit(x, y)
+    want = GradientBoostedTrees(n_rounds, 0.1, max_depth, min_leaf, model.base_score)
+    f = np.full(len(y), want.base_score)
+    for _ in range(n_rounds):
+        p = _sigmoid(f)
+        tree = ref_regression_tree(x, y - p, p * (1 - p), max_depth, min_leaf)
+        f = f + 0.1 * tree_predict(tree, x)
+        want.trees.append(tree)
+    assert json.dumps(to_record(model)) == json.dumps(to_record(want))
+
+
+def tree_leaves(node):
+    if "value" in node:
+        return [node]
+    return tree_leaves(node["left"]) + tree_leaves(node["right"])
+
+
+def test_a_fit_sorts_each_feature_once(monkeypatch):
+    """The boosted fit sorts x once for all its rounds, and CART once for
+    all its nodes; every node reuses that order."""
+    calls = []
+    argsort = np.argsort
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return argsort(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counted)
+    rng = np.random.default_rng(0)
+    x = rng.integers(0, 6, size=(200, 4)).astype(float)
+    y = (x[:, 0] + x[:, 1] + rng.integers(0, 4, 200) > 6).astype(float)
+    model = GradientBoostedTrees(20, 0.1, 3, 1).fit(x, y)
+    assert calls == [(4, 200)] and len(model.trees) == 20
+    calls.clear()
+    tree = DecisionTreeClassifier(None).fit(x, y)
+    assert calls == [(4, 200)] and len(tree_leaves(tree.root)) > 20
 
 
 # --- 3PL EM: a loop over respondents and grid nodes is the E-step oracle --
