@@ -19,6 +19,8 @@ of the call, so that is one ``predict_proba`` on the stacked copies and
 gives the same bits as a call per copy.  The MLP gets a call per copy: BLAS
 blocks its matmuls by row count, so a stacked call would differ in the low
 bits.  Scores are then accumulated in the order of the per-copy loops.
+Kernel SHAP scores its coalition blends through
+``TrainedModel.predict_coalitions`` at every width, M = 1 included.
 """
 
 from __future__ import annotations
@@ -32,8 +34,7 @@ import numpy as np
 from .data import Dataset
 from .irt import ResponseMatrix, fit_3pl
 from .metrics import accuracy_score, labels_from_proba, roc_auc_score
-from .models.training import (TrainedModel, build_estimator, predict_blends,
-                              stratified_kfold)
+from .models.training import TrainedModel, build_estimator, stratified_kfold
 from .seeding import derive_seed, rng_for
 
 EXPLAINERS = ("dalex", "eli5", "exirt", "lofo", "shap", "skater")
@@ -244,9 +245,10 @@ def explain_lofo_style(model: TrainedModel, train: Dataset, test: Dataset,
 
 def shap_exact(m: int, budget: int, exact: bool | None = None) -> bool:
     """Whether kernel SHAP over M features enumerates every coalition (by
-    default when 2^M <= EXACT_SHAP_LIMIT).  Sampling needs a coalition budget
-    of at least M + 2."""
-    if exact is None:
+    default when 2^M <= EXACT_SHAP_LIMIT).  One feature has no proper,
+    non-empty coalition to sample, so it always enumerates, finding none.
+    Sampling needs a coalition budget of at least M + 2."""
+    if exact is None or m == 1:
         exact = 2 ** m <= EXACT_SHAP_LIMIT
     if not exact and budget < m + 2:
         raise ExplainerError("coalition_budget must be >= M + 2 in sampling mode")
@@ -280,15 +282,12 @@ def shapley_values(model: TrainedModel, x: np.ndarray, background_row: np.ndarra
     """Kernel SHAP values for each row of x against a single reference row.
 
     Exact mode enumerates every coalition when 2^M <= EXACT_SHAP_LIMIT;
-    sampled mode draws coalitions by the kernel size distribution.
+    sampled mode draws coalitions by the kernel size distribution.  At M = 1
+    there is no coalition, the solve is 0 x 0, and the one value is
+    f(x) - f0 by efficiency.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    m = x.shape[1]
-    if m == 1:
-        fx = model.predict_proba(x)
-        f0 = model.predict_proba(background_row[None, :])[0]
-        return (fx - f0)[:, None]
-    z, weights = _coalitions(m, cfg, exact)
+    z, weights = _coalitions(x.shape[1], cfg, exact)
     # constrained weighted least squares: phi sums to f(x) - f0, so solve for
     # the first M - 1 values with the last member's column eliminated
     zt = z[:, :-1] - z[:, -1:]
@@ -299,10 +298,7 @@ def shapley_values(model: TrainedModel, x: np.ndarray, background_row: np.ndarra
     fx = model.predict_proba(x)
     f0 = float(model.predict_proba(background_row[None, :])[0])
     # synthetic inputs: coalition members keep x, the rest take the reference
-    if hasattr(model, "predict_coalitions"):
-        preds = model.predict_coalitions(x, background_row, z)
-    else:  # a bare model with predict_proba alone
-        preds = predict_blends(model.predict_proba, x, background_row, z)
+    preds = model.predict_coalitions(x, background_row, z)
     phi_head = (preds - f0 - np.outer(fx - f0, z[:, -1])) @ solver.T
     return np.column_stack([phi_head, fx - f0 - phi_head.sum(axis=1)])
 

@@ -55,16 +55,13 @@ class IrtError(ValueError):
 def p_correct(a, b, c, theta):
     """3PL hit probability c + (1 - c) / (1 + exp(-a (theta - b))).
 
-    Accepts scalars or broadcastable arrays; overflow-safe.
+    An array of the arguments' broadcast shape (0-d for scalars); overflow-safe.
     """
     a = np.asarray(a, dtype=float)
     c = np.asarray(c, dtype=float)
     z = np.clip(a * (np.asarray(theta, dtype=float) - np.asarray(b, dtype=float)),
                 -500, 500)
-    out = c + (1.0 - c) / (1.0 + np.exp(-z))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return c + (1.0 - c) / (1.0 + np.exp(-z))
 
 
 @dataclass(frozen=True)
@@ -240,14 +237,14 @@ def summarize(fit: IrtFit) -> ReliabilitySummary:
     )
 
 
-def reliability_compare(x: ReliabilitySummary, y: ReliabilitySummary,
-                        use_ability: bool = False) -> str:
+def reliability_compare(x: ReliabilitySummary, y: ReliabilitySummary) -> str:
     """Vote-based verdict: lower difficulty, higher discrimination and lower
-    guessing each cast one vote (mean ability adds an optional fourth).
+    guessing each cast one vote.
 
-    A majority wins when unanimous, or when the dissenting margin is either
-    below TIE_EPSILON or smaller than the strongest supporting margin;
-    anything else is ambiguous.  Antisymmetric by construction.
+    A majority wins when its strongest dissenting margin (none when
+    unanimous) is below TIE_EPSILON or below its strongest supporting
+    margin; a tied vote, or any other, is ambiguous.  Antisymmetric by
+    construction.
     """
     # signed margins: positive favours x
     margins = [
@@ -255,20 +252,10 @@ def reliability_compare(x: ReliabilitySummary, y: ReliabilitySummary,
         x.mean_discrimination - y.mean_discrimination,
         y.mean_guessing - x.mean_guessing,
     ]
-    if use_ability:
-        margins.append(x.mean_ability - y.mean_ability)
     pro_x = [m for m in margins if m > 0]
     pro_y = [-m for m in margins if m < 0]
-    if not pro_x and not pro_y:
-        return AMBIGUOUS
     if len(pro_x) == len(pro_y):
         return AMBIGUOUS
-    winner, losers = (X_MORE_RELIABLE, pro_y) if len(pro_x) > len(pro_y) \
-        else (Y_MORE_RELIABLE, pro_x)
-    supporters = pro_x if winner == X_MORE_RELIABLE else pro_y
-    if not losers:
-        return winner
-    dissent = max(losers)
-    if dissent < TIE_EPSILON or dissent < max(supporters):
-        return winner
-    return AMBIGUOUS
+    winner, support, dissent = ((X_MORE_RELIABLE, pro_x, pro_y) if len(pro_x) > len(pro_y)
+                                else (Y_MORE_RELIABLE, pro_y, pro_x))
+    return winner if max(dissent, default=0.0) < max(TIE_EPSILON, *support) else AMBIGUOUS

@@ -11,11 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .mlp import sigmoid
 from .tree import feature_order, regression_tree, tree_predict
-
-
-def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
 
 
 @dataclass(eq=False)
@@ -36,7 +33,7 @@ class GradientBoostedTrees:
         order = feature_order(x)  # x is the same in every round
         self.trees = []
         for _ in range(self.n_rounds):
-            p = _sigmoid(f)
+            p = sigmoid(f)
             tree = regression_tree(x, y - p, p * (1 - p), order, self.max_depth,
                                    self.min_samples_leaf)
             f = f + self.learning_rate * tree_predict(tree, x)
@@ -48,4 +45,4 @@ class GradientBoostedTrees:
         f = np.full(x.shape[0], self.base_score)
         for root in self.trees:
             f += self.learning_rate * tree_predict(root, x)
-        return _sigmoid(f)
+        return sigmoid(f)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 
-def _sigmoid(z):
+def sigmoid(z):
     # minimum/maximum is np.clip without its wrapper's per-call overhead
     return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(z, -500), 500)))
 
@@ -67,7 +67,7 @@ class MultilayerPerceptron:
             for start in range(0, n, bs):
                 xb, yb = xo[:, start:start + bs], yo[:, start:start + bs]
                 a = np.tanh(xb @ w1 + b1)
-                p = _sigmoid(a @ w2 + b2)
+                p = sigmoid(a @ w2 + b2)
                 delta = (p - yb) / yb.shape[1]  # dL/dz for cross-entropy + sigmoid
                 gw2 = a.transpose(0, 2, 1) @ delta
                 gb2 = delta.sum(axis=1, keepdims=True)
@@ -84,4 +84,4 @@ class MultilayerPerceptron:
     def predict_proba(self, x) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         a = np.tanh(x @ self.w1 + self.b1)
-        return _sigmoid(a @ self.w2 + self.b2)
+        return sigmoid(a @ self.w2 + self.b2)

@@ -1,7 +1,10 @@
 """Hyperparameter tuning with stratified 4-fold cross-validation on AUC,
 plus the TrainedModel wrapper, a codec record (``data.to_record`` /
 ``from_record``) whose estimator is a record of its own and whose
-``format_version`` has one legal value."""
+``format_version`` has one legal value.  Every explainer predicts through
+it: rows, stacked blocks and kernel SHAP's coalition blends.  Any object
+with ``predict_proba`` can be wrapped, since only a record's estimator
+is checked against ``MODEL_KINDS``."""
 
 from __future__ import annotations
 
@@ -97,12 +100,16 @@ class TrainedModel:
         return np.clip(self.estimator.predict_proba(self._checked(features)), 0.0, 1.0)
 
     def predict_coalitions(self, features, background, z) -> np.ndarray:
-        """``predict_blends(self.predict_proba, ...)``, scored without the
-        blends when the estimator can (kNN)."""
-        features = self._checked(features)
-        if not hasattr(self.estimator, "predict_coalitions"):
-            return predict_blends(self.predict_proba, features, background, z)
-        return np.clip(self.estimator.predict_coalitions(features, background, z), 0.0, 1.0)
+        """(n, K) probabilities of the coalition blends: row (i, c) takes
+        features[i, j] where the 0/1 coalition row z[c, j] is 1 and
+        background[j] where it is 0.  Scored without the blends when the
+        estimator can (kNN)."""
+        x = self._checked(features)
+        if hasattr(self.estimator, "predict_coalitions"):
+            return np.clip(self.estimator.predict_coalitions(x, background, z), 0.0, 1.0)
+        (n, m), k = x.shape, len(z)
+        blends = z[None, :, :] * x[:, None, :] + (1.0 - z[None, :, :]) * background[None, None, :]
+        return self.predict_proba(blends.reshape(n * k, m)).reshape(n, k)
 
     def predict_blocks(self, blocks) -> list:
         """``[self.predict_proba(b) for b in blocks]``, in one estimator call
@@ -112,14 +119,6 @@ class TrainedModel:
             return [self.predict_proba(b) for b in blocks]
         proba = self.predict_proba(np.concatenate(blocks))
         return np.split(proba, np.cumsum([len(b) for b in blocks[:-1]]))
-
-
-def predict_blends(predict_proba, x, background, z) -> np.ndarray:
-    """(n, K) probabilities of the coalition blends: row (i, c) takes x[i, j]
-    where the 0/1 coalition row z[c, j] is 1 and background[j] where it is 0."""
-    (n, m), k = x.shape, len(z)
-    blends = z[None, :, :] * x[:, None, :] + (1.0 - z[None, :, :]) * background[None, None, :]
-    return predict_proba(blends.reshape(n * k, m)).reshape(n, k)
 
 
 def build_estimator(kind: str, params: dict):

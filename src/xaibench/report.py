@@ -158,13 +158,13 @@ def render_bump_svg(ranks, record=None, title: str = "") -> str:
     return "\n".join(parts)
 
 
-def render_heatmap_svg(m: PosthocMatrix, title: str = "Pairwise post-hoc p-values") -> str:
+def render_heatmap_svg(m: PosthocMatrix) -> str:
     """k x k colored grid, darker cells for smaller p, values to 2 decimals."""
     k = len(m.labels)
     left, right, top, bottom = 150, 30, 140, 30
     cell_w = (WIDTH - left - right) / k
     cell_h = (HEIGHT - top - bottom) / k
-    parts = _svg_open(title)
+    parts = _svg_open("Pairwise post-hoc p-values")
     for i in range(k):
         for j in range(k):
             p = float(m.p[i, j])

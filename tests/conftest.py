@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from xaibench.data import Dataset
+from xaibench.models.training import TrainedModel
 
 
 def make_signal_noise_dataset(n_rows=240, seed=3, n_extra=1):
@@ -26,15 +27,18 @@ def signal_noise_data():
     return make_signal_noise_dataset()
 
 
+def as_trained(estimator, m):
+    """A bare model with ``predict_proba`` over m features as a TrainedModel,
+    the one model type the explainers take."""
+    return TrainedModel("bare", estimator, m, tuple(f"x{j}" for j in range(m)), 0, {}, 0.0)
+
+
 class LinearProbaModel:
     """Sigmoid of a fixed linear score; handy as a smooth test function."""
-
-    kind = "linear"
 
     def __init__(self, weights, bias=0.0):
         self.weights = np.asarray(weights, dtype=float)
         self.bias = float(bias)
-        self.n_features = len(self.weights)
 
     def predict_proba(self, x):
         z = np.atleast_2d(np.asarray(x, dtype=float)) @ self.weights + self.bias

@@ -40,6 +40,8 @@ from xaibench.stability import spearman
 from xaibench.explainers import RelevanceRank
 from xaibench.stats import MeasurementTable, friedman, nemenyi
 
+from conftest import as_trained
+
 
 def _verdict(number: int, name: str, ok: bool, detail: str) -> None:
     status = "PASS" if ok else "FAIL"
@@ -123,20 +125,20 @@ def test_criterion_03_shapley_correctness():
         x = rng.normal(0.0, 1.0, m)
         ref = rng.normal(0.0, 1.0, m)
         brute = brute_force_shapley(model.predict_proba, x, ref)
-        kernel = shapley_values(model, x[None, :], ref, cfg, exact=True)[0]
+        kernel = shapley_values(as_trained(model, m), x[None, :], ref, cfg, exact=True)[0]
         exact_vs_brute = max(exact_vs_brute, float(np.max(np.abs(kernel - brute))))
     model8 = _QuadraticModel(8, seed=1)
     xs = rng.normal(0.0, 1.0, (50, 8))
     ref = rng.normal(0.0, 1.0, 8)
-    phi = shapley_values(model8, xs, ref, cfg, exact=True)
+    phi = shapley_values(as_trained(model8, 8), xs, ref, cfg, exact=True)
     f0 = float(model8.predict_proba(ref[None, :])[0])
     efficiency_gap = float(np.max(np.abs(
         phi.sum(axis=1) - (model8.predict_proba(xs) - f0))))
     model11 = _QuadraticModel(11, seed=2)
     xs11 = rng.normal(0.0, 1.0, (5, 11))
     ref11 = rng.normal(0.0, 1.0, 11)
-    exact11 = shapley_values(model11, xs11, ref11, cfg, exact=True)
-    sampled11 = shapley_values(model11, xs11, ref11, cfg, exact=False)
+    exact11 = shapley_values(as_trained(model11, 11), xs11, ref11, cfg, exact=True)
+    sampled11 = shapley_values(as_trained(model11, 11), xs11, ref11, cfg, exact=False)
     sampled_gap = float(np.max(np.abs(exact11 - sampled11)))
     elapsed = time.time() - start
     ok = (exact_vs_brute <= 1e-6 and efficiency_gap <= 1e-6

@@ -29,7 +29,7 @@ from xaibench.models import MODEL_KINDS, stratified_kfold, train
 from xaibench.models.training import build_estimator
 from xaibench.seeding import derive_seed, rng_for
 
-from conftest import LinearProbaModel, make_signal_noise_dataset
+from conftest import LinearProbaModel, as_trained, make_signal_noise_dataset
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +40,14 @@ def fitted():
     test_data = data.take(np.arange(180, 260))
     model = train("gbt", train_data, 4, seed=19)
     return model, train_data, test_data
+
+
+@pytest.fixture(scope="module")
+def one_feature_models():
+    """Every model kind trained on the signal column alone, plus its data."""
+    data = make_signal_noise_dataset(n_rows=120, seed=7, n_extra=0)
+    data = Dataset(data.features[:, :1], data.labels, data.feature_names[:1])
+    return data, {kind: train(kind, data, 2, seed=3) for kind in MODEL_KINDS}
 
 
 def ref_dalex(model, test, cfg):
@@ -171,7 +179,7 @@ class TestShapley:
         x = rng.normal(size=3)
         ref = rng.normal(size=3)
         brute = brute_force_shapley(model.predict_proba, x, ref)
-        kernel = shapley_values(model, x[None, :], ref,
+        kernel = shapley_values(as_trained(model, 3), x[None, :], ref,
                                 ExplainerConfig(seed=0), exact=True)[0]
         assert np.max(np.abs(kernel - brute)) <= 1e-9
 
@@ -184,7 +192,7 @@ class TestShapley:
         xs = rng.normal(size=(5, m))
         ref = rng.normal(size=m)
         cfg = ExplainerConfig(seed=seed, coalition_budget=64)
-        phi = shapley_values(model, xs, ref, cfg, exact=exact)
+        phi = shapley_values(as_trained(model, m), xs, ref, cfg, exact=exact)
         f0 = model.predict_proba(ref[None, :])[0]
         assert np.allclose(phi.sum(axis=1), model.predict_proba(xs) - f0, rtol=0, atol=1e-9)
 
@@ -192,13 +200,25 @@ class TestShapley:
         model = LinearProbaModel([2.0])
         x = np.array([[1.0]])
         ref = np.array([0.0])
-        phi = shapley_values(model, x, ref, ExplainerConfig(seed=0))
+        phi = shapley_values(as_trained(model, 1), x, ref, ExplainerConfig(seed=0))
         expected = model.predict_proba(x) - model.predict_proba(ref[None, :])
         assert np.allclose(phi[:, 0], expected)
 
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_one_feature_is_the_difference_bit_for_bit(self, kind, one_feature_models):
+        # no coalition to sample: sampled mode enumerates too, below the
+        # sampling budget's minimum of M + 2
+        data, models = one_feature_models
+        model, x, ref = models[kind], data.features[:20], data.features.mean(axis=0)
+        want = (model.predict_proba(x) - model.predict_proba(ref[None, :])[0])[:, None]
+        for exact in (True, False):
+            phi = shapley_values(model, x, ref, ExplainerConfig(seed=0, coalition_budget=2),
+                                 exact=exact)
+            assert phi.shape == (20, 1) and phi.tobytes() == want.tobytes()
+
     def test_sampled_close_to_exact(self):
         rng = np.random.default_rng(4)
-        model = LinearProbaModel(rng.normal(size=6))
+        model = as_trained(LinearProbaModel(rng.normal(size=6)), 6)
         xs = rng.normal(size=(5, 6))
         ref = rng.normal(size=6)
         cfg = ExplainerConfig(seed=0, coalition_budget=2048)
@@ -209,7 +229,7 @@ class TestShapley:
     def test_budget_too_small_rejected(self):
         model = LinearProbaModel(np.ones(6))
         with pytest.raises(ExplainerError):
-            shapley_values(model, np.ones((1, 6)), np.zeros(6),
+            shapley_values(as_trained(model, 6), np.ones((1, 6)), np.zeros(6),
                            ExplainerConfig(seed=0, coalition_budget=4), exact=False)
 
     def test_irrelevant_feature_gets_zero(self):
@@ -217,7 +237,7 @@ class TestShapley:
         rng = np.random.default_rng(5)
         xs = rng.normal(size=(10, 2))
         ref = rng.normal(size=2)
-        phi = shapley_values(model, xs, ref, ExplainerConfig(seed=0), exact=True)
+        phi = shapley_values(as_trained(model, 2), xs, ref, ExplainerConfig(seed=0), exact=True)
         assert np.max(np.abs(phi[:, 1])) <= 1e-9
 
 

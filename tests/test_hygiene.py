@@ -1,12 +1,15 @@
 """Source hygiene: no module imports a name that it never uses, the
 library defines no function, class, method or property that only tests
-call, no class writes or reads itself by hand, and importing the library
-loads no scipy module (scipy is a test-only dependency).
+call, and no defaulted parameter that only tests set, no class writes or
+reads itself by hand, and importing the library loads no scipy module
+(scipy is a test-only dependency).
 
 No linter ships with the project, so these walk the syntax tree of each
 module.  The import check covers src/, tests/ and bench/; an import whose
 first line carries ``# noqa: F401`` is a deliberate re-export and is
-skipped.  The definition and serializer checks cover src/xaibench.
+skipped.  The definition and serializer checks cover src/xaibench; the
+parameter check takes its definitions from src/xaibench and its calls from
+src/xaibench and bench/.
 """
 
 import ast
@@ -111,6 +114,111 @@ def test_no_definition_only_tests_call():
     sources = {str(path.relative_to(package)): path.read_text(encoding="utf-8")
                for path in sorted(package.rglob("*.py"))}
     assert sorted(name for _, name in unread_definitions(sources)) == sorted(UNREAD_ALLOWED)
+
+
+# Defaulted parameters that no call in src/xaibench or bench/ sets, kept on
+# purpose; a method's is named ``Class.method.parameter``.
+UNSET_ALLOWED = {
+    "shapley_values.exact": "acceptance criterion 03 compares exact and sampled kernel SHAP "
+                            "on one model",
+    "fit_3pl.max_outer": "tests cap the EM loop to check a fit that stops early",
+}
+
+
+def _callees(func, tables: dict) -> list:
+    """Names a call's ``func`` may reach: a name, an attribute, or each
+    function of a dict of functions that the call indexes."""
+    if isinstance(func, ast.Name):
+        return [func.id]
+    if isinstance(func, ast.Attribute):
+        return [func.attr]
+    if isinstance(func, ast.Subscript) and isinstance(func.value, ast.Name):
+        return tables.get(func.value.id, [])
+    return []
+
+
+def unset_parameters(sources: dict) -> list:
+    """``function.parameter`` (``Class.method.parameter`` for a method) for
+    each defaulted parameter of a function in a ``src/`` module of
+    ``sources`` (path -> source) that no call in any module of ``sources``
+    sets, by keyword or by position.  Calls resolve by name, so a call sets
+    the parameter in every function of that name; a call through a dict of
+    functions counts for each of its functions, ``functools.partial(f, ...)``
+    counts as a call of f, and a ``*`` or ``**`` argument sets every
+    parameter it could reach."""
+    trees = {path: ast.parse(src) for path, src in sources.items()}
+    defined = {}  # name -> [(qualified name, positional parameters, defaulted ones)]
+    for path, tree in trees.items():
+        if not path.startswith("src/"):
+            continue
+        methods = {id(item): node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                   for item in node.body if isinstance(item, ast.FunctionDef)}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            owner = methods.get(id(fn))
+            bound = owner is not None and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list)
+            positional = [a.arg for a in fn.args.posonlyargs + fn.args.args][bound:]
+            defaulted = positional[len(positional) - len(fn.args.defaults):] + [
+                a.arg for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+            qualified = f"{owner}.{fn.name}" if owner else fn.name
+            defined.setdefault(fn.name, []).append((qualified, positional, defaulted))
+    tables = {target.id: [v.id if isinstance(v, ast.Name) else v.attr for v in node.value.values]
+              for tree in trees.values() for node in ast.walk(tree)
+              if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+              and node.value.values
+              and all(isinstance(v, (ast.Name, ast.Attribute)) for v in node.value.values)
+              for target in node.targets if isinstance(target, ast.Name)}
+    passed = set()
+    for tree in trees.values():
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func, args = call.func, call.args
+            if "partial" in _callees(func, tables) and args:
+                func, args = args[0], args[1:]
+            starred = any(isinstance(a, ast.Starred) for a in args)
+            keywords = {kw.arg for kw in call.keywords}
+            for name in _callees(func, tables):
+                for qualified, positional, defaulted in defined.get(name, []):
+                    for i, param in enumerate(positional):
+                        if i < len(args) or starred or None in keywords:
+                            passed.add((qualified, param))
+                    passed.update((qualified, kw) for kw in keywords)
+                    if None in keywords:
+                        passed.update((qualified, p) for p in defaulted)
+    return sorted(f"{qualified}.{param}" for entries in defined.values()
+                  for qualified, _, defaulted in entries for param in defaulted
+                  if (qualified, param) not in passed)
+
+
+def test_parameter_checker_flags_only_unset_defaults():
+    sources = {"src/a.py": ("import functools\n"
+                            "def f(x, y=1, *, z=2):\n    pass\n"
+                            "def g(x, y=1, z=2):\n    pass\n"
+                            "def h(x, y=1):\n    pass\n"
+                            "def k(x, y=1):\n    pass\n"
+                            "def never(x=0):\n    pass\n"
+                            "class C:\n"
+                            "    def m(self, a, b=0):\n        pass\n"
+                            "    def n(self, a=0):\n        pass\n"
+                            "def run():\n"
+                            "    table = {'h': h, 'k': k}\n"
+                            "    f(0, z=3)\n"
+                            "    table['h'](0, 1)\n"
+                            "    C().m(1, 2)\n"
+                            "    C().n()\n"
+                            "    return functools.partial(g, z=1)\n"),
+               "bench/b.py": "import a\na.g(0, 5)\ndef local(q=1):\n    pass\n"}
+    assert unset_parameters(sources) == ["C.n.a", "f.y", "never.x"]
+
+
+def test_no_parameter_only_tests_set():
+    sources = {str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
+               for folder in ("src/xaibench", "bench")
+               for path in sorted((ROOT / folder).rglob("*.py"))}
+    assert unset_parameters(sources) == sorted(UNSET_ALLOWED)
 
 
 def test_no_hand_written_serializer():

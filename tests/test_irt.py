@@ -286,9 +286,8 @@ class TestReliabilityCompare:
             assert vy == flipped[vx]
 
     def test_optional_ability_vote_can_decide(self):
-        # 2-vs-1 with an overwhelming dissent is ambiguous on its own, but a
-        # strong pro-x ability margin outweighs it when the fourth vote is on
+        # 2-vs-1 with an overwhelming dissent is ambiguous; mean ability casts
+        # no vote, however strongly it favours x
         x = _summary(-2.0, 1.0, 0.10, theta=2.0)
         y = _summary(-1.9, 2.0, 0.17, theta=0.0)
         assert reliability_compare(x, y) == AMBIGUOUS
-        assert reliability_compare(x, y, use_ability=True) == X_MORE_RELIABLE

@@ -55,9 +55,9 @@ from xaibench.irt import (
     p_correct,
 )
 from xaibench.models import knn
-from xaibench.models.gbt import GradientBoostedTrees, _sigmoid
+from xaibench.models.gbt import GradientBoostedTrees
 from xaibench.models.knn import KNearestNeighbors
-from xaibench.models.mlp import MultilayerPerceptron
+from xaibench.models.mlp import MultilayerPerceptron, sigmoid
 from xaibench.models.tree import (
     _GAIN_TOL,
     DecisionTreeClassifier,
@@ -67,6 +67,8 @@ from xaibench.models.tree import (
     tree_predict,
 )
 from xaibench.seeding import rng_for
+
+from conftest import as_trained
 
 
 # --- reference split search: one feature at a time ------------------------
@@ -312,7 +314,7 @@ def test_boosted_fit_matches_rounds_that_sort_every_node(problem, n_rounds, max_
     want = GradientBoostedTrees(n_rounds, 0.1, max_depth, min_leaf, model.base_score)
     f = np.full(len(y), want.base_score)
     for _ in range(n_rounds):
-        p = _sigmoid(f)
+        p = sigmoid(f)
         tree = ref_regression_tree(x, y - p, p * (1 - p), max_depth, min_leaf)
         f = f + 0.1 * tree_predict(tree, x)
         want.trees.append(tree)
@@ -708,6 +710,7 @@ def ref_coalitions_sampled(m, budget, rng):
 
 
 def ref_shapley_values(model, x, background_row, cfg, exact=None):
+    """Kernel SHAP with loop-built coalitions, and f(x) - f0 directly at M = 1."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     n, m = x.shape
     if m == 1:
@@ -766,6 +769,6 @@ def test_shapley_values_match_reference(data, m, seed):
     x = rng.normal(size=(data.draw(st.integers(1, 4)), m))
     background = rng.normal(size=m)
     cfg = ExplainerConfig(coalition_budget=budget, seed=seed)
-    got = shap_outcome(shapley_values, model, x, background, cfg, exact=exact)
+    got = shap_outcome(shapley_values, as_trained(model, m), x, background, cfg, exact=exact)
     want = shap_outcome(ref_shapley_values, model, x, background, cfg, exact=exact)
     assert got == want

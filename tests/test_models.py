@@ -1,6 +1,7 @@
 """Classifier families, cross-validated tuning and model serialization."""
 
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -19,10 +20,18 @@ from xaibench.models import (
     stratified_kfold,
     train,
 )
-from xaibench.models.training import ROW_EXACT, TrainedModel, build_estimator, predict_blends
+from xaibench.models.training import ROW_EXACT, TrainedModel, build_estimator
 from xaibench.seeding import rng_for
 
 from conftest import make_signal_noise_dataset
+
+
+def blend_proba(predict_proba, x, background, z):
+    """(n, K) ``predict_proba`` of the materialized coalition blends: row
+    (i, c) takes x[i, j] where z[c, j] is 1 and background[j] where it is 0."""
+    (n, m), k = x.shape, len(z)
+    blends = z[None, :, :] * x[:, None, :] + (1.0 - z[None, :, :]) * background[None, None, :]
+    return predict_proba(blends.reshape(n * k, m)).reshape(n, k)
 
 
 class Overshoot:
@@ -36,7 +45,7 @@ class OvershootCoalitions(Overshoot):
     """The same scores, with a coalition method as kNN has."""
 
     def predict_coalitions(self, x, background, z):
-        return predict_blends(self.predict_proba, x, background, z)
+        return blend_proba(self.predict_proba, x, background, z)
 
 
 class CountingOvershoot(Overshoot):
@@ -239,9 +248,18 @@ class TestTrain:
         x = signal_noise_data.features[:7]
         background = signal_noise_data.features.mean(axis=0)
         z = ((np.arange(8)[:, None] >> np.arange(3)) & 1).astype(float)
-        blends = z[None, :, :] * x[:, None, :] + (1.0 - z[None, :, :]) * background
-        want = model.predict_proba(blends.reshape(-1, 3)).reshape(7, 8)
+        want = blend_proba(model.predict_proba, x, background, z)
         assert model.predict_coalitions(x, background, z).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_predict_coalitions_of_no_coalition_is_empty(self, kind, signal_noise_data):
+        # a one-feature kernel SHAP has no proper coalition to score
+        model = train(kind, signal_noise_data, 4, seed=11)
+        x = signal_noise_data.features[:7]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = model.predict_coalitions(x, x.mean(axis=0), np.zeros((0, 3)))
+        assert got.shape == (7, 0) and got.dtype == float
 
     @pytest.mark.parametrize("estimator", [Overshoot(), OvershootCoalitions()])
     def test_predict_coalitions_checks_and_clips_like_predict_proba(self, estimator):
@@ -251,8 +269,7 @@ class TestTrain:
         z = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         got = model.predict_coalitions(x, background, z)
         assert got.tolist() == [[0.0, 0.25, 0.0, 0.75], [0.0, 0.0, 1.0, 1.0]]
-        blends = z[None, :, :] * x[:, None, :] + (1.0 - z[None, :, :]) * background
-        assert got.tobytes() == model.predict_proba(blends.reshape(-1, 2)).reshape(2, 4).tobytes()
+        assert got.tobytes() == blend_proba(model.predict_proba, x, background, z).tobytes()
         with pytest.raises(DatasetError, match="expects 2 features, got 3"):
             model.predict_coalitions(np.ones((2, 3)), np.ones(3), np.ones((1, 3)))
 
