@@ -113,8 +113,10 @@ def level_key(fraction: float) -> str:
 @contextmanager
 def atomic_open(path, newline=None):
     """Open ``path`` for writing text through a same-directory temp file that
-    replaces it only once the block completes: never half a file."""
+    replaces it only once the block completes: never half a file.  The
+    parent directory is created if missing."""
     tmp = os.fspath(path) + ".tmp"
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     try:
         with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
             yield fh

@@ -4,13 +4,16 @@ Probability of class 1 is the fraction of positive labels among the k
 nearest training rows.  Distance ties resolve by training-row order so
 prediction is deterministic.
 
-A squared distance adds its M columns' squared differences on one tree,
-``_sum_order(M)``'s pairwise levels.  Kernel SHAP asks for the probabilities
-of coalition blends: row (i, c) takes ``x[i, j]`` where ``z[c, j]`` is 1 and
-``background[j]`` where it is 0.  ``predict_coalitions`` builds each node of
-that tree once per distinct sub-mask of z from the tables ``(x_i - T)**2``
-and ``(background - T)**2`` (T the training rows), so its distances equal
-``predict_proba``'s on the materialized blends bit for bit.
+Every prediction scores blends of per-column value tables: with values
+(n, V, M) and integer ids (K, M), blend (i, c) takes
+``values[i, ids[c, j], j]`` in column j.  A plain row is V = 1 and K = 1;
+kernel SHAP's coalition blends are V = 2, the values (background, x) with
+``ids = z``.  One path sums both: a squared distance adds its M columns'
+squared differences on one tree, ``_sum_order(M)``'s pairwise levels, and
+``_plan(ids)`` builds each node of that tree once per distinct sub-row of
+ids from the tables ``(values - T)**2`` (T the training rows).  So a
+coalition's distances equal those of its materialized blend, bit for bit.
+Rows go through in blocks of at most ``_BLENDS`` blends.
 """
 
 from __future__ import annotations
@@ -19,8 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-_CHUNK = 256  # bound the (m, chunk, n_train) difference cube
-_BLOCK = 2  # test rows per coalition block: bounds each (K, rows, n_train) table
+_BLENDS = 128  # blends per block: bounds each (K, rows, n_train) distance table
 
 
 def _sum_order(m: int):
@@ -32,35 +34,28 @@ def _sum_order(m: int):
     return nodes[0]
 
 
-def _level_sum(d: np.ndarray) -> np.ndarray:
-    """d summed over its first axis on ``_sum_order``'s tree, in place (one add
-    per level, each even node taking its odd neighbour); returns a copy."""
-    while len(d) > 1:
-        d[0:len(d) - 1:2] += d[1::2]
-        d = d[0::2]
-    return d[0].copy()
-
-
-def _coalition_plan(z: np.ndarray):
+def _plan(ids):
     """Steps that build every node of ``_sum_order``'s tree once per distinct
-    sub-mask of z.  Slots 0..M-1 are the columns, each with values (background,
-    x); step s fills slot M + s with ``slot[left][left_ids] + slot[right][right_ids]``.
-    Returns the steps, the root's slot and each coalition's id among its values."""
-    member = np.asarray(z) == 1
-    m = member.shape[1]
+    sub-row of the integer ids (K, M).  Slots 0..M-1 are the columns, each
+    with its V value tables; step s fills slot M + s with
+    ``slot[left][left_ids] + slot[right][right_ids]``, its pairs distinct and
+    ascending.  Returns the steps, the root's slot and each blend's id among
+    the root's values."""
+    ids = np.asarray(ids).astype(np.intp)
+    m = ids.shape[1]
+    counts = (ids.max(axis=0, initial=0) + 1).tolist()  # value ids per column
     steps = []
 
     def build(node):
         if isinstance(node, int):
-            return node, member[:, node].astype(np.intp)
-        (left, lid), (right, rid) = build(node[0]), build(node[1])
-        width = rid.max(initial=0) + 1
-        pairs, ids = np.unique(lid * width + rid, return_inverse=True)
-        steps.append((left, right, pairs // width, pairs % width))
-        return m + len(steps) - 1, ids
+            return node, ids[:, node], counts[node]
+        (left, lid, _), (right, rid, nr) = build(node[0]), build(node[1])
+        pairs, new = np.unique(lid * nr + rid, return_inverse=True)
+        steps.append((left, right, pairs // nr, pairs % nr))
+        return m + len(steps) - 1, new, len(pairs)
 
-    root, ids = build(_sum_order(m))
-    return steps, root, ids
+    root, root_ids, _ = build(_sum_order(m))
+    return steps, root, root_ids
 
 
 @dataclass(eq=False)
@@ -90,41 +85,35 @@ class KNearestNeighbors:
 
     def predict_proba(self, x) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        out = np.empty(x.shape[0], dtype=float)
-        for start in range(0, x.shape[0], _CHUNK):
-            out[start:start + _CHUNK] = self._vote(self._distances(x[start:start + _CHUNK]))
-        return out
-
-    def _distances(self, x) -> np.ndarray:
-        """(rows, n_train) squared distances of x's rows, on ``_sum_order``'s tree."""
-        t = np.ascontiguousarray(self.x.T)  # (M, n_train): unit stride along n_train
-        return _level_sum((x.T[:, :, None] - t[:, None, :]) ** 2)
+        return self._predict(x[:, None, :], np.zeros((1, x.shape[1]), dtype=np.intp))[:, 0]
 
     def predict_coalitions(self, x, background, z) -> np.ndarray:
         """(n, K) probabilities of the blends of x's rows with background
         under the 0/1 coalition rows z (K, M); equal to ``predict_proba`` on
         the materialized blends, bit for bit."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        out = np.empty((x.shape[0], len(z)), dtype=float)
-        for start, d2 in self._coalition_distances(x, background, z):
+        background = np.broadcast_to(np.asarray(background, dtype=float), x.shape)
+        return self._predict(np.stack([background, x], axis=1), z)
+
+    def _predict(self, values, ids) -> np.ndarray:
+        """(n, K) probabilities of the blends of values (n, V, M) under ids (K, M)."""
+        out = np.empty((len(values), len(ids)))
+        for start, d2 in self._distances(values, ids):
             votes = self._vote(d2.reshape(-1, d2.shape[2]))
-            out[start:start + _BLOCK] = votes.reshape(d2.shape[:2]).T
+            out[start:start + d2.shape[1]] = votes.reshape(d2.shape[:2]).T
         return out
 
-    def _coalition_distances(self, x, background, z):
-        """Yield (start, d2) per block of _BLOCK rows of x: d2 (K, rows,
-        n_train) holds each blend's squared distance to each training row."""
-        steps, root, ids = _coalition_plan(z)
-        t = self.x.T  # (M, n_train)
-        away = (np.asarray(background, dtype=float)[:, None] - t) ** 2
-        for start in range(0, x.shape[0], _BLOCK):
-            block = x[start:start + _BLOCK].T  # (M, rows)
-            # slot j holds column j's squared differences: [0] background, [1] x
-            table = np.empty((len(t), 2, block.shape[1], t.shape[1]))
-            table[:, 0] = away[:, None]
-            table[:, 1] = (block[:, :, None] - t[:, None, :]) ** 2
-            slots = list(table)
+    def _distances(self, values, ids):
+        """Yield (start, d2) per block of rows of values (n, V, M): d2 (K,
+        rows, n_train) holds each blend's squared distance to each training row."""
+        steps, root, root_ids = _plan(ids)
+        t = np.ascontiguousarray(self.x.T)  # (M, n_train): unit stride along n_train
+        rows = max(1, _BLENDS // max(len(ids), 1))
+        for start in range(0, len(values), rows):
+            block = values[start:start + rows].transpose(2, 1, 0)  # (M, V, rows)
+            # slot j holds column j's V tables of squared differences
+            slots = list((block[..., None] - t[:, None, None, :]) ** 2)
             for left, right, lid, rid in steps:
                 slots.append(slots[left][lid] + slots[right][rid])
                 slots[left] = slots[right] = None  # each node feeds one parent
-            yield start, slots[root][ids]
+            yield start, slots[root][root_ids]

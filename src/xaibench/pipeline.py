@@ -151,7 +151,6 @@ def _path(cfg: RunConfig, *parts) -> str:
 
 def _write_json(path, obj) -> None:
     """``obj`` as one line of sorted-key JSON and a newline, written atomically."""
-    os.makedirs(os.path.dirname(path), exist_ok=True)
     with atomic_open(path) as fh:
         json.dump(obj, fh, sort_keys=True)
         fh.write("\n")

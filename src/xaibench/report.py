@@ -258,8 +258,6 @@ def write_report(r: RunReport, icc: dict, bumps: dict, out_dir) -> None:
     ``bumps`` entry ((explainer, kind) -> ranks in ascending level order,
     as :func:`check_slots` returns them).  Byte-identical across runs with
     equal config and seeds."""
-    os.makedirs(out_dir, exist_ok=True)
-
     def path(name):
         return os.path.join(out_dir, name)
 

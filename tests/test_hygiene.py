@@ -1,6 +1,7 @@
 """Source hygiene: no module imports a name that it never uses, the
 library defines no function, class, method or property that only tests
-call, and no defaulted parameter that only tests set, no class writes or
+call, no module-level constant that no library module reads, and no
+defaulted parameter that only tests set, no class writes or
 reads itself by hand, and importing the library loads no scipy module
 (scipy is a test-only dependency).
 
@@ -72,10 +73,10 @@ def test_no_unused_imports():
 
 
 def unread_definitions(sources: dict) -> list:
-    """(module, name) for each module-level function or class, and each
-    non-dunder method or property of a module-level class (``Class.name``),
-    that no module of ``sources`` (module -> source) reads, bare or as an
-    attribute."""
+    """(module, name) for each module-level function, class or non-dunder
+    name bound by a module-level assignment, and each non-dunder method or
+    property of a module-level class (``Class.name``), that no module of
+    ``sources`` (module -> source) reads, bare or as an attribute."""
     trees = {mod: ast.parse(src) for mod, src in sources.items()}
     read = set()
     for tree in trees.values():
@@ -89,6 +90,11 @@ def unread_definitions(sources: dict) -> list:
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in read:
                 unread.append((mod, node.name))
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                unread.extend((mod, name.id) for target in targets for name in ast.walk(target)
+                              if isinstance(name, ast.Name) and not name.id.startswith("__")
+                              and name.id not in read)
             if isinstance(node, ast.ClassDef):
                 unread.extend((mod, f"{node.name}.{item.name}") for item in node.body
                               if isinstance(item, ast.FunctionDef)
@@ -103,10 +109,13 @@ def test_definition_checker_flags_only_unread_names():
                      "class Unread:\n    def used(self):\n        pass\n"
                      "class Kept:\n    def __init__(self):\n        pass\n"
                      "    def read(self):\n        pass\n"
-                     "    @property\n    def unread(self):\n        pass\n"),
-               "b": "import a\nstored_only = a.helper()\na.Kept().read()\n"}
-    assert unread_definitions(sources) == [("a", "Kept.unread"), ("a", "Unread"),
-                                           ("a", "stored_only")]
+                     "    @property\n    def unread(self):\n        pass\n"
+                     "__version__ = '1'\nLIMIT = 3\n_SPARE: int = 4\nLOW, _HIGH = 0, 1\n"),
+               "b": ("import a\nstored_only = a.helper()\na.Kept().read()\n"
+                     "print(a.LIMIT, a.LOW)\n")}
+    assert unread_definitions(sources) == [("a", "Kept.unread"), ("a", "Unread"), ("a", "_HIGH"),
+                                           ("a", "_SPARE"), ("a", "stored_only"),
+                                           ("b", "stored_only")]
 
 
 def test_no_definition_only_tests_call():

@@ -25,9 +25,9 @@ the fit stops exactly when an iteration gains less than ``TOL``.
 That a stacked ``np.matmul`` equals the 2-D product of each slice bit for
 bit is a property of this numpy/OpenBLAS build (numpy hands each slice to
 the same BLAS call), not something numpy guarantees; that test is what
-guards it.  kNN's squared distances need no such guard: both of its paths
-add on the tree ``_sum_order`` builds, and the oracle sums that tree one
-node at a time."""
+guards it.  kNN's squared distances need no such guard: plain rows and
+coalitions go through one plan on the tree ``_sum_order`` builds, and the
+oracle sums that tree one node at a time."""
 
 import json
 import math
@@ -521,6 +521,15 @@ def blends_of(x, background, z):
             + (1.0 - z[None, :, :]) * background[None, None, :]).reshape(n * len(z), m)
 
 
+def plain_distances(model, x):
+    """(rows, n_train) squared distances of x's rows, as plain rows: one value
+    table per column (V = 1) and one blend (K = 1)."""
+    d2 = np.empty((len(x), len(model.x)))
+    for start, block in model._distances(x[:, None, :], np.zeros((1, x.shape[1]), dtype=int)):
+        d2[start:start + block.shape[1]] = block[0]
+    return d2
+
+
 def assert_coalitions_match_blends(model, x, background, z):
     n, k = len(x), len(z)
     blends = blends_of(x, background, z)
@@ -528,12 +537,17 @@ def assert_coalitions_match_blends(model, x, background, z):
     assert got.shape == (n, k)
     assert got.tobytes() == model.predict_proba(blends).reshape(n, k).tobytes()
     # the distances too: a last-bit change shows even where no neighbour flips
-    want = model._distances(blends)
+    want = plain_distances(model, blends)
     diff2 = (blends[:, None, :] - model.x[None, :, :]) ** 2
     assert want.tobytes() == tree_sum(diff2, knn._sum_order(x.shape[1])).tobytes()
     want = want.reshape(n, k, len(model.x)).transpose(1, 0, 2)
-    for start, d2 in model._coalition_distances(x, background, z):
+    values = np.stack([np.broadcast_to(background, x.shape), x], axis=1)  # (n, 2, M)
+    covered = 0
+    for start, d2 in model._distances(values, z):
+        assert start == covered
         assert d2.tobytes() == want[:, start:start + d2.shape[1]].tobytes()
+        covered += d2.shape[1]
+    assert covered == n
 
 
 @settings(max_examples=200, deadline=None)
@@ -542,7 +556,6 @@ def test_knn_predict_coalitions_matches_blends(data):
     m = data.draw(st.integers(1, 20))
     n_train = data.draw(st.integers(1, 25))
     k = data.draw(st.integers(1, 30))  # k >= n_train included
-    n = data.draw(st.integers(1, 3 * knn._BLOCK + 1))  # several row blocks
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     if data.draw(st.booleans()):  # integer grid: many distances tie, also at the k-th
         def values(shape):
@@ -557,6 +570,8 @@ def test_knn_predict_coalitions_matches_blends(data):
         z = ((np.arange(2 ** m)[:, None] >> np.arange(m)) & 1).astype(float)
     else:  # sampled, repeats included
         z = rng.integers(0, 2, size=(data.draw(st.integers(0, 64)), m)).astype(float)
+    rows = max(1, knn._BLENDS // max(len(z), 1))  # rows per block at this K
+    n = data.draw(st.integers(1, 3 * rows + 1))  # several row blocks
     model = KNearestNeighbors(k).fit(x_train, y_train)
     assert_coalitions_match_blends(model, values((n, m)), values(m), z)
 
@@ -581,14 +596,34 @@ def test_sum_order_lists_every_column_once_in_ascending_order():
         assert columns_of(knn._sum_order(m)) == list(range(m)), m
 
 
-def test_level_sum_adds_on_the_sum_order_tree():
+def test_plain_row_distances_add_on_the_sum_order_tree():
     # spread magnitudes: any other order of the adds shows in the last bits
     rng = np.random.default_rng(0)
     for m in [*range(1, 41), 127, 128, 129, 257]:
-        for shape in [(33, m), (4, 37, m)]:
-            a = rng.random(shape) * 10.0 ** rng.integers(-6, 7, size=shape)
-            got = knn._level_sum(np.moveaxis(a, -1, 0).copy())
-            assert got.tobytes() == tree_sum(a, knn._sum_order(m)).tobytes(), m
+        for rows in [33, 2 * knn._BLENDS + 3]:  # one block, several blocks
+            x, t = (rng.random((n, m)) * 10.0 ** rng.integers(-6, 7, size=(n, m))
+                    for n in (rows, 37))
+            model = KNearestNeighbors(3).fit(t, rng.integers(0, 2, size=37).astype(float))
+            want = tree_sum((x[:, None, :] - t[None, :, :]) ** 2, knn._sum_order(m))
+            assert plain_distances(model, x).tobytes() == want.tobytes(), m
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_plan_builds_each_distinct_sub_row_once(data):
+    v = data.draw(st.integers(1, 4))
+    m = data.draw(st.integers(1, 20))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    pool = rng.integers(0, v, size=(data.draw(st.integers(1, 40)), m))
+    ids = pool[rng.integers(0, len(pool), size=data.draw(st.integers(0, 60)))]  # repeats
+    steps, root, root_ids = knn._plan(ids)
+    # two blends share a root id exactly when their id rows are equal
+    same_row = (ids[:, None, :] == ids[None, :, :]).all(axis=2)
+    assert ((root_ids[:, None] == root_ids[None, :]) == same_row).all()
+    assert len(steps) == m - 1 and root == 2 * m - 2  # a step per inner node, root last
+    for left, right, lid, rid in steps:
+        pairs = list(zip(lid.tolist(), rid.tolist()))
+        assert pairs == sorted(set(pairs))  # distinct and ascending
 
 
 # --- reference MLP fit: index the rows of every minibatch -----------------

@@ -589,6 +589,14 @@ class TestCli:
         assert data.n_rows == 768
         assert data.class_counts()[1] == 268
 
+    def test_synth_data_creates_missing_directories(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for path in ("new/dir/data.csv", "bare.csv"):  # a nested and a bare relative path
+            assert cli.main(["synth-data", "--out", path]) == 0
+            assert load_csv(path).n_rows == 768
+        assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")
+                      if p.is_file()) == ["bare.csv", "new/dir/data.csv"]  # no .tmp left
+
     def test_synth_data_seed_changes_content(self, tmp_path):
         a, b, c = (str(tmp_path / n) for n in ("a.csv", "b.csv", "c.csv"))
         cli.main(["synth-data", "--out", a, "--seed", "1"])
