@@ -48,9 +48,9 @@ _KEYS = {
 
 def parse_config_file(path) -> dict:
     """Flat key = value format; '#' starts a comment.  A value that does not
-    parse, or that ``RunConfig`` refuses on its own, is refused with the
-    file, the line and the key."""
-    out = {}
+    parse, or that ``RunConfig`` refuses on its own, and a key set twice are
+    refused with the file, the line and the key."""
+    out, lines = {}, {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
@@ -61,6 +61,8 @@ def parse_config_file(path) -> dict:
             key, value = (s.strip() for s in line.split("=", 1))
             if key not in _KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if lines.setdefault(key, lineno) != lineno:
+                raise ValueError(f"{path}:{lineno}: key {key!r} already set on line {lines[key]}")
             field, parse, _ = _KEYS[key]
             try:
                 out[key] = parse(value)

@@ -12,15 +12,13 @@ All randomness flows through per-feature seed streams derived from the
 config seed, so equal seeds give identical ranks regardless of evaluation
 order.
 
-dalex, eli5, skater and eXirt build every perturbed copy of the test set
-first and score them all through one ``TrainedModel.predict_blocks`` call.
-On gbt, cart and kNN, a row's prediction does not depend on the other rows
-of the call, so that is one ``predict_proba`` on the stacked copies and
-gives the same bits as a call per copy.  The MLP gets a call per copy: BLAS
-blocks its matmuls by row count, so a stacked call would differ in the low
-bits.  Scores are then accumulated in the order of the per-copy loops.
-Kernel SHAP scores its coalition blends through
-``TrainedModel.predict_coalitions`` at every width, M = 1 included.
+Each explainer scores its synthetic rows in one ``TrainedModel.predict_blends``
+call, bit-equal to a call per materialized copy.  dalex, eli5, skater and
+eXirt score one-column copies (``_copies``) of base rows, the column taken
+from a table: dalex's are its stacked subsamples reflected about the column
+means, eli5's and skater's one shuffle per repetition, eXirt's one shuffle.
+Kernel SHAP passes the tables (background, x) with ``ids = z`` at every
+width, M = 1 included.  Scores add up in the order of the per-copy loops.
 """
 
 from __future__ import annotations
@@ -118,37 +116,35 @@ def _stratified_subsample(labels, fraction, rng):
     return np.array(idx, dtype=int)
 
 
-def _shuffled(features: np.ndarray, j: int, rng) -> np.ndarray:
-    """A copy of ``features`` with column j permuted by one draw of ``rng``."""
-    x = np.array(features, copy=True)
-    x[:, j] = x[rng.permutation(len(x)), j]
-    return x
+def _shuffle_columns(features: np.ndarray, rngs) -> np.ndarray:
+    """A copy of ``features`` with each column j permuted by one draw of rngs[j]."""
+    return np.column_stack([features[rng.permutation(len(features)), j]
+                            for j, rng in enumerate(rngs)])
+
+
+def _copies(model: TrainedModel, base: np.ndarray, tables) -> np.ndarray:
+    """(n, 1 + M * T) predictions of the base rows (n, M), then of each copy:
+    blend 1 + j * T + t is base with column j from tables[t], each (n, M)."""
+    m, t = base.shape[1], len(tables)
+    ids = np.zeros((1 + m * t, m), dtype=np.intp)
+    for j in range(m):
+        ids[1 + j * t:1 + (j + 1) * t, j] = np.arange(1, t + 1)
+    return model.predict_blends(np.stack([base, *tables], axis=1), ids)
 
 
 def explain_dalex_style(model: TrainedModel, train: Dataset, test: Dataset,
                         cfg: ExplainerConfig, perturbation_fraction=0.0) -> RelevanceRank:
     """Column-inversion relevance: reflect each test column about its mean
     and measure the AUC drop, averaged over row subsamples."""
-    col_mean = test.features.mean(axis=0)
-    m = test.n_features
-    subsample_labels, blocks = [], []  # per rep: the subsample, then its m inversions
-    for rep in range(cfg.repetitions):
-        rng = rng_for(cfg.seed, "dalex", rep)
-        idx = _stratified_subsample(test.labels, DALEX_SUBSAMPLE, rng)
-        x = test.features[idx]
-        subsample_labels.append(test.labels[idx])
-        blocks.append(x)
-        for j in range(m):
-            inv = np.array(x, copy=True)
-            inv[:, j] = 2.0 * col_mean[j] - inv[:, j]
-            blocks.append(inv)
-    proba = iter(model.predict_blocks(blocks))
-    drops = np.zeros(m)
-    for y in subsample_labels:
-        base_auc = roc_auc_score(y, next(proba))
-        for j in range(m):
-            drops[j] += base_auc - roc_auc_score(y, next(proba))
-    drops /= cfg.repetitions
+    # (R, rows): every subsample takes the same count of each class
+    idx = np.stack([_stratified_subsample(test.labels, DALEX_SUBSAMPLE,
+                                          rng_for(cfg.seed, "dalex", rep))
+                    for rep in range(cfg.repetitions)])
+    x = test.features[idx.ravel()]
+    inverted = 2.0 * test.features.mean(axis=0) - x
+    proba = _copies(model, x, [inverted]).reshape(*idx.shape, 1 + test.n_features)
+    auc = np.array([[roc_auc_score(y, q) for q in p.T] for y, p in zip(test.labels[idx], proba)])
+    drops = sum(auc[:, :1] - auc[:, 1:]) / cfg.repetitions  # adds the repetitions in order
     return rank_from_scores(test.feature_names, drops, "dalex", model.kind,
                             perturbation_fraction)
 
@@ -159,14 +155,13 @@ def _shuffle_relevance(model: TrainedModel, test: Dataset, cfg: ExplainerConfig,
     each feature, each from its own stream, all predicted in one call.
     ``scorer(base)`` takes the unshuffled predictions and returns the score
     of one shuffled copy's predictions; a feature's relevance is its mean."""
-    shuffles = [(j, _shuffled(test.features, j, rng_for(cfg.seed, explainer, name, rep)))
-                for j, name in enumerate(test.feature_names) for rep in range(cfg.repetitions)]
-    base, *proba = model.predict_blocks([test.features] + [x for _, x in shuffles])
-    score = scorer(base)
-    scores = np.zeros(test.n_features)
-    for (j, _), p in zip(shuffles, proba):
-        scores[j] += score(p)
-    scores /= cfg.repetitions
+    tables = [_shuffle_columns(test.features, [rng_for(cfg.seed, explainer, name, rep)
+                                               for name in test.feature_names])
+              for rep in range(cfg.repetitions)]
+    proba = _copies(model, test.features, tables)
+    score = scorer(proba[:, 0])
+    copies = proba[:, 1:].reshape(test.n_rows, test.n_features, cfg.repetitions).T  # (R, M, n)
+    scores = sum(np.array([score(p) for p in rep]) for rep in copies) / cfg.repetitions
     return rank_from_scores(test.feature_names, scores, explainer, model.kind,
                             perturbation_fraction)
 
@@ -298,7 +293,8 @@ def shapley_values(model: TrainedModel, x: np.ndarray, background_row: np.ndarra
     fx = model.predict_proba(x)
     f0 = float(model.predict_proba(background_row[None, :])[0])
     # synthetic inputs: coalition members keep x, the rest take the reference
-    preds = model.predict_coalitions(x, background_row, z)
+    values = np.stack([np.broadcast_to(background_row, x.shape), x], axis=1)
+    preds = model.predict_blends(values, z.astype(np.intp))
     phi_head = (preds - f0 - np.outer(fx - f0, z[:, -1])) @ solver.T
     return np.column_stack([phi_head, fx - f0 - phi_head.sum(axis=1)])
 
@@ -359,9 +355,9 @@ def _exirt_pool(model: TrainedModel, test: Dataset, cfg: ExplainerConfig) -> Res
     model, one feature-shuffled probe per feature, then the bootstrap
     respondents."""
     y = test.labels
-    probes = [_shuffled(test.features, j, rng_for(cfg.seed, "exirt", name))
-              for j, name in enumerate(test.feature_names)]
-    rows = [labels_from_proba(p) == y for p in model.predict_blocks([test.features, *probes])]
+    shuffled = _shuffle_columns(test.features, [rng_for(cfg.seed, "exirt", name)
+                                                for name in test.feature_names])
+    rows = [labels_from_proba(p) == y for p in _copies(model, test.features, [shuffled]).T]
     base_correct = rows[0]
     for b in range(cfg.bootstrap_respondents):
         rng = rng_for(cfg.seed, "exirt-bootstrap", b)

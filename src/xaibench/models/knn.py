@@ -7,12 +7,14 @@ prediction is deterministic.
 Every prediction scores blends of per-column value tables: with values
 (n, V, M) and integer ids (K, M), blend (i, c) takes
 ``values[i, ids[c, j], j]`` in column j.  A plain row is V = 1 and K = 1;
-kernel SHAP's coalition blends are V = 2, the values (background, x) with
-``ids = z``.  One path sums both: a squared distance adds its M columns'
+``TrainedModel.predict_blends`` hands over the explainers' one-column
+copies (the base table in every column but one) and kernel SHAP's
+coalition blends (the values (background, x) with ``ids = z``) as they
+are.  One path sums them all: a squared distance adds its M columns'
 squared differences on one tree, ``_sum_order(M)``'s pairwise levels, and
 ``_plan(ids)`` builds each node of that tree once per distinct sub-row of
 ids from the tables ``(values - T)**2`` (T the training rows).  So a
-coalition's distances equal those of its materialized blend, bit for bit.
+blend's distances equal those of its materialized row, bit for bit.
 Rows go through in blocks of at most ``_BLENDS`` blends.
 """
 
@@ -85,18 +87,11 @@ class KNearestNeighbors:
 
     def predict_proba(self, x) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        return self._predict(x[:, None, :], np.zeros((1, x.shape[1]), dtype=np.intp))[:, 0]
+        return self.predict_blends(x[:, None, :], np.zeros((1, x.shape[1]), dtype=np.intp))[:, 0]
 
-    def predict_coalitions(self, x, background, z) -> np.ndarray:
-        """(n, K) probabilities of the blends of x's rows with background
-        under the 0/1 coalition rows z (K, M); equal to ``predict_proba`` on
-        the materialized blends, bit for bit."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        background = np.broadcast_to(np.asarray(background, dtype=float), x.shape)
-        return self._predict(np.stack([background, x], axis=1), z)
-
-    def _predict(self, values, ids) -> np.ndarray:
-        """(n, K) probabilities of the blends of values (n, V, M) under ids (K, M)."""
+    def predict_blends(self, values, ids) -> np.ndarray:
+        """(n, K) probabilities of the blends of values (n, V, M) under ids
+        (K, M); equal to ``predict_proba`` on the materialized blends, bit for bit."""
         out = np.empty((len(values), len(ids)))
         for start, d2 in self._distances(values, ids):
             votes = self._vote(d2.reshape(-1, d2.shape[2]))

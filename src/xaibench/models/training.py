@@ -2,9 +2,11 @@
 plus the TrainedModel wrapper, a codec record (``data.to_record`` /
 ``from_record``) whose estimator is a record of its own and whose
 ``format_version`` has one legal value.  Every explainer predicts through
-it: rows, stacked blocks and kernel SHAP's coalition blends.  Any object
-with ``predict_proba`` can be wrapped, since only a record's estimator
-is checked against ``MODEL_KINDS``."""
+it: plain rows through ``predict_proba``, and every synthetic row (the
+one-column copies of dalex, eli5, skater and eXirt, kernel SHAP's
+coalition blends) through ``predict_blends``.  Any object with
+``predict_proba`` can be wrapped, since only a record's estimator is
+checked against ``MODEL_KINDS``."""
 
 from __future__ import annotations
 
@@ -91,34 +93,33 @@ class TrainedModel:
 
     def _checked(self, features) -> np.ndarray:
         features = np.atleast_2d(np.asarray(features, dtype=float))
-        if features.shape[1] != self.n_features:
+        if features.shape[-1] != self.n_features:
             raise DatasetError(
-                f"model expects {self.n_features} features, got {features.shape[1]}")
+                f"model expects {self.n_features} features, got {features.shape[-1]}")
         return features
 
     def predict_proba(self, features) -> np.ndarray:
         return np.clip(self.estimator.predict_proba(self._checked(features)), 0.0, 1.0)
 
-    def predict_coalitions(self, features, background, z) -> np.ndarray:
-        """(n, K) probabilities of the coalition blends: row (i, c) takes
-        features[i, j] where the 0/1 coalition row z[c, j] is 1 and
-        background[j] where it is 0.  Scored without the blends when the
-        estimator can (kNN)."""
-        x = self._checked(features)
-        if hasattr(self.estimator, "predict_coalitions"):
-            return np.clip(self.estimator.predict_coalitions(x, background, z), 0.0, 1.0)
-        (n, m), k = x.shape, len(z)
-        blends = z[None, :, :] * x[:, None, :] + (1.0 - z[None, :, :]) * background[None, None, :]
-        return self.predict_proba(blends.reshape(n * k, m)).reshape(n, k)
-
-    def predict_blocks(self, blocks) -> list:
-        """``[self.predict_proba(b) for b in blocks]``, in one estimator call
-        on the stacked blocks when the kind is ``ROW_EXACT``."""
-        blocks = [self._checked(b) for b in blocks]
-        if self.kind not in ROW_EXACT:
-            return [self.predict_proba(b) for b in blocks]
-        proba = self.predict_proba(np.concatenate(blocks))
-        return np.split(proba, np.cumsum([len(b) for b in blocks[:-1]]))
+    def predict_blends(self, values, ids) -> np.ndarray:
+        """(n, K) probabilities of the blends of the value tables (n, V, M)
+        under the integer ids (K, M): blend (i, c) takes
+        ``values[i, ids[c, j], j]`` in column j.  The estimator scores them
+        itself when it can (kNN).  A ``ROW_EXACT`` kind gets one call on all
+        n * K blend rows, any other kind one call per id row on its n rows."""
+        values, ids = self._checked(values), np.asarray(ids, dtype=np.intp)
+        (n, _, m), k = values.shape, len(ids)
+        if hasattr(self.estimator, "predict_blends"):
+            proba = self.estimator.predict_blends(values, ids)
+        elif self.kind in ROW_EXACT:
+            rows = values[:, ids, np.arange(m)].reshape(n * k, m)
+            proba = self.estimator.predict_proba(rows).reshape(n, k)
+        else:
+            proba = np.empty((n, k))
+            for c, row in enumerate(ids):  # C order, as a copy of the rows would be
+                blend = np.ascontiguousarray(values[:, row, np.arange(m)])
+                proba[:, c] = self.estimator.predict_proba(blend)
+        return np.clip(proba, 0.0, 1.0)
 
 
 def build_estimator(kind: str, params: dict):

@@ -230,17 +230,22 @@ def _prepare(cfg: RunConfig, stage: str):
 
 
 def stage_train(cfg: RunConfig) -> None:
-    """Check the dataset and its split, then tune every configured model kind."""
+    """Check the dataset and its split, clear old outputs, then tune every model kind."""
     fingerprint = _fingerprint(cfg, "train")  # before parsing: a later edit is refused
     _, train_std, _ = _prepare(cfg, "train")
     # stats.json, the commit marker, goes first and comes back last; every
     # file a run writes goes too, and the CSVs and metrics.json of older
     # versions, so no earlier run's output outlives this one
-    for pattern in [("prepared", "stats.json"), ("ranks.json",), ("irt", "fit_*.json"),
-                    ("models", "*.json"), ("report.json",), ("heatmap.svg",), ("icc_*.svg",),
-                    ("bump_*.svg",), ("metrics.json",), ("prepared", "*.csv")]:
-        for path in glob.glob(os.path.join(glob.escape(cfg.out_dir), *pattern)):
-            os.remove(path)
+    stale = [path for pattern in [("prepared", "stats.json"), ("ranks.json",),
+                                  ("irt", "fit_*.json"), ("models", "*.json"), ("report.json",),
+                                  ("heatmap.svg",), ("icc_*.svg",), ("bump_*.svg",),
+                                  ("metrics.json",), ("prepared", "*.csv")]
+             for path in glob.glob(os.path.join(glob.escape(cfg.out_dir), *pattern))]
+    if any(os.path.samefile(path, cfg.dataset) for path in stale):
+        raise PipelineError("train", f"dataset {cfg.dataset} is one of the files train "
+                                     f"clears from --out {cfg.out_dir}; move it elsewhere")
+    for path in stale:
+        os.remove(path)
     for kind in cfg.models:
         model = train(kind, train_std, cfg.cv_folds, derive_seed(cfg.master_seed, "train", kind))
         _write_json(_path(cfg, "models", f"{kind}.json"), to_record(model))

@@ -2,8 +2,9 @@
 library defines no function, class, method or property that only tests
 call, no module-level constant that no library module reads, and no
 defaulted parameter that only tests set, no class writes or
-reads itself by hand, and importing the library loads no scipy module
-(scipy is a test-only dependency).
+reads itself by hand, README.md and the docstrings name in backticks no
+xaibench module, class or attribute that does not exist, and importing the
+library loads no scipy module (scipy is a test-only dependency).
 
 No linter ships with the project, so these walk the syntax tree of each
 module.  The import check covers src/, tests/ and bench/; an import whose
@@ -14,9 +15,14 @@ src/xaibench and bench/.
 """
 
 import ast
+import importlib
 import pathlib
+import pkgutil
+import re
 import subprocess
 import sys
+
+import xaibench
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -254,6 +260,85 @@ def test_no_hand_written_serializer():
                       for dump in ast.walk(node) if isinstance(dump, ast.Attribute)
                       and dump.attr == "dump" and isinstance(dump.value, ast.Name)
                       and dump.value.id == "json" and (path.name, owner) not in dump_allowed]
+    assert found == []
+
+
+# Last parts that make a dotted name a file name (``report.json``), not code.
+FILE_SUFFIXES = {"cfg", "csv", "json", "md", "py", "svg", "toml", "txt"}
+
+
+def backticked_names(text: str) -> list:
+    """The dotted names that ``text`` puts in backticks, single or double,
+    each span read up to a call's argument list (``knn._plan(ids)`` is
+    ``knn._plan``).  Fenced code blocks and file names are skipped."""
+    text = re.sub(r"```.*?```", "", text, flags=re.S)
+    names = []
+    for double, single in re.findall(r"``(.+?)``|`([^`]+)`", text):
+        span = re.fullmatch(r"([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)(?:\(.*\))?",
+                            (double or single).strip(), flags=re.S)
+        if span and span.group(1).rsplit(".", 1)[1] not in FILE_SUFFIXES:
+            names.append(span.group(1))
+    return names
+
+
+def xaibench_roots() -> dict:
+    """First parts a dotted name may start with: ``xaibench``, each module's
+    last name (``knn``, ``training``) and each class a module defines."""
+    roots = {"xaibench": xaibench}
+    for info in pkgutil.walk_packages(xaibench.__path__, "xaibench."):
+        module = importlib.import_module(info.name)
+        roots[info.name.rsplit(".", 1)[1]] = module
+        roots.update((name, obj) for name, obj in vars(module).items() if isinstance(obj, type)
+                     and obj.__module__ == module.__name__)
+    return roots
+
+
+def unresolved_names(names, roots: dict) -> list:
+    """Each name whose first part is a key of ``roots`` and whose other parts
+    do not resolve, attribute by attribute; a dataclass field resolves."""
+    unresolved = []
+    for name in names:
+        first, *rest = name.split(".")
+        if first not in roots:
+            continue
+        obj = roots[first]
+        for part in rest:
+            if part in getattr(obj, "__dataclass_fields__", {}):
+                break  # a field: nothing to resolve past an instance attribute
+            if not hasattr(obj, part):
+                unresolved.append(name)
+                break
+            obj = getattr(obj, part)
+    return unresolved
+
+
+def test_docs_checker_flags_only_stale_xaibench_names():
+    sample = ("Blends go through `TrainedModel.predict_blends(values,\n ids)` and "
+              "``knn._plan``, not ``TrainedModel.predict_gone``; see `report.json`, "
+              "`np.argsort`, `RunConfig.fractions`, `xaibench.models.knn._sum_order`, "
+              "`data.no_such`, `self.x` and `knn` alone.\n"
+              "```python\nx = `data.gone`\n```\n")
+    names = backticked_names(sample)
+    assert names == ["TrainedModel.predict_blends", "knn._plan", "TrainedModel.predict_gone",
+                     "np.argsort", "RunConfig.fractions", "xaibench.models.knn._sum_order",
+                     "data.no_such", "self.x"]
+    assert unresolved_names(names, xaibench_roots()) == ["TrainedModel.predict_gone",
+                                                         "data.no_such"]
+
+
+def test_docs_name_only_what_exists():
+    """README.md and every docstring under src/xaibench name, in backticks,
+    only xaibench modules, classes and attributes that exist."""
+    roots = xaibench_roots()
+    found = [f"README.md: {name}" for name in
+             unresolved_names(backticked_names((ROOT / "README.md").read_text("utf-8")), roots)]
+    for path in sorted((ROOT / "src" / "xaibench").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+                doc = ast.get_docstring(node) or ""
+                found += [f"{path.relative_to(ROOT)}: {name}"
+                          for name in unresolved_names(backticked_names(doc), roots)]
     assert found == []
 
 

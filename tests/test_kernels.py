@@ -4,7 +4,7 @@ The references below are the original per-feature split loop, the
 stable-argsort kNN, the per-batch index MLP loop and the loop-built
 coalitions with a diagonal weight matrix; the rewrites evaluate the same
 points with the same arithmetic, so results must match exactly, not within
-a tolerance.  kNN's ``predict_coalitions`` must give ``predict_proba``'s
+a tolerance.  kNN's ``predict_blends`` must give ``predict_proba``'s
 probabilities on the materialized coalition blends, and their squared
 distances, byte for byte.  The exception is the Gini reference: CART grows
 its tree with the squared-error search, whose gain is n/2 times the Gini
@@ -533,7 +533,8 @@ def plain_distances(model, x):
 def assert_coalitions_match_blends(model, x, background, z):
     n, k = len(x), len(z)
     blends = blends_of(x, background, z)
-    got = model.predict_coalitions(x, background, z)
+    values = np.stack([np.broadcast_to(background, x.shape), x], axis=1)  # (n, 2, M)
+    got = model.predict_blends(values, z.astype(int))
     assert got.shape == (n, k)
     assert got.tobytes() == model.predict_proba(blends).reshape(n, k).tobytes()
     # the distances too: a last-bit change shows even where no neighbour flips
@@ -541,7 +542,6 @@ def assert_coalitions_match_blends(model, x, background, z):
     diff2 = (blends[:, None, :] - model.x[None, :, :]) ** 2
     assert want.tobytes() == tree_sum(diff2, knn._sum_order(x.shape[1])).tobytes()
     want = want.reshape(n, k, len(model.x)).transpose(1, 0, 2)
-    values = np.stack([np.broadcast_to(background, x.shape), x], axis=1)  # (n, 2, M)
     covered = 0
     for start, d2 in model._distances(values, z):
         assert start == covered
@@ -552,7 +552,7 @@ def assert_coalitions_match_blends(model, x, background, z):
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_knn_predict_coalitions_matches_blends(data):
+def test_knn_predict_blends_matches_coalition_blends(data):
     m = data.draw(st.integers(1, 20))
     n_train = data.draw(st.integers(1, 25))
     k = data.draw(st.integers(1, 30))  # k >= n_train included
@@ -577,7 +577,7 @@ def test_knn_predict_coalitions_matches_blends(data):
 
 
 @pytest.mark.parametrize("m", [129, 257])
-def test_knn_predict_coalitions_matches_blends_on_wide_rows(m):
+def test_knn_predict_blends_matches_coalition_blends_on_wide_rows(m):
     rng = np.random.default_rng(m)
     x_train = rng.normal(size=(12, m)) * 10.0 ** rng.integers(-3, 4, size=(12, m))
     model = KNearestNeighbors(3).fit(x_train, rng.integers(0, 2, size=12).astype(float))
@@ -745,9 +745,10 @@ def ref_coalitions_sampled(m, budget, rng):
 
 
 def ref_shapley_values(model, x, background_row, cfg, exact=None):
-    """Kernel SHAP with loop-built coalitions, and f(x) - f0 directly at M = 1."""
+    """Kernel SHAP with loop-built coalitions, one ``predict_proba`` call per
+    coalition, and f(x) - f0 directly at M = 1."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    n, m = x.shape
+    m = x.shape[1]
     if m == 1:
         fx = model.predict_proba(x)
         f0 = model.predict_proba(background_row[None, :])[0]
@@ -766,10 +767,9 @@ def ref_shapley_values(model, x, background_row, cfg, exact=None):
     solve = ref_solver(z, weights)
     fx = model.predict_proba(x)
     f0 = float(model.predict_proba(background_row[None, :])[0])
-    k = len(z)
-    blends = (z[None, :, :] * x[:, None, :]
-              + (1.0 - z[None, :, :]) * background_row[None, None, :])
-    preds = model.predict_proba(blends.reshape(n * k, m)).reshape(n, k)
+    # a bare model is not row-exact, so each coalition's n blends get a call
+    preds = np.column_stack([model.predict_proba(np.where(row == 1.0, x, background_row))
+                             for row in z])
     return solve(preds - f0, fx - f0)
 
 

@@ -1,5 +1,6 @@
 """Classifier families, cross-validated tuning and model serialization."""
 
+import functools
 import json
 import warnings
 from dataclasses import replace
@@ -17,21 +18,32 @@ from xaibench.models import (
     KNearestNeighbors,
     MultilayerPerceptron,
     default_grids,
+    knn,
     stratified_kfold,
     train,
 )
 from xaibench.models.training import ROW_EXACT, TrainedModel, build_estimator
 from xaibench.seeding import rng_for
 
-from conftest import make_signal_noise_dataset
+from conftest import LinearProbaModel, make_signal_noise_dataset
 
 
-def blend_proba(predict_proba, x, background, z):
-    """(n, K) ``predict_proba`` of the materialized coalition blends: row
-    (i, c) takes x[i, j] where z[c, j] is 1 and background[j] where it is 0."""
-    (n, m), k = x.shape, len(z)
-    blends = z[None, :, :] * x[:, None, :] + (1.0 - z[None, :, :]) * background[None, None, :]
-    return predict_proba(blends.reshape(n * k, m)).reshape(n, k)
+def materialize(values, ids):
+    """(n, K, M) blend rows of the value tables (n, V, M) under the ids
+    (K, M), one table at a time: blend (i, c) takes values[i, ids[c, j], j]."""
+    out = np.empty((len(values), len(ids), values.shape[2]))
+    for c, row in enumerate(ids):
+        out[:, c] = values[:, 0]
+        for v in range(1, values.shape[1]):
+            out[:, c] = np.where(row == v, values[:, v], out[:, c])
+    return out
+
+
+def blend_proba(predict_proba, values, ids):
+    """(n, K) ``predict_proba`` of the materialized blends, one call per blend."""
+    blends = materialize(values, ids)
+    proba = [predict_proba(np.ascontiguousarray(blends[:, c])) for c in range(len(ids))]
+    return np.array(proba).reshape(len(ids), len(values)).T
 
 
 class Overshoot:
@@ -41,11 +53,11 @@ class Overshoot:
         return x.sum(axis=1)
 
 
-class OvershootCoalitions(Overshoot):
-    """The same scores, with a coalition method as kNN has."""
+class OvershootBlends(Overshoot):
+    """The same scores, with a blend method as kNN has."""
 
-    def predict_coalitions(self, x, background, z):
-        return blend_proba(self.predict_proba, x, background, z)
+    def predict_blends(self, values, ids):
+        return blend_proba(self.predict_proba, values, ids)
 
 
 class CountingOvershoot(Overshoot):
@@ -57,6 +69,26 @@ class CountingOvershoot(Overshoot):
     def predict_proba(self, x):
         self.calls.append(len(x))
         return super().predict_proba(x)
+
+
+# one small fit per kind and width, shared by the blend property's examples
+_PROPERTY_ESTIMATORS = {
+    "gbt": lambda: GradientBoostedTrees(n_rounds=10, max_depth=2),
+    "mlp": lambda: MultilayerPerceptron(hidden_units=4, epochs=20),
+    "cart": lambda: DecisionTreeClassifier(max_depth=4),
+    "knn": lambda: KNearestNeighbors(k=3),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def property_model(kind, m):
+    """A TrainedModel of ``kind`` (or a bare linear model) over m features."""
+    rng = np.random.default_rng(m)
+    x = rng.normal(size=(60, m))
+    y = (x.sum(axis=1) + rng.normal(size=60) > 0).astype(int)
+    est = (LinearProbaModel(rng.normal(size=m)) if kind == "bare"
+           else _PROPERTY_ESTIMATORS[kind]().fit(x, y, rng=rng_for(m, kind)))
+    return TrainedModel(kind, est, m, tuple(f"x{j}" for j in range(m)), 0, {}, 0.5)
 
 
 def ref_train(kind, train_data, folds, seed):
@@ -241,37 +273,26 @@ class TestTrain:
             model.predict_proba(np.ones((4, 99)))
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
-    def test_predict_coalitions_equals_predict_proba_on_the_blends(self, kind,
-                                                                   signal_noise_data):
-        # knn scores the coalitions itself; gbt, cart and mlp predict the blends
-        model = train(kind, signal_noise_data, 4, seed=11)
-        x = signal_noise_data.features[:7]
-        background = signal_noise_data.features.mean(axis=0)
-        z = ((np.arange(8)[:, None] >> np.arange(3)) & 1).astype(float)
-        want = blend_proba(model.predict_proba, x, background, z)
-        assert model.predict_coalitions(x, background, z).tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("kind", MODEL_KINDS)
-    def test_predict_coalitions_of_no_coalition_is_empty(self, kind, signal_noise_data):
+    def test_predict_blends_of_no_blend_is_empty(self, trained_kinds, kind):
         # a one-feature kernel SHAP has no proper coalition to score
-        model = train(kind, signal_noise_data, 4, seed=11)
-        x = signal_noise_data.features[:7]
+        data, models = trained_kinds
+        values = np.stack([data.features[:7], data.features[7:14]], axis=1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = model.predict_coalitions(x, x.mean(axis=0), np.zeros((0, 3)))
+            got = models[kind].predict_blends(values, np.zeros((0, 3), dtype=int))
         assert got.shape == (7, 0) and got.dtype == float
 
-    @pytest.mark.parametrize("estimator", [Overshoot(), OvershootCoalitions()])
-    def test_predict_coalitions_checks_and_clips_like_predict_proba(self, estimator):
+    @pytest.mark.parametrize("estimator", [Overshoot(), OvershootBlends()])
+    def test_predict_blends_checks_and_clips_like_predict_proba(self, estimator):
         model = TrainedModel("knn", estimator, 2, ("a", "b"), 0, {}, 0.5)
         x = np.array([[0.25, 0.5], [-2.0, 3.0]])
-        background = np.array([-1.0, 0.0])
-        z = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        got = model.predict_coalitions(x, background, z)
+        values = np.stack([np.broadcast_to([-1.0, 0.0], x.shape), x], axis=1)
+        ids = np.array([[0, 0], [1, 0], [0, 1], [1, 1]])
+        got = model.predict_blends(values, ids)
         assert got.tolist() == [[0.0, 0.25, 0.0, 0.75], [0.0, 0.0, 1.0, 1.0]]
-        assert got.tobytes() == blend_proba(model.predict_proba, x, background, z).tobytes()
+        assert got.tobytes() == blend_proba(model.predict_proba, values, ids).tobytes()
         with pytest.raises(DatasetError, match="expects 2 features, got 3"):
-            model.predict_coalitions(np.ones((2, 3)), np.ones(3), np.ones((1, 3)))
+            model.predict_blends(np.ones((2, 2, 3)), np.ones((1, 3), dtype=int))
 
     @pytest.mark.parametrize("seed, winner", [(0, {"n_rounds": 100, "max_depth": 3}),
                                               (2, {"n_rounds": 50, "max_depth": 3}),
@@ -286,32 +307,36 @@ class TestTrain:
         assert got.cv_score.hex() == want.cv_score.hex()
         assert to_record(got.estimator) == to_record(want.estimator)
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from(MODEL_KINDS),
-           st.lists(st.one_of(st.just(1), st.integers(1, 300)), min_size=1, max_size=6),
-           st.integers(0, 2 ** 32 - 1))
-    def test_predict_blocks_equals_a_call_per_block(self, trained_kinds, kind, sizes, seed):
-        # blocks over 256 rows cross knn's distance chunks at other offsets
-        data, models = trained_kinds
-        rng = np.random.default_rng(seed)
-        blocks = [data.features[rng.integers(0, data.n_rows, n)] for n in sizes]
-        for x in blocks[::2]:  # shuffled and off-grid values, as explainers make
-            x[:, rng.integers(x.shape[1])] = rng.normal(size=len(x)) * 3.0
-        got = models[kind].predict_blocks(blocks)
-        assert len(got) == len(blocks)
-        for proba, x in zip(got, blocks):
-            assert proba.tobytes() == models[kind].predict_proba(x).tobytes()
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(MODEL_KINDS + ("bare",)), st.data())
+    def test_predict_blends_equals_predict_proba_on_the_blends(self, kind, data):
+        # knn scores the blends itself, gbt and cart in one call, mlp and a
+        # bare model one call per blend: each equals a call per materialized blend
+        v, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 20))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        pool = rng.integers(0, v, size=(data.draw(st.integers(1, 30)), m))
+        ids = pool[rng.integers(0, len(pool), size=data.draw(st.integers(0, 70)))]  # repeats
+        rows = max(1, knn._BLENDS // max(len(ids), 1))  # knn's rows per block at this K
+        n = data.draw(st.integers(1, 3 * rows + 1))
+        if data.draw(st.booleans()):  # integer grid: many kNN distances tie
+            values = rng.integers(-2, 3, size=(n, v, m)).astype(float)
+        else:
+            values = rng.normal(size=(n, v, m)) * 10.0 ** rng.integers(-3, 4, size=(n, v, m))
+        model = property_model(kind, m)
+        got = model.predict_blends(values, ids)
+        assert got.shape == (n, len(ids))
+        assert got.tobytes() == blend_proba(model.predict_proba, values, ids).tobytes()
 
-    @pytest.mark.parametrize("kind", MODEL_KINDS)
-    def test_predict_blocks_stacks_only_row_exact_kinds(self, kind):
+    @pytest.mark.parametrize("kind", MODEL_KINDS + ("bare",))
+    def test_predict_blends_calls_row_exact_kinds_once(self, kind):
         estimator = CountingOvershoot()
         model = TrainedModel(kind, estimator, 2, ("a", "b"), 0, {}, 0.5)
-        blocks = [[[0.25, 0.5], [-2.0, 3.0]], [[0.5, 0.25]], [[1.0, 1.0], [0.0, 0.0]]]
-        got = model.predict_blocks(blocks)
-        assert [p.tolist() for p in got] == [[0.75, 1.0], [0.75], [1.0, 0.0]]
-        assert estimator.calls == ([5] if kind in ROW_EXACT else [2, 1, 2])
-        with pytest.raises(DatasetError, match="expects 2 features, got 3"):
-            model.predict_blocks([np.ones((1, 2)), np.ones((1, 3))])
+        values = np.array([[[0.25, 0.5], [-2.0, 3.0], [0.5, 0.25]],
+                           [[1.0, 1.0], [0.0, 0.0], [0.5, -0.5]]])  # (n, V, M) = (2, 3, 2)
+        ids = np.array([[0, 0], [0, 2], [2, 1]])
+        got = model.predict_blends(values, ids)
+        assert got.tolist() == [[0.75, 0.5, 1.0], [1.0, 0.5, 0.5]]
+        assert estimator.calls == ([6] if kind in ROW_EXACT else [2, 2, 2])
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_save_load_round_trip(self, kind, signal_noise_data):

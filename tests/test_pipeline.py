@@ -389,6 +389,26 @@ class TestRunAll:
         run(tmp_path / "fresh", "cart", "eli5")
         assert files(out) == sorted(files(tmp_path / "fresh") + ["notes.txt"])
 
+    @pytest.mark.parametrize("name", ["prepared/data.csv", "metrics.json"])
+    def test_train_refuses_a_dataset_it_would_remove(self, small_dataset_path, tmp_path,
+                                                     monkeypatch, capsys, name):
+        """A dataset that train's cleanup would match is refused by name
+        before any file goes: the dataset and the earlier run stay intact."""
+        monkeypatch.chdir(tmp_path)
+        args = ["--models", "cart", "--explainers", "eli5", "--levels", "0,10",
+                "--cv-folds", "2"]
+        assert cli.main(["run", "--dataset", small_dataset_path, "--out", "hz", *args]) == 0
+        os.makedirs(os.path.dirname(os.path.join("hz", name)) or ".", exist_ok=True)
+        shutil.copy(small_dataset_path, os.path.join("hz", name))
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        dataset = os.path.join("hz", name)
+        assert cli.main(["run", "--dataset", dataset, "--out", "hz", *args]) == 1
+        assert capsys.readouterr().err == (f"error: [train] dataset {dataset} is one of the "
+                                           f"files train clears from --out hz; move it "
+                                           f"elsewhere\n")
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
     def test_a_train_that_stops_early_leaves_no_commit_marker(self, small_dataset_path,
                                                               tmp_path, monkeypatch):
         """A train under another config that fails on its second model kind
@@ -772,6 +792,17 @@ class TestCli:
         path.write_text("just some words\n")
         with pytest.raises(ValueError, match="key = value"):
             cli.parse_config_file(path)
+
+    def test_config_file_key_set_twice(self, tmp_path, capsys):
+        path = tmp_path / "twice.cfg"
+        path.write_text("seed = 1\n# the same key again\nseed = 2\n")
+        with pytest.raises(ValueError) as exc:
+            cli.parse_config_file(path)
+        assert str(exc.value) == f"{path}:3: key 'seed' already set on line 1"
+        assert cli.main(["run", "--config", str(path), "--dataset", "x",
+                         "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {path}:3: key 'seed' already set on line 1\n"
+        assert not (tmp_path / "o").exists()
 
     def test_subcommands_are_the_stages(self):
         parser = cli.make_parser()
