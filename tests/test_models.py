@@ -1,6 +1,7 @@
 """Classifier families, cross-validated tuning and model serialization."""
 
 import functools
+import itertools
 import json
 import warnings
 from dataclasses import replace
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from xaibench import explainers
 from xaibench.data import Dataset, DatasetError, from_record, to_record
 from xaibench.metrics import roc_auc_score
 from xaibench.models import (
@@ -271,6 +273,38 @@ class TestTrain:
         model = train("cart", signal_noise_data, 4, seed=11)
         with pytest.raises(ValueError):
             model.predict_proba(np.ones((4, 99)))
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_predict_coalitions_equals_predict_proba_on_the_blends(self, trained_kinds, kind):
+        # kernel SHAP's call: tables (background, x), ids the coalitions z
+        data, models = trained_kinds
+        x = data.features[:7]
+        background = np.broadcast_to(data.features.mean(axis=0), x.shape)
+        values = np.stack([background, x], axis=1)
+        z = (np.arange(8)[:, None] >> np.arange(3)) & 1
+        want = blend_proba(models[kind].predict_proba, values, z)
+        assert models[kind].predict_blends(values, z).tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(MODEL_KINDS), st.one_of(st.just(1), st.integers(1, 300)),
+           st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+    def test_predict_blocks_equals_a_call_per_block(self, trained_kinds, kind, n, t, seed):
+        # the explainers' one-column copies of trained models on data rows,
+        # each equal to a predict_proba call on that copy alone; over 128
+        # rows, knn's blend blocks break at other offsets
+        data, models = trained_kinds
+        rng = np.random.default_rng(seed)
+        base = data.features[rng.integers(0, data.n_rows, n)]
+        tables = [rng.permutation(base) for _ in range(t)]
+        for x in tables[::2]:  # shuffled and off-grid values, as explainers make
+            x[:, rng.integers(x.shape[1])] = rng.normal(size=n) * 3.0
+        got = explainers._copies(models[kind], base, tables)
+        assert got.shape == (n, 1 + data.n_features * t)
+        assert got[:, 0].tobytes() == models[kind].predict_proba(base).tobytes()
+        for j, (r, x) in itertools.product(range(data.n_features), enumerate(tables)):
+            copy = base.copy()
+            copy[:, j] = x[:, j]
+            assert got[:, 1 + j * t + r].tobytes() == models[kind].predict_proba(copy).tobytes()
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_predict_blends_of_no_blend_is_empty(self, trained_kinds, kind):
