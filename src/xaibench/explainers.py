@@ -32,7 +32,7 @@ import numpy as np
 from .data import Dataset
 from .irt import ResponseMatrix, fit_3pl
 from .metrics import accuracy_score, labels_from_proba, roc_auc_score
-from .models.training import TrainedModel, build_estimator, stratified_kfold
+from .models.training import TrainedModel, build_estimator, fit_each, stratified_kfold
 from .seeding import derive_seed, rng_for
 
 EXPLAINERS = ("dalex", "eli5", "exirt", "lofo", "shap", "skater")
@@ -175,39 +175,45 @@ def explain_eli5_style(model: TrainedModel, train: Dataset, test: Dataset,
     return _shuffle_relevance(model, test, cfg, "eli5", drop, perturbation_fraction)
 
 
-def lofo_refits(model: TrainedModel, train: Dataset, cfg: ExplainerConfig) -> list:
+def lofo_refits(model: TrainedModel, train: Dataset, cfg: ExplainerConfig,
+                fit=fit_each) -> list:
     """Leave-one-feature-out refits of the model's kind (with its tuned
-    hyperparameters) on each CV fold of the training split.
+    hyperparameters) on each CV fold of the training split, every one
+    through ``fit`` (a ``fit_pool`` or ``fit_each``).
 
     Returns one ``(base, without)`` pair per fold: ``base`` is fitted on every
     feature and ``without[j]`` without feature j.  With a single feature,
     ``without[0]`` is the fold's positive rate (a constant predictor).  An
     estimator with ``fit_many`` (the MLP) trains a fold's M leave-one-out
-    nets in one call, each from the same stream as a lone ``fit`` would use.
+    nets as one job, each from the same stream as a lone ``fit`` would use;
+    those groups, the longest jobs, go first.
     """
     kind, hyperparams = model.kind, model.hyperparams
     y_tr = train.labels
     folds = stratified_kfold(y_tr, cfg.cv_folds, derive_seed(cfg.seed, "lofo-folds"))
     m = train.n_features
-    refits = []
+    grouped = hasattr(build_estimator(kind, hyperparams), "fit_many")
+    bases, drops = [], []  # per fold one base fit, and one group or M fits without a feature
     for fi, (tr, _val) in enumerate(folds):
         x_fold, y_fold = train.features[tr], y_tr[tr]
-        base = build_estimator(kind, hyperparams)
-        base.fit(x_fold, y_fold, rng=rng_for(cfg.seed, "lofo", fi, "base"))
+        bases.append((build_estimator(kind, hyperparams), x_fold, y_fold,
+                      rng_for(cfg.seed, "lofo", fi, "base")))
         if m == 1:
-            # no features left: constant majority-rate predictor
-            without = [float(np.mean(y_fold))]
-        elif hasattr(base, "fit_many"):
-            without = base.fit_many([np.delete(x_fold, j, axis=1) for j in range(m)], y_fold,
-                                    [rng_for(cfg.seed, "lofo", fi, j) for j in range(m)])
+            continue
+        xs = [np.delete(x_fold, j, axis=1) for j in range(m)]
+        rngs = [rng_for(cfg.seed, "lofo", fi, j) for j in range(m)]
+        if grouped:
+            drops.append((build_estimator(kind, hyperparams), xs, y_fold, rngs))
         else:
-            without = []
-            for j in range(m):
-                est = build_estimator(kind, hyperparams)
-                est.fit(np.delete(x_fold, j, axis=1), y_fold, rng=rng_for(cfg.seed, "lofo", fi, j))
-                without.append(est)
-        refits.append((base, without))
-    return refits
+            drops += [(build_estimator(kind, hyperparams), xj, y_fold, r)
+                      for xj, r in zip(xs, rngs)]
+    fitted = fit(drops + bases)
+    without = fitted[:len(drops)]
+    if m == 1:  # no features left: constant majority-rate predictor
+        without = [[float(np.mean(y_tr[tr]))] for tr, _val in folds]
+    elif not grouped:
+        without = [without[fi * m:(fi + 1) * m] for fi in range(len(folds))]
+    return list(zip(fitted[len(drops):], without))
 
 
 def explain_lofo_style(model: TrainedModel, train: Dataset, test: Dataset,

@@ -2,6 +2,7 @@ from .training import (  # noqa: F401
     MODEL_KINDS,
     TrainedModel,
     default_grids,
+    fit_pool,
     stratified_kfold,
     train,
 )

@@ -15,11 +15,13 @@ squared differences on one tree, ``_sum_order(M)``'s pairwise levels, and
 ``_plan(ids)`` builds each node of that tree once per distinct sub-row of
 ids from the tables ``(values - T)**2`` (T the training rows).  So a
 blend's distances equal those of its materialized row, bit for bit.
-Rows go through in blocks of at most ``_BLENDS`` blends.
+A plain row's plan depends on M alone, so ``_row_plan`` builds it once per
+M.  Rows go through in blocks of at most ``_BLENDS`` blends.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,6 +62,12 @@ def _plan(ids):
     return steps, root, root_ids
 
 
+@functools.lru_cache(maxsize=None)
+def _row_plan(m: int):
+    """``_plan`` of a plain row, the ids (1, m) of zeros."""
+    return _plan(np.zeros((1, m), dtype=np.intp))
+
+
 @dataclass(eq=False)
 class KNearestNeighbors:
     k: int = 5
@@ -87,23 +95,29 @@ class KNearestNeighbors:
 
     def predict_proba(self, x) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        return self.predict_blends(x[:, None, :], np.zeros((1, x.shape[1]), dtype=np.intp))[:, 0]
+        return self._predict(x[:, None, :], _row_plan(x.shape[1]))[:, 0]
 
     def predict_blends(self, values, ids) -> np.ndarray:
         """(n, K) probabilities of the blends of values (n, V, M) under ids
         (K, M); equal to ``predict_proba`` on the materialized blends, bit for bit."""
-        out = np.empty((len(values), len(ids)))
-        for start, d2 in self._distances(values, ids):
+        return self._predict(values, _plan(ids))
+
+    def _predict(self, values, plan) -> np.ndarray:
+        """(n, K) probabilities of the blends of values (n, V, M) that
+        ``plan``, the ``_plan`` of the ids (K, M), builds."""
+        out = np.empty((len(values), len(plan[2])))
+        for start, d2 in self._distances(values, plan):
             votes = self._vote(d2.reshape(-1, d2.shape[2]))
             out[start:start + d2.shape[1]] = votes.reshape(d2.shape[:2]).T
         return out
 
-    def _distances(self, values, ids):
+    def _distances(self, values, plan):
         """Yield (start, d2) per block of rows of values (n, V, M): d2 (K,
-        rows, n_train) holds each blend's squared distance to each training row."""
-        steps, root, root_ids = _plan(ids)
+        rows, n_train) holds the squared distance to each training row of
+        each blend that ``plan``, the ``_plan`` of the ids (K, M), builds."""
+        steps, root, root_ids = plan
         t = np.ascontiguousarray(self.x.T)  # (M, n_train): unit stride along n_train
-        rows = max(1, _BLENDS // max(len(ids), 1))
+        rows = max(1, _BLENDS // max(len(root_ids), 1))
         for start in range(0, len(values), rows):
             block = values[start:start + rows].transpose(2, 1, 0)  # (M, V, rows)
             # slot j holds column j's V tables of squared differences

@@ -6,10 +6,15 @@ it: plain rows through ``predict_proba``, and every synthetic row (the
 one-column copies of dalex, eli5, skater and eXirt, kernel SHAP's
 coalition blends) through ``predict_blends``.  Any object with
 ``predict_proba`` can be wrapped, since only a record's estimator is
-checked against ``MODEL_KINDS``."""
+checked against ``MODEL_KINDS``.
+
+``fit_pool`` fits the tuning grid and lofo's refits on a process pool; each
+fit draws only from its own generator, so it is the same bit for bit there."""
 
 from __future__ import annotations
 
+import contextlib
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -145,23 +150,68 @@ def stratified_kfold(labels, folds: int, seed: int):
     return out
 
 
-def _boosting_prefix(kind: str, params: dict, fitted: list):
-    """The gbt of ``params`` as the first trees of a longer fit in ``fitted``
-    with otherwise equal params, or None.  Boosting draws no random numbers,
-    so an n-round fit is the first n trees of any longer one, tree for tree."""
-    if kind != "gbt":
-        return None
-    n = params["n_rounds"]
-    for est in fitted:
-        prefix = replace(est, n_rounds=n, trees=est.trees[:n])
-        if est.n_rounds >= n and all(getattr(prefix, k) == v for k, v in params.items()):
-            return prefix
-    return None
+def _fit_job(job):
+    """Fit one job: ``(estimator, x, y, rng)`` gives the fitted estimator,
+    and a ``fit_many`` group ``(mlp, xs, y, rngs)`` the list of its nets."""
+    est, x, y, rng = job
+    return est.fit_many(x, y, rng) if isinstance(rng, list) else est.fit(x, y, rng=rng)
 
 
-def train(kind: str, train_data: Dataset, folds: int, seed: int) -> TrainedModel:
+def fit_each(jobs) -> list:
+    """Fit every job in this process, in order."""
+    return [_fit_job(job) for job in jobs]
+
+
+@contextlib.contextmanager
+def fit_pool():
+    """Yield ``fit(jobs)``, which fits a list of independent jobs (see
+    ``_fit_job``) and returns them in order.  With two or more workers, one
+    per CPU in ``os.sched_getaffinity``, and two or more jobs, they run on a
+    ``fork`` process pool, opened by the first such call and closed on exit;
+    otherwise ``fit_each`` fits them here.  A job's exception reaches the
+    caller with its type and message.  ``fork``, not ``spawn``: a spawned
+    worker imports numpy and xaibench again, which costs more than the pool
+    saves; the pool forks its workers before it starts its own threads, and
+    xaibench starts none."""
+    workers = len(os.sched_getaffinity(0))
+    pool = None
+
+    def fit(jobs):
+        nonlocal pool
+        if workers < 2 or len(jobs) < 2:
+            return fit_each(jobs)
+        if pool is None:
+            import multiprocessing  # here only, so it stays out of the import time
+            pool = multiprocessing.get_context("fork").Pool(workers)
+        return pool.map(_fit_job, jobs, chunksize=1)
+
+    try:
+        yield fit
+    finally:
+        if pool is not None:
+            pool.terminate()
+            pool.join()
+
+
+def _prefix_sources(kind: str, grid: list) -> list:
+    """Per candidate, the index of an earlier fitted gbt candidate with equal
+    params but at least as many rounds, or None.  Boosting draws no random
+    numbers, so an n-round fit is the first n trees of any longer one."""
+    sources = []
+    for params in grid:
+        longer = [j for j, other in enumerate(grid[:len(sources)])
+                  if kind == "gbt" and sources[j] is None
+                  and other["n_rounds"] >= params["n_rounds"]
+                  and dict(other, n_rounds=0) == dict(params, n_rounds=0)]
+        sources.append(longer[0] if longer else None)
+    return sources
+
+
+def train(kind: str, train_data: Dataset, folds: int, seed: int, fit=fit_each) -> TrainedModel:
     """Grid search over ``default_grids()[kind]`` by mean AUC across ``folds``
-    stratified folds, then refit the winner on the full split.
+    stratified folds, then refit the winner on the full split.  ``fit`` (a
+    ``fit_pool`` or ``fit_each``) fits every (candidate, fold) that is not a
+    boosting prefix of an earlier one.
 
     Ties go to the earliest candidate in the declared grid order.
     """
@@ -174,16 +224,21 @@ def train(kind: str, train_data: Dataset, folds: int, seed: int) -> TrainedModel
         raise DatasetError("training data contains a single class")
     x = train_data.features
     splits = stratified_kfold(y, folds, seed)
-    fitted = [[] for _ in splits]  # each fold's tuning fits
+    grid = default_grids()[kind]
+    sources = _prefix_sources(kind, grid)
+    cells = [(pi, fi) for pi, src in enumerate(sources) if src is None
+             for fi in range(len(splits))]
+    jobs = [(build_estimator(kind, grid[pi]), x[splits[fi][0]], y[splits[fi][0]],
+             rng_for(seed, "cv", pi, fi)) for pi, fi in cells]
+    fitted = dict(zip(cells, fit(jobs)))
     best_params, best_score = None, -np.inf
-    for pi, params in enumerate(default_grids()[kind]):
+    for pi, (params, src) in enumerate(zip(grid, sources)):
         scores = []
-        for fi, (tr, val) in enumerate(splits):
-            est = _boosting_prefix(kind, params, fitted[fi])
-            if est is None:
-                est = build_estimator(kind, params)
-                est.fit(x[tr], y[tr], rng=rng_for(seed, "cv", pi, fi))
-                fitted[fi].append(est)
+        for fi, (_, val) in enumerate(splits):
+            est = fitted[pi if src is None else src, fi]
+            if src is not None:
+                n = params["n_rounds"]
+                est = replace(est, n_rounds=n, trees=est.trees[:n])
             scores.append(roc_auc_score(y[val], est.predict_proba(x[val])))
         mean_auc = float(np.mean(scores))
         if mean_auc > best_score + 1e-12:
@@ -200,4 +255,3 @@ def train(kind: str, train_data: Dataset, folds: int, seed: int) -> TrainedModel
         hyperparams=dict(best_params),
         cv_score=best_score,
     )
-

@@ -53,7 +53,7 @@ from .explainers import (
 )
 from .irt import IrtFit, default_theta_grid, icc, summarize
 from .metrics import classification_report
-from .models import MODEL_KINDS, TrainedModel, train
+from .models import MODEL_KINDS, TrainedModel, fit_pool, train
 from .report import RunReport, check_slots, verdicts, write_report
 from .seeding import derive_seed
 from .stability import stability_sum
@@ -246,9 +246,11 @@ def stage_train(cfg: RunConfig) -> None:
                                      f"clears from --out {cfg.out_dir}; move it elsewhere")
     for path in stale:
         os.remove(path)
-    for kind in cfg.models:
-        model = train(kind, train_std, cfg.cv_folds, derive_seed(cfg.master_seed, "train", kind))
-        _write_json(_path(cfg, "models", f"{kind}.json"), to_record(model))
+    with fit_pool() as pool:  # one pool for every kind's tuning fits
+        for kind in cfg.models:
+            model = train(kind, train_std, cfg.cv_folds,
+                          derive_seed(cfg.master_seed, "train", kind), pool)
+            _write_json(_path(cfg, "models", f"{kind}.json"), to_record(model))
     _write_json(_path(cfg, "prepared", "stats.json"), fingerprint)
 
 
@@ -276,21 +278,23 @@ def stage_explain(cfg: RunConfig) -> None:
                "shap": explain_kernel_shap, "skater": explain_skater_style}
 
     ranks = []
-    for kind in cfg.models:
-        model = models[kind]
-        if "lofo" in cfg.explainers:
-            # one set of refits per kind scores every level
-            refits = lofo_refits(model, train_std, cfg.explainer_config("lofo", kind, 0.0))
-            explain["lofo"] = functools.partial(explain_lofo_style, refits=refits)
-        for f, test in variants.items():
-            for explainer in cfg.explainers:
-                result = explain[explainer](model, train_std, test,
-                                            cfg.explainer_config(explainer, kind, f), f)
-                if explainer == "exirt":
-                    result, fit = result
-                    _write_json(_path(cfg, "irt", f"fit_{kind}_{level_key(f)}.json"),
-                                to_record(fit))
-                ranks.append(to_record(result))
+    with fit_pool() as pool:  # one pool for every kind's lofo refits
+        for kind in cfg.models:
+            model = models[kind]
+            if "lofo" in cfg.explainers:
+                # one set of refits per kind scores every level
+                refits = lofo_refits(model, train_std, cfg.explainer_config("lofo", kind, 0.0),
+                                     pool)
+                explain["lofo"] = functools.partial(explain_lofo_style, refits=refits)
+            for f, test in variants.items():
+                for explainer in cfg.explainers:
+                    result = explain[explainer](model, train_std, test,
+                                                cfg.explainer_config(explainer, kind, f), f)
+                    if explainer == "exirt":
+                        result, fit = result
+                        _write_json(_path(cfg, "irt", f"fit_{kind}_{level_key(f)}.json"),
+                                    to_record(fit))
+                    ranks.append(to_record(result))
     _write_json(_path(cfg, "ranks.json"), ranks)
 
 

@@ -3,8 +3,10 @@ library defines no function, class, method or property that only tests
 call, no module-level constant that no library module reads, and no
 defaulted parameter that only tests set, no class writes or
 reads itself by hand, README.md and the docstrings name in backticks no
-xaibench module, class or attribute that does not exist, and importing the
-library loads no scipy module (scipy is a test-only dependency).
+xaibench module, class or attribute that does not exist, only
+``training.fit_pool`` imports a process pool, and importing the library
+loads no scipy module (scipy is a test-only dependency) and no
+multiprocessing module.
 
 No linter ships with the project, so these walk the syntax tree of each
 module.  The import check covers src/, tests/ and bench/; an import whose
@@ -340,6 +342,76 @@ def test_docs_name_only_what_exists():
                 found += [f"{path.relative_to(ROOT)}: {name}"
                           for name in unresolved_names(backticked_names(doc), roots)]
     assert found == []
+
+
+# The one function that may import a process pool, so there is one pool path
+# and a run that needs no pool pays no import time for one.
+POOL_FUNCTION = ("models/training.py", "fit_pool")
+
+
+def _imported_modules(node) -> list:
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.module and not node.level:
+        return [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+    return []
+
+
+def pool_imports(sources: dict) -> list:
+    """``module:line`` for each import of ``multiprocessing`` or
+    ``concurrent.futures`` (a submodule included) in ``sources`` (module ->
+    source) outside the function ``POOL_FUNCTION`` names, module level
+    included."""
+    found = []
+
+    def visit(mod, node, inside):
+        for child in ast.iter_child_nodes(node):
+            if any(name.split(".")[0] == "multiprocessing"
+                   or name.startswith("concurrent.futures")
+                   for name in _imported_modules(child)) and not inside:
+                found.append(f"{mod}:{child.lineno}")
+            visit(mod, child, inside or (isinstance(child, ast.FunctionDef)
+                                         and (mod, child.name) == POOL_FUNCTION))
+
+    for mod, source in sources.items():
+        visit(mod, ast.parse(source), False)
+    return found
+
+
+def test_pool_import_checker_flags_every_other_import():
+    pool_module, pool_function = POOL_FUNCTION
+    sources = {pool_module: ("import os\n"
+                             f"def {pool_function}():\n"
+                             "    import multiprocessing\n"
+                             "    def fit():\n"
+                             "        from multiprocessing import pool\n"
+                             "def other():\n"
+                             "    import multiprocessing.pool\n"),
+               "a.py": ("import multiprocessing as mp\n"
+                        "from concurrent.futures import ProcessPoolExecutor\n"
+                        "from concurrent import futures\n"
+                        "import concurrent\n"
+                        f"def {pool_function}():\n"
+                        "    import multiprocessing\n")}
+    assert pool_imports(sources) == [f"{pool_module}:7", "a.py:1", "a.py:2", "a.py:3",
+                                     "a.py:6"]
+
+
+def test_one_function_imports_a_process_pool():
+    """Only ``training.fit_pool`` imports ``multiprocessing`` or
+    ``concurrent.futures``, so ``import xaibench.cli`` loads neither."""
+    package = ROOT / "src" / "xaibench"
+    sources = {str(path.relative_to(package)): path.read_text(encoding="utf-8")
+               for path in sorted(package.rglob("*.py"))}
+    assert pool_imports(sources) == []
+    assert "multiprocessing" in sources[POOL_FUNCTION[0]]
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import xaibench.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing' "
+            "or m.startswith('concurrent.futures')))")
+    proc = subprocess.run([sys.executable, "-c", code, str(ROOT / "src")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_cli_imports_no_scipy():

@@ -523,9 +523,10 @@ def blends_of(x, background, z):
 
 def plain_distances(model, x):
     """(rows, n_train) squared distances of x's rows, as plain rows: one value
-    table per column (V = 1) and one blend (K = 1)."""
+    table per column (V = 1) and one blend (K = 1), on the plan that
+    ``predict_proba`` uses."""
     d2 = np.empty((len(x), len(model.x)))
-    for start, block in model._distances(x[:, None, :], np.zeros((1, x.shape[1]), dtype=int)):
+    for start, block in model._distances(x[:, None, :], knn._row_plan(x.shape[1])):
         d2[start:start + block.shape[1]] = block[0]
     return d2
 
@@ -543,7 +544,7 @@ def assert_coalitions_match_blends(model, x, background, z):
     assert want.tobytes() == tree_sum(diff2, knn._sum_order(x.shape[1])).tobytes()
     want = want.reshape(n, k, len(model.x)).transpose(1, 0, 2)
     covered = 0
-    for start, d2 in model._distances(values, z):
+    for start, d2 in model._distances(values, knn._plan(z)):
         assert start == covered
         assert d2.tobytes() == want[:, start:start + d2.shape[1]].tobytes()
         covered += d2.shape[1]
@@ -624,6 +625,22 @@ def test_plan_builds_each_distinct_sub_row_once(data):
     for left, right, lid, rid in steps:
         pairs = list(zip(lid.tolist(), rid.tolist()))
         assert pairs == sorted(set(pairs))  # distinct and ascending
+
+
+def test_predict_proba_builds_the_row_plan_once_per_width(monkeypatch):
+    """A plain row's plan depends on M alone: predict_proba builds it once per M."""
+    knn._row_plan.cache_clear()
+    built, original = [], knn._plan
+
+    def counted(ids):
+        built.append(np.shape(ids))
+        return original(ids)
+    monkeypatch.setattr(knn, "_plan", counted)
+    rng = np.random.default_rng(0)
+    for m in (3, 5, 3, 5, 3):
+        model = KNearestNeighbors(3).fit(rng.random((20, m)), rng.integers(0, 2, 20).astype(float))
+        model.predict_proba(rng.random((7, m)))
+    assert built == [(1, 3), (1, 5)]
 
 
 # --- reference MLP fit: index the rows of every minibatch -----------------
